@@ -22,6 +22,7 @@ from .consistency import (
 from .corruptions import (
     CorruptedFrame,
     CorruptionSpec,
+    FrameContext,
     Provenance,
     apply,
     apply_beam_missing,

@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 import click
 import numpy as np
 
-from .corruptions import CorruptedFrame, CorruptionSpec, apply
+from .corruptions import CorruptedFrame, CorruptionSpec, FrameContext, apply
 from .errors import LidarCorruptError, PairingError, ProfileError
 from .metrics import (
     KIND_ORDER,
@@ -155,11 +155,14 @@ def _severity_params(
 def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
     """Worker: corrupt one frame for every selected (kind, severity).
 
+    `args` is (task, cfg, profile), with the profile loaded once per run.
+    The frame's derived structures are built once and shared by all of its
+    outputs.
+
     Returns (manifest entries, failures); never raises, so one bad frame
     cannot abort the batch.
     """
-    task, cfg = args
-    profile = cfg.load()
+    task, cfg, profile = args
     entries: list[dict] = []
     failures: list[dict] = []
     try:
@@ -167,11 +170,12 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
     except Exception as exc:  # reported per frame, batch continues
         return [], [{"frame": task["stem"], "error": str(exc)}]
 
+    ctx = FrameContext(frame, profile, cfg.seed)
     for kind in cfg.kinds:
         for severity in cfg.severities:
             try:
                 spec = CorruptionSpec(kind=kind, severity=severity, seed=cfg.seed)
-                result = apply(spec, frame, profile)
+                result = apply(spec, frame, profile, ctx)
                 out_dir = cfg.output_root / kind.value / severity.value
                 out_dir.mkdir(parents=True, exist_ok=True)
                 frame_seed = derive_seed(cfg.seed, task["stem"], kind, severity)
@@ -220,7 +224,7 @@ def run_corrupt(cfg: RunConfig) -> dict:
     tasks = _frame_paths(cfg.input_root, profile)
     cfg.output_root.mkdir(parents=True, exist_ok=True)
 
-    job_args = [(task, cfg) for task in tasks]
+    job_args = [(task, cfg, profile) for task in tasks]
     if cfg.workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_corrupt_one_frame, job_args))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "apply_crosstalk",
     "apply_incomplete_echo",
     "apply_cross_sensor",
+    "FrameContext",
     "apply",
 ]
 
@@ -131,6 +133,14 @@ def _linear_decay_response(distance: float) -> Callable[[np.ndarray], np.ndarray
     return response
 
 
+def _ranges_of(frame: CorruptedFrame, ranges: Optional[np.ndarray]) -> np.ndarray:
+    if ranges is None:
+        return point_ranges(frame.cloud.xyz)
+    if len(ranges) != len(frame.cloud):
+        raise ValueError(f"{len(ranges)} ranges for {len(frame.cloud)} points")
+    return ranges
+
+
 def apply_fog(
     frame: CorruptedFrame,
     alpha: float,
@@ -141,6 +151,7 @@ def apply_fog(
     scatter_fraction: tuple[float, float] = (0.05, 0.5),
     fog_class: Optional[int] = None,
     soft_response: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    ranges: Optional[np.ndarray] = None,
 ) -> CorruptedFrame:
     """Fog: attenuate every return and scatter those the fog outshines.
 
@@ -151,7 +162,7 @@ def apply_fog(
     `response_distance`. A point whose soft response wins is relocated to a
     fraction of its range (uniform in `scatter_fraction`) along the same ray,
     takes the soft intensity (clamped to [0, 1]), and is relabeled
-    `fog_class`.
+    `fog_class`. `ranges` optionally supplies the precomputed point ranges.
 
     Raises:
         ValueError: alpha negative or intensities not normalized to [0, 1].
@@ -170,7 +181,7 @@ def apply_fog(
 
     response = soft_response or _linear_decay_response(response_distance)
     i64 = intensity.astype(np.float64)
-    r = point_ranges(frame.cloud.xyz)
+    r = _ranges_of(frame, ranges)
     i_hard = i64 * np.exp(-2.0 * alpha * r)
     i_soft = i64 * (r * r / beta_0) * beta_bs * response(r)
     scattered = i_soft > i_hard
@@ -220,6 +231,7 @@ def apply_wet_ground(
     i_n: float = 0.02,
     seed: int = 0,
     kappa_per_mm: float = 0.1,
+    ranges: Optional[np.ndarray] = None,
 ) -> CorruptedFrame:
     """Wet ground: attenuate ground returns, drop those below the noise floor.
 
@@ -229,7 +241,8 @@ def apply_wet_ground(
     together with their labels. Non-ground points pass through bitwise.
     `d_w` is in millimeters of water; `d_w` = 0 is a dry road and an exact
     identity. The attenuation model is deterministic; `seed` is accepted for
-    interface symmetry.
+    interface symmetry. `ranges` optionally supplies the precomputed point
+    ranges.
 
     Raises:
         ValueError: d_w negative, or ground mask misaligned with the cloud.
@@ -252,7 +265,7 @@ def apply_wet_ground(
 
     xyz = frame.cloud.xyz.astype(np.float64)
     if model is not None:
-        r = np.linalg.norm(xyz, axis=1)
+        r = _ranges_of(frame, ranges)
         with np.errstate(invalid="ignore", divide="ignore"):
             cos_inc = np.abs(xyz @ model.normal) / np.maximum(r, 1e-12)
         cos_inc = np.where(r > 0, cos_inc, 1.0)
@@ -316,6 +329,7 @@ def apply_snow(
     reflectivity: float = 0.3,
     min_particle_range: float = 1.0,
     particle_distances: Optional[np.ndarray] = None,
+    ranges: Optional[np.ndarray] = None,
 ) -> CorruptedFrame:
     """Snow: re-terminate rays on sampled particles, attenuate the rest.
 
@@ -326,7 +340,8 @@ def apply_snow(
     returns lose intensity to extinction: exp(-2 * k * range) with
     k = `extinction_per_rate` * r_s. `r_s` = 0 is an exact identity.
     `particle_distances` overrides the sampler (one distance per ray, inf
-    for none) for reproducing a known particle field.
+    for none) for reproducing a known particle field. `ranges` optionally
+    supplies the precomputed point ranges.
     """
     if r_s < 0:
         raise ValueError(f"snowfall rate must be >= 0, got {r_s}")
@@ -334,7 +349,7 @@ def apply_snow(
     if r_s == 0 or n == 0:
         return frame
 
-    r = point_ranges(frame.cloud.xyz)
+    r = _ranges_of(frame, ranges)
     if particle_distances is None:
         rng = make_rng("snow", seed)
         particle_distances = sample_particle_distances(
@@ -446,35 +461,50 @@ def apply_crosstalk(
     )
 
 
+def _vehicle_mask(
+    frame: CorruptedFrame,
+    vehicle_classes: Iterable[int],
+    vehicle_box_classes: Optional[Iterable[int]],
+) -> np.ndarray:
+    vehicle_classes = frozenset(vehicle_classes)
+    if frame.labels is not None and vehicle_classes:
+        return np.isin(
+            frame.labels.semantic, np.array(sorted(vehicle_classes), dtype=np.int64)
+        )
+    if frame.boxes is not None:
+        classes = None if vehicle_box_classes is None else frozenset(vehicle_box_classes)
+        return frame.boxes.contains(frame.cloud.xyz, classes)
+    raise ValueError(
+        "incomplete echo needs semantic labels or boxes to find vehicle points"
+    )
+
+
 def apply_incomplete_echo(
     frame: CorruptedFrame,
     k_e: float,
     seed: int,
     vehicle_classes: Iterable[int] = (),
     vehicle_box_classes: Optional[Iterable[int]] = None,
+    vehicle_mask: Optional[np.ndarray] = None,
 ) -> CorruptedFrame:
     """Incomplete echo: delete a k_e fraction of vehicle points.
 
     The vehicle set comes from semantic labels when available, otherwise
-    from membership in vehicle-class boxes. Exactly round(k_e * |V|) points
-    are removed with their labels; boxes are returned untouched.
+    from membership in vehicle-class boxes, unless `vehicle_mask` supplies
+    it precomputed. Exactly round(k_e * |V|) points are removed with their
+    labels; boxes are returned untouched.
 
     Raises:
-        ValueError: neither labels (with a class set) nor boxes available.
+        ValueError: neither labels (with a class set) nor boxes available,
+            or `vehicle_mask` misaligned with the cloud.
     """
     if not 0 <= k_e <= 1:
         raise ValueError(f"k_e must be in [0, 1], got {k_e}")
-    vehicle_classes = frozenset(vehicle_classes)
-    if frame.labels is not None and vehicle_classes:
-        vehicle_mask = np.isin(
-            frame.labels.semantic, np.array(sorted(vehicle_classes), dtype=np.int64)
-        )
-    elif frame.boxes is not None:
-        classes = None if vehicle_box_classes is None else frozenset(vehicle_box_classes)
-        vehicle_mask = frame.boxes.contains(frame.cloud.xyz, classes)
-    else:
+    if vehicle_mask is None:
+        vehicle_mask = _vehicle_mask(frame, vehicle_classes, vehicle_box_classes)
+    elif len(vehicle_mask) != len(frame.cloud):
         raise ValueError(
-            "incomplete echo needs semantic labels or boxes to find vehicle points"
+            f"vehicle mask length {len(vehicle_mask)} != point count {len(frame.cloud)}"
         )
 
     candidates = np.flatnonzero(vehicle_mask)
@@ -511,38 +541,99 @@ def apply_cross_sensor(
         np.arange(beams_kept) * partition.beam_count / beams_kept
     ).astype(np.int64)
 
+    # A stable sort groups each beam's points in original order; a point's
+    # rank within its beam is its offset from the beam's first position.
+    order = np.argsort(partition.beam_of, kind="stable")
+    beams = partition.beam_of[order]
+    position = np.arange(len(beams))
+    first = np.ones(len(beams), dtype=bool)
+    first[1:] = beams[1:] != beams[:-1]
+    rank = position - np.maximum.accumulate(np.where(first, position, 0))
+    kept = np.isin(beams, kept_beams) & (rank % stride == 0)
     keep = np.zeros(len(frame.cloud), dtype=bool)
-    for beam in kept_beams:
-        idx = np.flatnonzero(partition.beam_of == beam)
-        keep[idx[::stride]] = True
+    keep[order[kept]] = True
     if keep.all():
         return frame
     return frame.select(keep)
 
 
-def _resolve_ground(
-    frame: CorruptedFrame, profile: DatasetProfile, seed: int
-) -> Union[GroundModel, np.ndarray]:
-    if frame.labels is not None and profile.ground_classes:
-        return ground_mask_from_labels(frame.labels, profile)
-    return fit_ground_ransac(
-        frame.cloud,
-        iterations=int(profile.param("ransac_iterations")),
-        inlier_threshold=float(profile.param("ransac_threshold")),
-        seed=seed,
-    )
+class FrameContext:
+    """Derived structures of one frame, computed on first use and cached.
+
+    The point ranges, the beam partition, the ground and the vehicle mask
+    depend on the frame but not on the corruption or severity, so one
+    context serves all of a frame's outputs. A structure whose computation
+    raises is not cached: each output that needs it fails with the same
+    error, and the others are unaffected.
+
+    The ground is the plane through the ground-labelled points (their mask
+    when fewer than 3), or, when the frame has no labels or the profile no
+    ground classes, a RANSAC `GroundModel` seeded by (run seed, frame id,
+    wet_ground).
+    """
+
+    def __init__(
+        self, frame: CorruptedFrame, profile: DatasetProfile, seed: int
+    ) -> None:
+        self.frame = frame
+        self.profile = profile
+        self.seed = seed
+
+    @cached_property
+    def ranges(self) -> np.ndarray:
+        return point_ranges(self.frame.cloud.xyz)
+
+    @cached_property
+    def partition(self) -> BeamPartition:
+        return partition_beams(self.frame.cloud, self.profile)
+
+    @cached_property
+    def ground(self) -> Union[GroundModel, np.ndarray]:
+        frame, profile = self.frame, self.profile
+        if frame.labels is not None and profile.ground_classes:
+            mask = ground_mask_from_labels(frame.labels, profile)
+            model = _plane_from_mask(frame.cloud, mask)
+            return mask if model is None else model
+        return fit_ground_ransac(
+            frame.cloud,
+            iterations=int(profile.param("ransac_iterations")),
+            inlier_threshold=float(profile.param("ransac_threshold")),
+            seed=derive_seed(
+                self.seed, frame.cloud.frame_id, CorruptionKind.WET_GROUND
+            ),
+        )
+
+    @cached_property
+    def vehicle_mask(self) -> np.ndarray:
+        return _vehicle_mask(
+            self.frame,
+            self.profile.vehicle_classes,
+            self.profile.vehicle_box_classes or None,
+        )
 
 
 def apply(
-    spec: CorruptionSpec, frame: CorruptedFrame, profile: DatasetProfile
+    spec: CorruptionSpec,
+    frame: CorruptedFrame,
+    profile: DatasetProfile,
+    ctx: Optional[FrameContext] = None,
 ) -> CorruptedFrame:
     """Apply one corruption at one severity, resolving parameters from the profile.
 
     Derives the operator seed from (spec.seed, frame id, kind, severity), so
     any single corrupted frame is reproducible in isolation. Prerequisite
-    structures (ground model for wet ground, beam partition for beam missing
-    and cross-sensor) are derived here.
+    structures (ranges, ground, beam partition, vehicle mask) come from
+    `ctx`, which callers corrupting one frame many times build once with
+    `FrameContext(frame, profile, spec.seed)`. Without one, a throwaway
+    context is built, with the same result.
+
+    Raises:
+        ValueError: `ctx` was built for another frame, profile or seed.
     """
+    if ctx is None:
+        ctx = FrameContext(frame, profile, spec.seed)
+    elif ctx.frame is not frame or ctx.profile is not profile or ctx.seed != spec.seed:
+        raise ValueError("frame context was built for another frame, profile or seed")
     seed = derive_seed(spec.seed, frame.cloud.frame_id, spec.kind, spec.severity)
     kind, severity = spec.kind, spec.severity
 
@@ -558,15 +649,17 @@ def apply(
             response_distance=float(profile.param("fog_response_distance")),
             scatter_fraction=tuple(profile.param("fog_scatter_fraction")),
             fog_class=profile.fog_class,
+            ranges=ctx.ranges,
         )
     if kind is CorruptionKind.WET_GROUND:
         return apply_wet_ground(
             frame,
-            ground=_resolve_ground(frame, profile, seed),
+            ground=ctx.ground,
             d_w=float(profile.severity_value(kind, severity, "water_height_mm")),
             i_n=float(profile.param("wet_noise_floor")),
             seed=seed,
             kappa_per_mm=float(profile.param("wet_kappa_per_mm")),
+            ranges=ctx.ranges,
         )
     if kind is CorruptionKind.SNOW:
         return apply_snow(
@@ -580,6 +673,7 @@ def apply(
             extinction_per_rate=float(profile.param("snow_extinction_per_rate")),
             reflectivity=float(profile.param("snow_reflectivity")),
             min_particle_range=float(profile.param("snow_min_particle_range")),
+            ranges=ctx.ranges,
         )
     if kind is CorruptionKind.MOTION_BLUR:
         return apply_motion_blur(
@@ -588,10 +682,9 @@ def apply(
             seed=seed,
         )
     if kind is CorruptionKind.BEAM_MISSING:
-        partition = partition_beams(frame.cloud, profile)
         return apply_beam_missing(
             frame,
-            partition,
+            ctx.partition,
             m=int(profile.severity_value(kind, severity, "beams_dropped")),
             seed=seed,
         )
@@ -608,14 +701,12 @@ def apply(
             frame,
             k_e=float(profile.severity_value(kind, severity, "fraction")),
             seed=seed,
-            vehicle_classes=profile.vehicle_classes,
-            vehicle_box_classes=profile.vehicle_box_classes or None,
+            vehicle_mask=ctx.vehicle_mask,
         )
     if kind is CorruptionKind.CROSS_SENSOR:
-        partition = partition_beams(frame.cloud, profile)
         return apply_cross_sensor(
             frame,
-            partition,
+            ctx.partition,
             beams_kept=int(profile.severity_value(kind, severity, "beams_kept")),
             subsample_keep=float(profile.param("subsample_keep")),
         )

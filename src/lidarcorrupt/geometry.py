@@ -68,6 +68,31 @@ class GroundModel:
         return np.abs(pts @ self.normal + self.plane[3])
 
 
+# Rows of points scored against all RANSAC hypotheses per matmul. Bounds the
+# scoring buffer at _RANSAC_BLOCK x iterations float64 values.
+_RANSAC_BLOCK = 256
+
+
+def _inlier_counts(
+    pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Per hypothesis, the number of points within `threshold` of its plane.
+
+    `normals` is (3, H) and `offsets` (H,). Points are scored in fixed row
+    blocks through one reused buffer, so memory stays bounded for any N.
+    """
+    counts = np.zeros(normals.shape[1], dtype=np.int64)
+    buf = np.empty((min(_RANSAC_BLOCK, len(pts)), normals.shape[1]))
+    for start in range(0, len(pts), _RANSAC_BLOCK):
+        block = pts[start:start + _RANSAC_BLOCK]
+        dist = buf[: len(block)]
+        np.matmul(block, normals, out=dist)
+        dist += offsets
+        np.abs(dist, out=dist)
+        counts += np.count_nonzero(dist <= threshold, axis=0)
+    return counts
+
+
 def fit_ground_ransac(
     pc: PointCloud,
     iterations: int = 200,
@@ -76,10 +101,10 @@ def fit_ground_ransac(
 ) -> GroundModel:
     """Fit the dominant plane by RANSAC over sampled point triples.
 
-    The best-supported sample is refined by a least-squares fit on its
-    inliers; the refit is kept only if it does not lose support. The normal
-    is oriented upward (c >= 0) and the returned inlier mask is consistent
-    with the final plane.
+    The best-supported sample (the first one on ties) is refined by a
+    least-squares fit on its inliers; the refit is kept only if it does not
+    lose support. The normal is oriented upward (c >= 0) and the returned
+    inlier mask is consistent with the final plane.
 
     Raises:
         NoPlaneError: fewer than 3 points, or every sampled triple collinear.
@@ -90,9 +115,8 @@ def fit_ground_ransac(
         raise NoPlaneError(f"need at least 3 points to fit a plane, got {n}")
     rng = make_rng("ransac", seed)
 
-    best_normal: Optional[np.ndarray] = None
-    best_d = 0.0
-    best_count = -1
+    normals = []
+    offsets = []
     for _ in range(iterations):
         idx = rng.choice(n, size=3, replace=False)
         p0, p1, p2 = pts[idx]
@@ -101,12 +125,16 @@ def fit_ground_ransac(
         if norm < 1e-12:
             continue
         normal = normal / norm
-        d = -float(normal @ p0)
-        count = int((np.abs(pts @ normal + d) <= inlier_threshold).sum())
-        if count > best_count:
-            best_normal, best_d, best_count = normal, d, count
-    if best_normal is None:
+        normals.append(normal)
+        offsets.append(-float(normal @ p0))
+    if not normals:
         raise NoPlaneError("all sampled triples were degenerate (collinear points)")
+
+    counts = _inlier_counts(
+        pts, np.array(normals).T, np.array(offsets), inlier_threshold
+    )
+    best = int(np.argmax(counts))
+    best_normal, best_d, best_count = normals[best], offsets[best], int(counts[best])
 
     mask = np.abs(pts @ best_normal + best_d) <= inlier_threshold
     if mask.sum() >= 3:

@@ -145,6 +145,10 @@ class DatasetProfile:
 
         Plain keys update `params`; dotted keys like ``fog.beta_bs`` replace a
         severity-table entry (the value must then be a full triple or axis).
+
+        Raises:
+            ProfileError: a key names no existing parameter or table entry;
+                the message lists the valid keys.
         """
         params = dict(self.params)
         severity = {k: dict(v) for k, v in self.severity.items()}
@@ -153,9 +157,18 @@ class DatasetProfile:
                 kind_name, pname = key.split(".", 1)
                 if kind_name not in severity:
                     raise ProfileError(f"unknown corruption {kind_name!r} in override {key!r}")
-                severity[kind_name][pname] = value
+                table = severity[kind_name]
             else:
-                params[key] = value
+                pname, table = key, params
+            if pname not in table:
+                valid = sorted(params) + sorted(
+                    f"{kind}.{name}" for kind, entries in severity.items() for name in entries
+                )
+                raise ProfileError(
+                    f"unknown override key {key!r} for profile {self.name!r}; "
+                    f"valid keys: {', '.join(valid)}"
+                )
+            table[pname] = value
         return replace(self, params=params, severity=severity)
 
 

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from lidarcorrupt import LabelArray, PointCloud
+from lidarcorrupt import (
+    Box,
+    BoxSet,
+    LabelArray,
+    PointCloud,
+    write_kitti_boxes,
+    write_kitti_scan,
+    write_nuscenes_scan,
+    write_semkitti_labels,
+)
 from lidarcorrupt.corruptions import CorruptedFrame
 
 
@@ -64,6 +73,38 @@ def make_labeled_frame(
         instance=np.zeros(len(cloud), dtype=np.uint16),
     )
     return CorruptedFrame.clean(cloud, labels)
+
+
+BOXES = BoxSet((
+    Box(center=(8.0, 0.0, -1.0), lwh=(20.0, 16.0, 8.0), yaw=0.3, class_id=0),
+    Box(center=(-10.0, 5.0, 0.0), lwh=(6.0, 6.0, 30.0), yaw=-1.0, class_id=3),
+))
+
+
+def write_dataset(root, profile_name, n_frames, points_per_beam=6, boxes=True):
+    """On-disk dataset in the layout `corrupt` reads, one builder per profile."""
+    (root / "velodyne").mkdir(parents=True)
+    for i in range(n_frames):
+        stem = f"{i:06d}"
+        if profile_name == "nuscenes":
+            cloud, _ = make_beam_cloud(32, points_per_beam, seed=50 + i, frame_id=stem)
+            cloud = cloud.with_fields(intensity=np.round(cloud.intensity * 255))
+            (root / "velodyne" / f"{stem}.bin").write_bytes(write_nuscenes_scan(cloud))
+        else:
+            cloud, _ = make_beam_cloud(64, points_per_beam, seed=50 + i,
+                                       with_ring=False, frame_id=stem)
+            (root / "velodyne" / f"{stem}.bin").write_bytes(write_kitti_scan(cloud))
+        if profile_name in ("semantickitti", "nuscenes"):
+            (root / "labels").mkdir(exist_ok=True)
+            rng = np.random.default_rng(70 + i)
+            semantic = rng.choice([10, 14, 24, 40, 44, 48, 70],
+                                  size=len(cloud)).astype(np.uint16)
+            labels = LabelArray(semantic, rng.integers(0, 3, len(cloud)).astype(np.uint16))
+            (root / "labels" / f"{stem}.label").write_bytes(write_semkitti_labels(labels))
+        if boxes and profile_name in ("kitti", "wod"):
+            (root / "boxes").mkdir(exist_ok=True)
+            (root / "boxes" / f"{stem}.txt").write_text(write_kitti_boxes(BOXES))
+    return root
 
 
 @pytest.fixture

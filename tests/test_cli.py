@@ -129,6 +129,39 @@ class TestCorrupt:
         assert manifest["params"]["crosstalk_sigma"] == 1.5
         assert manifest["overrides"] == {"crosstalk_sigma": 1.5}
 
+    @pytest.mark.parametrize(
+        "override", ["crosstalk_sigmaa=2.0", "fog.beta_bss=0.01,0.05,0.3"]
+    )
+    def test_unknown_override_key_rejected(self, runner, tmp_path, override):
+        src = build_dataset(tmp_path / "in", n_frames=1)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["corrupt", "--dataset", "semantickitti", "--in", str(src),
+             "--out", str(out), "--set", override],
+        )
+        assert result.exit_code == 2, result.output
+        assert override.split("=")[0] in result.output
+        assert "crosstalk_sigma, " in result.output
+        assert "fog.beta_bs" in result.output
+        assert not out.exists()
+
+    def test_profile_loaded_once_per_run(self, tmp_path, monkeypatch):
+        from lidarcorrupt import cli
+
+        calls = []
+        load = cli.load_profile
+        monkeypatch.setattr(
+            cli, "load_profile", lambda *a, **k: calls.append(a) or load(*a, **k)
+        )
+        src = build_dataset(tmp_path / "in", n_frames=3)
+        manifest = cli.run_corrupt(cli.RunConfig(
+            profile_name="semantickitti", input_root=src,
+            output_root=tmp_path / "out", kinds=(cli.CorruptionKind.FOG,),
+        ))
+        assert len(manifest["entries"]) == 3 * 3 * 2
+        assert len(calls) == 1
+
     def test_same_in_out_rejected(self, runner, tmp_path):
         src = build_dataset(tmp_path / "in")
         result = runner.invoke(

@@ -468,6 +468,31 @@ class TestCrossSensor:
         for beam, size in enumerate([1, 2, 3, 4, 5]):
             assert out_ring.count(beam) == math.ceil(size / 2)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("subsample_keep", [1.0, 0.5, 0.3])
+    def test_matches_per_beam_loop(self, seed, subsample_keep):
+        # Unsorted, uneven beams, empty beams and ring ids past beam_count.
+        rng = np.random.default_rng(seed)
+        n = 500
+        ring = rng.integers(0, 40, n).astype(np.int32)
+        ring[ring == 7] = 8
+        cloud = PointCloud(
+            xyz=rng.uniform(-20, 20, (n, 3)).astype(np.float32),
+            intensity=rng.uniform(0, 1, n).astype(np.float32),
+            ring=ring,
+        )
+        part = partition_beams(cloud, 32)
+        stride = max(1, int(round(1.0 / subsample_keep)))
+        for beams_kept in (1, 5, 16, 32):
+            kept_beams = np.floor(np.arange(beams_kept) * 32 / beams_kept).astype(int)
+            keep = np.zeros(n, dtype=bool)
+            for beam in kept_beams:
+                keep[np.flatnonzero(part.beam_of == beam)[::stride]] = True
+            out = apply_cross_sensor(
+                CorruptedFrame.clean(cloud), part, beams_kept, subsample_keep
+            )
+            assert out.cloud.equals(cloud.select(keep))
+
     def test_beams_out_of_range(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10
         part = partition_beams(cloud, 64)

@@ -1,0 +1,149 @@
+"""Per-frame context: derived structures built once and shared by all outputs."""
+
+import numpy as np
+import pytest
+
+from lidarcorrupt import (
+    BoxSet,
+    LabelArray,
+    PointCloud,
+    fit_ground_ransac,
+    load_profile,
+    write_kitti_scan,
+)
+from lidarcorrupt import cli, corruptions
+from lidarcorrupt.corruptions import (
+    CorruptedFrame,
+    CorruptionSpec,
+    FrameContext,
+    apply,
+    apply_wet_ground,
+)
+from lidarcorrupt.profiles import CorruptionKind, Severity
+from lidarcorrupt.rng import derive_seed
+
+from conftest import BOXES, make_beam_cloud, write_dataset
+
+
+def labelled_frame(seed=0, frame_id="000000", with_ring=False):
+    cloud, _ = make_beam_cloud(64, 6, seed=seed, with_ring=with_ring, frame_id=frame_id)
+    rng = np.random.default_rng(seed + 1)
+    semantic = rng.choice([10, 14, 24, 40, 44, 48, 70], size=len(cloud)).astype(np.uint16)
+    return CorruptedFrame.clean(cloud, LabelArray(semantic, np.zeros(len(cloud), np.uint16)))
+
+
+def boxed_frame(seed=0, frame_id="000000"):
+    cloud, _ = make_beam_cloud(64, 6, seed=seed, with_ring=False, frame_id=frame_id)
+    return CorruptedFrame.clean(cloud, boxes=BOXES)
+
+
+FRAMES = {
+    "semantickitti": labelled_frame,
+    "kitti": boxed_frame,
+    "nuscenes": lambda seed=0: labelled_frame(seed, with_ring=True),
+}
+
+
+def assert_same(a, b):
+    assert a.cloud.equals(b.cloud)
+    assert (a.labels is None) == (b.labels is None)
+    if a.labels is not None:
+        assert a.labels.equals(b.labels)
+    assert np.array_equal(a.provenance, b.provenance)
+
+
+@pytest.mark.parametrize("profile_name", sorted(FRAMES))
+def test_apply_with_and_without_context_bitwise_equal(profile_name):
+    profile = load_profile(profile_name)
+    frame = FRAMES[profile_name](seed=4)
+    ctx = FrameContext(frame, profile, seed=9)
+    for kind in CorruptionKind:
+        for severity in Severity:
+            spec = CorruptionSpec(kind, severity, seed=9)
+            assert_same(apply(spec, frame, profile, ctx), apply(spec, frame, profile))
+
+
+def test_context_for_another_frame_rejected():
+    profile = load_profile("kitti")
+    frame = boxed_frame()
+    spec = CorruptionSpec(CorruptionKind.FOG, Severity.LIGHT, seed=1)
+    with pytest.raises(ValueError, match="another frame"):
+        apply(spec, frame, profile, FrameContext(boxed_frame(), profile, seed=1))
+    with pytest.raises(ValueError, match="another frame"):
+        apply(spec, frame, profile, FrameContext(frame, profile, seed=2))
+
+
+def test_unlabelled_wet_ground_severities_share_one_ground_model():
+    profile = load_profile("kitti")
+    frame = boxed_frame(seed=6, frame_id="000042")
+    ctx = FrameContext(frame, profile, seed=5)
+    model = fit_ground_ransac(
+        frame.cloud,
+        iterations=int(profile.param("ransac_iterations")),
+        inlier_threshold=float(profile.param("ransac_threshold")),
+        seed=derive_seed(5, "000042", CorruptionKind.WET_GROUND),
+    )
+    assert ctx.ground.plane == model.plane
+    for severity in Severity:
+        out = apply(CorruptionSpec(CorruptionKind.WET_GROUND, severity, seed=5),
+                    frame, profile, ctx)
+        expected = apply_wet_ground(
+            frame,
+            model,
+            d_w=float(profile.severity_value(
+                CorruptionKind.WET_GROUND, severity, "water_height_mm")),
+            i_n=float(profile.param("wet_noise_floor")),
+            kappa_per_mm=float(profile.param("wet_kappa_per_mm")),
+        )
+        assert_same(out, expected)
+
+
+@pytest.mark.parametrize("profile_name,ransac", [("kitti", 1), ("semantickitti", 0)])
+def test_derived_structures_built_once_per_frame(profile_name, ransac, tmp_path,
+                                                 monkeypatch):
+    calls = {"partition": 0, "ransac": 0, "contains": 0, "ranges": 0}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(corruptions, "partition_beams",
+                        spy("partition", corruptions.partition_beams))
+    monkeypatch.setattr(corruptions, "fit_ground_ransac",
+                        spy("ransac", corruptions.fit_ground_ransac))
+    monkeypatch.setattr(corruptions, "point_ranges",
+                        spy("ranges", corruptions.point_ranges))
+    monkeypatch.setattr(BoxSet, "contains", spy("contains", BoxSet.contains))
+    src = write_dataset(tmp_path / "in", profile_name, n_frames=2)
+    manifest = cli.run_corrupt(cli.RunConfig(
+        profile_name=profile_name, input_root=src, output_root=tmp_path / "out", seed=3))
+    assert manifest["failures"] == []
+    assert len({(e["frame"], e["kind"], e["severity"]) for e in manifest["entries"]}) == 48
+    assert calls == {"partition": 2, "ransac": 2 * ransac, "contains": 2 * ransac,
+                     "ranges": 2}
+
+
+def test_failing_structure_fails_only_the_outputs_that_need_it(tmp_path):
+    # Two points: no plane can be fitted, and without labels or boxes there
+    # is no vehicle set. Every other output is still written.
+    src = tmp_path / "in"
+    (src / "velodyne").mkdir(parents=True)
+    cloud = PointCloud(xyz=np.array([[5, 0, -1], [0, 7, -1]], np.float32),
+                       intensity=np.array([0.5, 0.25], np.float32))
+    (src / "velodyne" / "000000.bin").write_bytes(write_kitti_scan(cloud))
+    manifest = cli.run_corrupt(cli.RunConfig(
+        profile_name="kitti", input_root=src, output_root=tmp_path / "out", seed=1))
+    expected = []
+    for kind, error in (
+        ("incomplete_echo",
+         "incomplete echo needs semantic labels or boxes to find vehicle points"),
+        ("wet_ground", "need at least 3 points to fit a plane, got 2"),
+    ):
+        for severity in ("heavy", "light", "moderate"):
+            expected.append({"frame": "000000", "kind": kind, "severity": severity,
+                             "error": error})
+    assert manifest["failures"] == expected
+    assert len(manifest["entries"]) == 18
+    assert not {e["kind"] for e in manifest["entries"]} & {"incomplete_echo", "wet_ground"}

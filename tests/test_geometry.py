@@ -19,7 +19,9 @@ from lidarcorrupt import (
     voxelize_fixed,
     voxelize_flexible,
 )
+from lidarcorrupt import geometry
 from lidarcorrupt.geometry import BeamMethod, GroundSource
+from lidarcorrupt.rng import make_rng
 
 from conftest import make_beam_cloud
 
@@ -103,6 +105,104 @@ class TestRansac:
         dist = model.distances(pc.xyz)
         assert (dist[model.inlier_mask] <= 0.15).all()
         assert (dist[~model.inlier_mask] > 0.15).all()
+
+
+
+def ransac_reference(pts, iterations, threshold, seed):
+    """The per-hypothesis scoring loop that blocked scoring must reproduce.
+
+    Returns (normal, offset, count) of the first best-supported triple, or
+    None when every triple is degenerate.
+    """
+    rng = make_rng("ransac", seed)
+    best = None
+    for _ in range(iterations):
+        idx = rng.choice(len(pts), size=3, replace=False)
+        p0, p1, p2 = pts[idx]
+        normal = np.cross(p1 - p0, p2 - p0)
+        norm = np.linalg.norm(normal)
+        if norm < 1e-12:
+            continue
+        normal = normal / norm
+        d = -float(normal @ p0)
+        count = int((np.abs(pts @ normal + d) <= threshold).sum())
+        if best is None or count > best[2]:
+            best = (normal, d, count)
+    return best
+
+
+class TestBlockedRansacScoring:
+    """Blocked scoring picks the same hypothesis as scoring one at a time."""
+
+    @staticmethod
+    def _scene(n, seed, duplicates=0):
+        rng = np.random.default_rng(seed)
+        n_ground = n // 2
+        ground = np.column_stack([
+            rng.uniform(-30, 30, n_ground), rng.uniform(-30, 30, n_ground),
+            -1.7 + rng.normal(0, 0.05, n_ground),
+        ])
+        clutter = rng.uniform(-30, 30, (n - n_ground, 3))
+        xyz = np.vstack([ground, clutter])
+        # Repeated points make some sampled triples degenerate.
+        xyz[:duplicates] = xyz[0]
+        return cloud_from_xyz(xyz)
+
+    def _check_winner(self, pc, seed, iterations=200, threshold=0.15):
+        """The model equals the one refined from the reference loop's winner."""
+        pts = pc.xyz.astype(np.float64)
+        normal, d, count = ransac_reference(pts, iterations, threshold, seed)
+        counts = geometry._inlier_counts(pts, normal[:, None], np.array([d]), threshold)
+        assert int(counts[0]) == count
+        model = fit_ground_ransac(
+            pc, iterations=iterations, inlier_threshold=threshold, seed=seed
+        )
+        expected = refine_reference(pts, normal, d, count, threshold)
+        assert model.plane == expected[0]
+        assert np.array_equal(model.inlier_mask, expected[1])
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2023])
+    def test_winner_matches_reference_loop(self, seed, monkeypatch):
+        monkeypatch.setattr(geometry, "_RANSAC_BLOCK", 64)
+        pc = self._scene(64 * 9 + 17, seed)  # not a multiple of the block
+        self._check_winner(pc, seed)
+
+    @pytest.mark.parametrize("n", [3, 5, 63, 64, 65, 1000])
+    def test_point_counts_around_block_size(self, n, monkeypatch):
+        monkeypatch.setattr(geometry, "_RANSAC_BLOCK", 64)
+        self._check_winner(self._scene(n, seed=n), seed=n)
+
+    def test_degenerate_triples_skipped(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_RANSAC_BLOCK", 64)
+        pc = self._scene(300, seed=5, duplicates=250)
+        pts = pc.xyz.astype(np.float64)
+        rng = make_rng("ransac", 11)
+        degenerate = 0
+        for _ in range(200):
+            p0, p1, p2 = pts[rng.choice(len(pts), size=3, replace=False)]
+            degenerate += np.linalg.norm(np.cross(p1 - p0, p2 - p0)) < 1e-12
+        assert 0 < degenerate < 200
+        self._check_winner(pc, seed=11)
+
+    def test_default_block_size(self):
+        self._check_winner(self._scene(geometry._RANSAC_BLOCK * 2 + 5, seed=9), seed=9)
+
+
+def refine_reference(pts, normal, d, count, threshold):
+    """The least-squares refinement and orientation applied to a winner."""
+    mask = np.abs(pts @ normal + d) <= threshold
+    if mask.sum() >= 3:
+        centroid = pts[mask].mean(axis=0)
+        _, _, vt = np.linalg.svd(pts[mask] - centroid, full_matrices=False)
+        refit_normal = vt[-1]
+        refit_d = -float(refit_normal @ centroid)
+        refit_mask = np.abs(pts @ refit_normal + refit_d) <= threshold
+        if refit_mask.sum() >= count:
+            normal, d, mask = refit_normal, refit_d, refit_mask
+    if normal[2] < 0:
+        normal, d = -normal, -d
+    return (tuple(float(v) for v in normal) + (float(d),)), mask
 
 
 class TestGroundMaskFromLabels:
