@@ -426,7 +426,8 @@ def cmd_corrupt(dataset, in_root, out_root, corruptions, severities, seed, worke
 @click.option("--gt", "gt_root", required=True,
               type=click.Path(exists=True, file_okay=False))
 @click.option("--dataset", required=True)
-@click.option("--num-classes", required=True, type=int)
+@click.option("--num-classes", required=True, type=click.IntRange(1, 65536),
+              help="Classes scored, 1 to 65536 (semantic ids are 16-bit).")
 @click.option("--model", default="model", show_default=True)
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 @click.option("--profile-dir", default=None, type=click.Path(file_okay=False))
@@ -439,7 +440,7 @@ def cmd_evaluate(pred_root, gt_root, dataset, num_classes, model, out_path, prof
         sys.exit(2)
     try:
         record = run_evaluate(Path(pred_root), Path(gt_root), profile, num_classes, model)
-    except (LidarCorruptError, ValueError, OSError) as exc:
+    except (LidarCorruptError, ValueError, OSError, MemoryError) as exc:
         click.echo(f"evaluation failed: {exc}", err=True)
         sys.exit(1)
     text = write_accuracy_record(record)

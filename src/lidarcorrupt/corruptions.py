@@ -518,17 +518,33 @@ def apply_incomplete_echo(
     return frame.select(keep)
 
 
+def beam_ranks(partition: BeamPartition) -> np.ndarray:
+    """Each point's position among its beam's points, in cloud order."""
+    # A stable sort groups each beam's points in original order; a point's
+    # rank within its beam is its offset from the beam's first position.
+    order = np.argsort(partition.beam_of, kind="stable")
+    beams = partition.beam_of[order]
+    position = np.arange(len(beams))
+    first = np.ones(len(beams), dtype=bool)
+    first[1:] = beams[1:] != beams[:-1]
+    ranks = np.empty_like(position)
+    ranks[order] = position - np.maximum.accumulate(np.where(first, position, 0))
+    return ranks
+
+
 def apply_cross_sensor(
     frame: CorruptedFrame,
     partition: BeamPartition,
     beams_kept: int,
     subsample_keep: float = 0.5,
+    ranks: Optional[np.ndarray] = None,
 ) -> CorruptedFrame:
     """Cross-sensor: retain an equal-stride subset of beams, then thin each.
 
     `beams_kept` beams are chosen at equal stride across the
     elevation-ordered beam list (no randomness), and within each surviving
     beam every round(1/subsample_keep)-th point survives in original order.
+    `ranks` optionally supplies the precomputed `beam_ranks(partition)`.
     """
     if not 1 <= beams_kept <= partition.beam_count:
         raise ValueError(
@@ -541,17 +557,11 @@ def apply_cross_sensor(
         np.arange(beams_kept) * partition.beam_count / beams_kept
     ).astype(np.int64)
 
-    # A stable sort groups each beam's points in original order; a point's
-    # rank within its beam is its offset from the beam's first position.
-    order = np.argsort(partition.beam_of, kind="stable")
-    beams = partition.beam_of[order]
-    position = np.arange(len(beams))
-    first = np.ones(len(beams), dtype=bool)
-    first[1:] = beams[1:] != beams[:-1]
-    rank = position - np.maximum.accumulate(np.where(first, position, 0))
-    kept = np.isin(beams, kept_beams) & (rank % stride == 0)
-    keep = np.zeros(len(frame.cloud), dtype=bool)
-    keep[order[kept]] = True
+    if ranks is None:
+        ranks = beam_ranks(partition)
+    elif len(ranks) != len(partition.beam_of):
+        raise ValueError(f"{len(ranks)} beam ranks for {len(partition.beam_of)} points")
+    keep = np.isin(partition.beam_of, kept_beams) & (ranks % stride == 0)
     if keep.all():
         return frame
     return frame.select(keep)
@@ -560,11 +570,12 @@ def apply_cross_sensor(
 class FrameContext:
     """Derived structures of one frame, computed on first use and cached.
 
-    The point ranges, the beam partition, the ground and the vehicle mask
-    depend on the frame but not on the corruption or severity, so one
-    context serves all of a frame's outputs. A structure whose computation
-    raises is not cached: each output that needs it fails with the same
-    error, and the others are unaffected.
+    The point ranges, the beam partition, the points' ranks within their
+    beams, the ground and the vehicle mask depend on the frame but not on
+    the corruption or severity, so one context serves all of a frame's
+    outputs. A structure whose computation raises is not cached: each
+    output that needs it fails with the same error, and the others are
+    unaffected.
 
     The ground is the plane through the ground-labelled points (their mask
     when fewer than 3), or, when the frame has no labels or the profile no
@@ -586,6 +597,10 @@ class FrameContext:
     @cached_property
     def partition(self) -> BeamPartition:
         return partition_beams(self.frame.cloud, self.profile)
+
+    @cached_property
+    def beam_ranks(self) -> np.ndarray:
+        return beam_ranks(self.partition)
 
     @cached_property
     def ground(self) -> Union[GroundModel, np.ndarray]:
@@ -622,8 +637,8 @@ def apply(
 
     Derives the operator seed from (spec.seed, frame id, kind, severity), so
     any single corrupted frame is reproducible in isolation. Prerequisite
-    structures (ranges, ground, beam partition, vehicle mask) come from
-    `ctx`, which callers corrupting one frame many times build once with
+    structures (ranges, ground, beam partition and ranks, vehicle mask) come
+    from `ctx`, which callers corrupting one frame many times build once with
     `FrameContext(frame, profile, spec.seed)`. Without one, a throwaway
     context is built, with the same result.
 
@@ -709,5 +724,6 @@ def apply(
             ctx.partition,
             beams_kept=int(profile.severity_value(kind, severity, "beams_kept")),
             subsample_keep=float(profile.param("subsample_keep")),
+            ranks=ctx.beam_ranks,
         )
     raise ValueError(f"unknown corruption kind {kind!r}")

@@ -51,17 +51,23 @@ def confusion_matrix(
     Raises:
         ValueError: length mismatch, or a counted label >= num_classes.
     """
-    pred = np.asarray(pred).reshape(-1).astype(np.int64)
-    gt = np.asarray(gt).reshape(-1).astype(np.int64)
+    pred = np.asarray(pred).reshape(-1)
+    gt = np.asarray(gt).reshape(-1)
     if len(pred) != len(gt):
         raise ValueError(f"{len(pred)} predictions for {len(gt)} ground-truth labels")
+    # Masking and range checks run in the labels' own dtype; only the
+    # counted, in-range subset is widened, into the one bincount key.
     counted = gt != ignore_label
     pred, gt = pred[counted], gt[counted]
     for name, arr in (("gt", gt), ("pred", pred)):
         if arr.size and (arr.min() < 0 or arr.max() >= num_classes):
             bad = arr[(arr < 0) | (arr >= num_classes)][0]
             raise ValueError(f"{name} label {bad} outside [0, {num_classes})")
-    cm = np.bincount(gt * num_classes + pred, minlength=num_classes * num_classes)
+    key = gt.astype(np.intp)
+    key *= num_classes
+    # The checked labels fit intp; a plain `+=` would fail for uint64 pred.
+    np.add(key, pred, out=key, dtype=np.intp, casting="unsafe")
+    cm = np.bincount(key, minlength=num_classes * num_classes)
     return cm.reshape(num_classes, num_classes)
 
 
@@ -126,12 +132,13 @@ def resilience_rate(acc: Accuracies, clean_acc: float) -> float:
 
 def remap_injected(semantic: np.ndarray, profile: DatasetProfile) -> np.ndarray:
     """Map injected fog/snow/crosstalk class ids to the profile's ignore label."""
+    semantic = np.asarray(semantic)
     injected = sorted(profile.injected_classes())
     if not injected:
-        return np.asarray(semantic)
-    semantic = np.asarray(semantic)
+        return semantic
     out = semantic.copy()
-    out[np.isin(semantic, injected)] = profile.ignore_label
+    for class_id in injected:
+        out[semantic == class_id] = profile.ignore_label
     return out
 
 

@@ -144,11 +144,15 @@ class DatasetProfile:
         """Copy with parameters replaced.
 
         Plain keys update `params`; dotted keys like ``fog.beta_bs`` replace a
-        severity-table entry (the value must then be a full triple or axis).
+        severity-table entry. A value must have the shape of the one it
+        replaces: a number for a number, a list of as many numbers for a
+        list (a severity triple, for instance), and a nonempty list of
+        numbers for an ``_axis``.
 
         Raises:
-            ProfileError: a key names no existing parameter or table entry;
-                the message lists the valid keys.
+            ProfileError: a key names no existing parameter or table entry
+                (the message lists the valid keys), or a value has the
+                wrong shape.
         """
         params = dict(self.params)
         severity = {k: dict(v) for k, v in self.severity.items()}
@@ -168,8 +172,31 @@ class DatasetProfile:
                     f"unknown override key {key!r} for profile {self.name!r}; "
                     f"valid keys: {', '.join(valid)}"
                 )
+            expected = _expected_shape(key, table[pname], value)
+            if expected is not None:
+                raise ProfileError(f"override {key!r} must be {expected}, got {value!r}")
             table[pname] = value
         return replace(self, params=params, severity=severity)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _expected_shape(key: str, old: Any, new: Any) -> Optional[str]:
+    """What override `key` must be to replace `old`, or None when `new` is that."""
+    numbers = isinstance(new, (list, tuple)) and all(_is_number(v) for v in new)
+    if key.endswith("_axis"):
+        return None if numbers and len(new) > 0 else "a nonempty list of numbers"
+    if isinstance(old, (list, tuple)):
+        if numbers and len(new) == len(old):
+            return None
+        if "." in key:
+            return "a 3-entry severity triple of numbers"
+        return f"a list of {len(old)} numbers"
+    if _is_number(old) and not _is_number(new):
+        return "a number"
+    return None
 
 
 def _profile_source(directory: Optional[str | Path]) -> dict:

@@ -108,11 +108,9 @@ def read_semkitti_labels(data: bytes) -> LabelArray:
         raise MalformedScanError(
             f"label stream: byte length {len(data)} is not a multiple of 4"
         )
-    words = np.frombuffer(data, dtype="<u4")
-    return LabelArray(
-        semantic=(words & 0xFFFF).astype(np.uint16),
-        instance=(words >> 16).astype(np.uint16),
-    )
+    # A little-endian word stores its low (semantic) half first.
+    halves = np.frombuffer(data, dtype="<u2").reshape(-1, 2)
+    return LabelArray(semantic=halves[:, 0], instance=halves[:, 1])
 
 
 def write_semkitti_labels(labels: LabelArray) -> bytes:

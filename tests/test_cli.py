@@ -146,6 +146,45 @@ class TestCorrupt:
         assert "fog.beta_bs" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("override,expected", [
+        ("crosstalk_sigma=abc", "a number"),
+        ("crosstalk_sigma=true", "a number"),
+        ("crosstalk_sigma=1,2", "a number"),
+        ("fog_scatter_fraction=0.1", "a list of 2 numbers"),
+        ("fog_scatter_fraction=0.1,0.2,0.3", "a list of 2 numbers"),
+        ("fog.beta_bs=0.01,0.05", "a 3-entry severity triple of numbers"),
+        ("fog.beta_bs=0.01,abc,0.3", "a 3-entry severity triple of numbers"),
+        ("fog.beta_bs=0.05", "a 3-entry severity triple of numbers"),
+        ("fog.alpha_axis=abc", "a nonempty list of numbers"),
+        ("fog.alpha_axis=[]", "a nonempty list of numbers"),
+        ("fog.alpha_axis=[0.01, true]", "a nonempty list of numbers"),
+    ])
+    def test_wrong_override_type_rejected(self, runner, tmp_path, override, expected):
+        src = build_dataset(tmp_path / "in", n_frames=1)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["corrupt", "--dataset", "semantickitti", "--in", str(src),
+             "--out", str(out), "--set", override],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"override {override.split('=')[0]!r} must be {expected}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", [
+        "crosstalk_sigma=2", "fog_scatter_fraction=0.1,0.4",
+        "fog.beta_bs=[0.01, 0.05, 1]", "fog.alpha_axis=[0.02]",
+    ])
+    def test_well_typed_override_accepted(self, runner, tmp_path, override):
+        src = build_dataset(tmp_path / "in", n_frames=1)
+        result = runner.invoke(
+            main,
+            ["corrupt", "--dataset", "semantickitti", "--in", str(src),
+             "--out", str(tmp_path / "out"), "--corruptions", "fog,crosstalk",
+             "--severities", "light", "--set", override],
+        )
+        assert result.exit_code == 0, result.output
+
     def test_profile_loaded_once_per_run(self, tmp_path, monkeypatch):
         from lidarcorrupt import cli
 
@@ -316,6 +355,55 @@ class TestEvaluate:
         )
         assert result.exit_code == 1
         assert "000001" in result.output
+
+    @pytest.mark.parametrize("num_classes", ["0", "-3", "65537", "70000"])
+    def test_num_classes_out_of_range_rejected(self, runner, tmp_path, num_classes):
+        self._build_eval_tree(tmp_path, [1, 2], [1, 2])
+        result = runner.invoke(
+            main,
+            ["evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+             "--dataset", "semantickitti", "--num-classes", num_classes],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--num-classes" in result.output
+        assert "1<=x<=65536" in result.output
+
+    @pytest.mark.parametrize("num_classes", [1, 65536])
+    def test_num_classes_range_inclusive(self, runner, tmp_path, monkeypatch, num_classes):
+        # A stub scorer: 65536 classes would need a 32 GiB confusion matrix.
+        from lidarcorrupt import cli
+
+        seen = []
+
+        def stub(pred_root, gt_root, profile, num_classes, model):
+            seen.append(num_classes)
+            return cli.AccuracyRecord(model=model, clean_acc=1.0, per_corruption={})
+
+        monkeypatch.setattr(cli, "run_evaluate", stub)
+        self._build_eval_tree(tmp_path, [0], [0])
+        result = runner.invoke(
+            main,
+            ["evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+             "--dataset", "semantickitti", "--num-classes", str(num_classes)],
+        )
+        assert result.exit_code == 0, result.output
+        assert seen == [num_classes]
+
+    def test_out_of_memory_reported_as_failure(self, runner, tmp_path, monkeypatch):
+        from lidarcorrupt import cli
+
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 32.0 GiB")
+
+        monkeypatch.setattr(cli, "run_evaluate", no_memory)
+        self._build_eval_tree(tmp_path, [1], [1])
+        result = runner.invoke(
+            main,
+            ["evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+             "--dataset", "semantickitti", "--num-classes", "3"],
+        )
+        assert result.exit_code == 1
+        assert "evaluation failed: Unable to allocate 32.0 GiB" in result.output
 
 
 class TestReport:

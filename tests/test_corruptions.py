@@ -26,6 +26,7 @@ from lidarcorrupt.corruptions import (
     apply_motion_blur,
     apply_snow,
     apply_wet_ground,
+    beam_ranks,
 )
 from lidarcorrupt.errors import ProfileError
 from lidarcorrupt.profiles import CorruptionKind, Severity
@@ -492,6 +493,18 @@ class TestCrossSensor:
                 CorruptedFrame.clean(cloud), part, beams_kept, subsample_keep
             )
             assert out.cloud.equals(cloud.select(keep))
+            out = apply_cross_sensor(
+                CorruptedFrame.clean(cloud), part, beams_kept, subsample_keep,
+                ranks=beam_ranks(part),
+            )
+            assert out.cloud.equals(cloud.select(keep))
+
+    def test_ranks_for_another_partition_rejected(self, beam_cloud_64x10):
+        cloud, _ = beam_cloud_64x10
+        part = partition_beams(cloud, 64)
+        with pytest.raises(ValueError, match="639 beam ranks for 640 points"):
+            apply_cross_sensor(CorruptedFrame.clean(cloud), part, beams_kept=8,
+                               ranks=beam_ranks(part)[1:])
 
     def test_beams_out_of_range(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10

@@ -101,7 +101,7 @@ def test_unlabelled_wet_ground_severities_share_one_ground_model():
 @pytest.mark.parametrize("profile_name,ransac", [("kitti", 1), ("semantickitti", 0)])
 def test_derived_structures_built_once_per_frame(profile_name, ransac, tmp_path,
                                                  monkeypatch):
-    calls = {"partition": 0, "ransac": 0, "contains": 0, "ranges": 0}
+    calls = {"partition": 0, "ransac": 0, "contains": 0, "ranges": 0, "ranks": 0}
 
     def spy(name, fn):
         def counted(*args, **kwargs):
@@ -115,6 +115,7 @@ def test_derived_structures_built_once_per_frame(profile_name, ransac, tmp_path,
                         spy("ransac", corruptions.fit_ground_ransac))
     monkeypatch.setattr(corruptions, "point_ranges",
                         spy("ranges", corruptions.point_ranges))
+    monkeypatch.setattr(corruptions, "beam_ranks", spy("ranks", corruptions.beam_ranks))
     monkeypatch.setattr(BoxSet, "contains", spy("contains", BoxSet.contains))
     src = write_dataset(tmp_path / "in", profile_name, n_frames=2)
     manifest = cli.run_corrupt(cli.RunConfig(
@@ -122,7 +123,7 @@ def test_derived_structures_built_once_per_frame(profile_name, ransac, tmp_path,
     assert manifest["failures"] == []
     assert len({(e["frame"], e["kind"], e["severity"]) for e in manifest["entries"]}) == 48
     assert calls == {"partition": 2, "ransac": 2 * ransac, "contains": 2 * ransac,
-                     "ranges": 2}
+                     "ranges": 2, "ranks": 2}
 
 
 def test_failing_structure_fails_only_the_outputs_that_need_it(tmp_path):
