@@ -70,14 +70,18 @@ from .profiles import CorruptionKind, DatasetProfile, Severity, load_profile
 from .rng import derive_seed, make_rng
 from .scan_io import (
     DatasetFrame,
+    frame_stems,
     iterate_dataset,
+    load_frame,
     read_kitti_boxes,
     read_kitti_scan,
     read_nuscenes_scan,
+    read_scan,
     read_semkitti_labels,
     write_kitti_boxes,
     write_kitti_scan,
     write_nuscenes_scan,
+    write_scan,
     write_semkitti_labels,
 )
 from .types import Box, BoxSet, LabelArray, PointCloud

@@ -39,13 +39,18 @@ from .metrics import (
 )
 from .profiles import CorruptionKind, DatasetProfile, Severity, load_profile
 from .rng import derive_seed
-from .scan_io import (
+# bench/spans.py wraps the scan and box codecs by their names in this module,
+# and a traced run fails if one is missing, so they stay imported unused.
+from .scan_io import (  # noqa: F401
+    frame_stems,
+    load_frame,
     read_kitti_boxes,
     read_kitti_scan,
     read_nuscenes_scan,
     read_semkitti_labels,
     write_kitti_scan,
     write_nuscenes_scan,
+    write_scan,
     write_semkitti_labels,
 )
 
@@ -71,6 +76,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "input_root", Path(self.input_root))
         object.__setattr__(self, "output_root", Path(self.output_root))
+        if not self.input_root.is_dir():
+            raise ProfileError(f"input root {self.input_root} is not a directory")
         if self.input_root.resolve() == self.output_root.resolve():
             raise ProfileError("output root must differ from input root")
         if not self.kinds or not self.severities:
@@ -82,65 +89,6 @@ class RunConfig:
         return load_profile(self.profile_name, self.profile_dir).with_overrides(
             dict(self.overrides)
         )
-
-
-def _frame_paths(root: Path, profile: DatasetProfile) -> list[dict]:
-    """Light directory listing; pairing problems surface per frame later."""
-    scan_dir = root / "velodyne" if (root / "velodyne").is_dir() else root
-    label_dir = root / "labels"
-    box_dir = root / "boxes"
-    tasks = []
-    for scan_path in sorted(scan_dir.glob("*.bin")):
-        stem = scan_path.stem
-        tasks.append(
-            {
-                "stem": stem,
-                "scan": scan_path,
-                "label": label_dir / f"{stem}.label" if label_dir.is_dir() else None,
-                "box": box_dir / f"{stem}.txt" if box_dir.is_dir() else None,
-            }
-        )
-    return tasks
-
-
-def _load_frame(task: dict, profile: DatasetProfile) -> CorruptedFrame:
-    data = task["scan"].read_bytes()
-    if profile.name == "nuscenes":
-        cloud = read_nuscenes_scan(
-            data, frame_id=task["stem"], beam_count=profile.beam_count
-        )
-    else:
-        cloud = read_kitti_scan(data, frame_id=task["stem"])
-    if profile.intensity_scale != 1.0:
-        cloud = cloud.with_fields(
-            intensity=(cloud.intensity / profile.intensity_scale).astype(np.float32)
-        )
-    labels = None
-    if task["label"] is not None and task["label"].is_file():
-        labels = read_semkitti_labels(task["label"].read_bytes())
-        if len(labels) != len(cloud):
-            raise PairingError(
-                f"frame {task['stem']}: {len(labels)} labels for {len(cloud)} points"
-            )
-    elif profile.requires_labels:
-        raise PairingError(f"frame {task['stem']}: missing label file")
-    boxes = None
-    if task["box"] is not None:
-        if not task["box"].is_file():
-            raise PairingError(f"frame {task['stem']}: missing box file")
-        boxes = read_kitti_boxes(task["box"].read_text())
-    return CorruptedFrame.clean(cloud, labels, boxes)
-
-
-def _encode_cloud(frame: CorruptedFrame, profile: DatasetProfile) -> bytes:
-    cloud = frame.cloud
-    if profile.intensity_scale != 1.0:
-        cloud = cloud.with_fields(
-            intensity=(cloud.intensity * profile.intensity_scale).astype(np.float32)
-        )
-    if profile.name == "nuscenes":
-        return write_nuscenes_scan(cloud)
-    return write_kitti_scan(cloud)
 
 
 def _severity_params(
@@ -155,20 +103,21 @@ def _severity_params(
 def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
     """Worker: corrupt one frame for every selected (kind, severity).
 
-    `args` is (task, cfg, profile), with the profile loaded once per run.
+    `args` is (stem, cfg, profile), with the profile loaded once per run.
     The frame's derived structures are built once and shared by all of its
     outputs.
 
     Returns (manifest entries, failures); never raises, so one bad frame
     cannot abort the batch.
     """
-    task, cfg, profile = args
+    stem, cfg, profile = args
     entries: list[dict] = []
     failures: list[dict] = []
     try:
-        frame = _load_frame(task, profile)
+        loaded = load_frame(cfg.input_root, stem, profile)
+        frame = CorruptedFrame.clean(loaded.cloud, loaded.labels, loaded.boxes)
     except Exception as exc:  # reported per frame, batch continues
-        return [], [{"frame": task["stem"], "error": str(exc)}]
+        return [], [{"frame": stem, "error": str(exc)}]
 
     ctx = FrameContext(frame, profile, cfg.seed)
     for kind in cfg.kinds:
@@ -178,21 +127,19 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
                 result = apply(spec, frame, profile, ctx)
                 out_dir = cfg.output_root / kind.value / severity.value
                 out_dir.mkdir(parents=True, exist_ok=True)
-                frame_seed = derive_seed(cfg.seed, task["stem"], kind, severity)
+                frame_seed = derive_seed(cfg.seed, stem, kind, severity)
                 params = _severity_params(profile, kind, severity)
 
-                outputs = [(f"{task['stem']}.bin", _encode_cloud(result, profile))]
+                outputs = [(f"{stem}.bin", write_scan(result.cloud, profile))]
                 if result.labels is not None:
-                    outputs.append(
-                        (f"{task['stem']}.label", write_semkitti_labels(result.labels))
-                    )
+                    outputs.append((f"{stem}.label", write_semkitti_labels(result.labels)))
                 for name, payload in outputs:
                     path = out_dir / name
                     path.write_bytes(payload)
                     entries.append(
                         {
                             "file": str(path.relative_to(cfg.output_root)),
-                            "frame": task["stem"],
+                            "frame": stem,
                             "kind": kind.value,
                             "severity": severity.value,
                             "seed": frame_seed,
@@ -203,7 +150,7 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
             except Exception as exc:  # reported per frame, batch continues
                 failures.append(
                     {
-                        "frame": task["stem"],
+                        "frame": stem,
                         "kind": kind.value,
                         "severity": severity.value,
                         "error": str(exc),
@@ -221,11 +168,11 @@ def run_corrupt(cfg: RunConfig) -> dict:
     different worker counts reproduce identical checksums.
     """
     profile = cfg.load()  # fail fast on unknown profiles/overrides
-    tasks = _frame_paths(cfg.input_root, profile)
+    stems = frame_stems(cfg.input_root)
     cfg.output_root.mkdir(parents=True, exist_ok=True)
 
-    job_args = [(task, cfg, profile) for task in tasks]
-    if cfg.workers > 1 and len(tasks) > 1:
+    job_args = [(stem, cfg, profile) for stem in stems]
+    if cfg.workers > 1 and len(stems) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_corrupt_one_frame, job_args))
     else:

@@ -24,6 +24,7 @@ from .geometry import (
     GroundSource,
     fit_ground_ransac,
     ground_mask_from_labels,
+    lstsq_plane,
     partition_beams,
     point_ranges,
 )
@@ -207,17 +208,10 @@ def apply_fog(
 
 def _plane_from_mask(cloud: PointCloud, mask: np.ndarray) -> Optional[GroundModel]:
     """Least-squares plane over masked points; None if under-determined."""
-    pts = cloud.xyz[mask].astype(np.float64)
-    if len(pts) < 3:
+    fit = lstsq_plane(cloud.xyz, mask)
+    if fit is None:
         return None
-    centroid = pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(pts - centroid, full_matrices=False)
-    normal = vt[-1]
-    if np.linalg.norm(normal) < 1e-12:
-        return None
-    if normal[2] < 0:
-        normal = -normal
-    d = -float(normal @ centroid)
+    normal, d = fit
     a, b, c = (float(v) for v in normal)
     return GroundModel(
         plane=(a, b, c, d), inlier_mask=mask, source=GroundSource.SEMANTIC_LABELS

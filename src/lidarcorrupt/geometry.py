@@ -22,6 +22,7 @@ __all__ = [
     "point_ranges",
     "GroundSource",
     "GroundModel",
+    "lstsq_plane",
     "fit_ground_ransac",
     "ground_mask_from_labels",
     "BeamMethod",
@@ -66,6 +67,22 @@ class GroundModel:
         """Unsigned point-to-plane distances."""
         pts = np.asarray(xyz, dtype=np.float64)
         return np.abs(pts @ self.normal + self.plane[3])
+
+
+def lstsq_plane(
+    xyz: np.ndarray, mask: np.ndarray
+) -> Optional[tuple[np.ndarray, float]]:
+    """Least-squares plane (upward unit normal, d) through `xyz[mask]`, or None
+    under 3 points. The masked copy is centred in place: one copy, not two."""
+    pts = xyz[mask].astype(np.float64, copy=False)
+    if len(pts) < 3:
+        return None
+    centroid = pts.mean(axis=0)
+    pts -= centroid
+    normal = np.linalg.svd(pts, full_matrices=False)[2][-1]
+    if normal[2] < 0:
+        normal = -normal
+    return normal, -float(normal @ centroid)
 
 
 # Rows of points scored against all RANSAC hypotheses per matmul. Bounds the
@@ -137,11 +154,9 @@ def fit_ground_ransac(
     best_normal, best_d, best_count = normals[best], offsets[best], int(counts[best])
 
     mask = np.abs(pts @ best_normal + best_d) <= inlier_threshold
-    if mask.sum() >= 3:
-        centroid = pts[mask].mean(axis=0)
-        _, _, vt = np.linalg.svd(pts[mask] - centroid, full_matrices=False)
-        refit_normal = vt[-1]
-        refit_d = -float(refit_normal @ centroid)
+    refit = lstsq_plane(pts, mask)
+    if refit is not None:
+        refit_normal, refit_d = refit
         refit_mask = np.abs(pts @ refit_normal + refit_d) <= inlier_threshold
         if refit_mask.sum() >= best_count:
             best_normal, best_d, mask = refit_normal, refit_d, refit_mask

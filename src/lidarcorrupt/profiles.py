@@ -86,10 +86,7 @@ class DatasetProfile:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        injected = {
-            c for c in (self.fog_class, self.snow_class, self.crosstalk_class)
-            if c is not None
-        }
+        injected = self.injected_classes()
         for name, classes in (
             ("ground_classes", self.ground_classes),
             ("vehicle_classes", self.vehicle_classes),

@@ -37,7 +37,11 @@ __all__ = [
     "write_semkitti_labels",
     "read_kitti_boxes",
     "write_kitti_boxes",
+    "read_scan",
+    "write_scan",
     "DatasetFrame",
+    "frame_stems",
+    "load_frame",
     "iterate_dataset",
     "KITTI_CLASS_IDS",
 ]
@@ -171,6 +175,32 @@ def write_kitti_boxes(boxes: BoxSet) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def read_scan(data: bytes, profile: DatasetProfile, frame_id: str = "") -> PointCloud:
+    """Decode a scan in the profile's layout (nuScenes: 5 channels with the
+    ring, others: 4), dividing intensity by the profile's `intensity_scale`."""
+    if profile.name == "nuscenes":
+        cloud = read_nuscenes_scan(data, frame_id=frame_id, beam_count=profile.beam_count)
+    else:
+        cloud = read_kitti_scan(data, frame_id=frame_id)
+    if profile.intensity_scale == 1.0:
+        return cloud
+    return cloud.with_fields(
+        intensity=(cloud.intensity / profile.intensity_scale).astype(np.float32)
+    )
+
+
+def write_scan(cloud: PointCloud, profile: DatasetProfile) -> bytes:
+    """Inverse of `read_scan`: a cloud with a ring (which only a nuScenes
+    scan has) gets 5 channels, others 4; intensity is multiplied back."""
+    if profile.intensity_scale != 1.0:
+        cloud = cloud.with_fields(
+            intensity=(cloud.intensity * profile.intensity_scale).astype(np.float32)
+        )
+    if cloud.ring is not None:
+        return write_nuscenes_scan(cloud)
+    return write_kitti_scan(cloud)
+
+
 @dataclass(frozen=True)
 class DatasetFrame:
     """One dataset entry: cloud plus whatever annotations were found."""
@@ -186,57 +216,52 @@ def _scan_dir(root: Path) -> Path:
     return velo if velo.is_dir() else root
 
 
-def iterate_dataset(root: str | Path, profile: DatasetProfile) -> Iterator[DatasetFrame]:
-    """Yield frames from a dataset directory in lexicographic frame-id order.
-
-    Layout: scans as ``velodyne/*.bin`` (or flat ``*.bin`` under `root`),
-    packed labels as ``labels/<stem>.label``, box annotations as
-    ``boxes/<stem>.txt``. Labels are mandatory when the profile requires
-    them; otherwise labels/boxes are attached when their directory exists.
-    Intensities are scaled by the profile's `intensity_scale` so downstream
-    operators always see the [0, 1] convention.
+def frame_stems(root: str | Path) -> list[str]:
+    """Sorted frame ids of ``velodyne/*.bin`` (or flat ``*.bin``) under `root`.
 
     Raises:
-        PairingError: missing or misaligned label/box file for a scan.
+        FileNotFoundError: `root` is not a directory.
     """
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset root {root} does not exist")
-    scan_dir = _scan_dir(root)
-    label_dir = root / "labels"
-    box_dir = root / "boxes"
-    five_channel = profile.name == "nuscenes"
+    return sorted(p.stem for p in _scan_dir(root).glob("*.bin"))
 
-    for scan_path in sorted(scan_dir.glob("*.bin")):
-        stem = scan_path.stem
-        data = scan_path.read_bytes()
-        if five_channel:
-            cloud = read_nuscenes_scan(data, frame_id=stem, beam_count=profile.beam_count)
-        else:
-            cloud = read_kitti_scan(data, frame_id=stem)
-        if profile.intensity_scale != 1.0:
-            cloud = cloud.with_fields(
-                intensity=(cloud.intensity / profile.intensity_scale).astype(np.float32)
+
+def load_frame(root: str | Path, stem: str, profile: DatasetProfile) -> DatasetFrame:
+    """Read one frame's scan, ``labels/<stem>.label`` and ``boxes/<stem>.txt``.
+
+    Labels are attached when the file exists and mandatory when the profile
+    requires them. Boxes are mandatory when ``boxes/`` exists.
+
+    Raises:
+        PairingError: missing or misaligned label/box file for the scan.
+    """
+    root = Path(root)
+    cloud = read_scan((_scan_dir(root) / f"{stem}.bin").read_bytes(), profile, stem)
+
+    labels = None
+    label_path = root / "labels" / f"{stem}.label"
+    if label_path.is_file():
+        labels = read_semkitti_labels(label_path.read_bytes())
+        if len(labels) != len(cloud):
+            raise PairingError(
+                f"frame {stem}: {len(labels)} labels for {len(cloud)} points"
             )
+    elif profile.requires_labels:
+        raise PairingError(f"frame {stem}: missing label file labels/{stem}.label")
 
-        labels = None
-        if label_dir.is_dir() or profile.requires_labels:
-            label_path = label_dir / f"{stem}.label"
-            if not label_path.is_file():
-                if profile.requires_labels:
-                    raise PairingError(f"frame {stem}: missing label file {label_path}")
-            else:
-                labels = read_semkitti_labels(label_path.read_bytes())
-                if len(labels) != len(cloud):
-                    raise PairingError(
-                        f"frame {stem}: {len(labels)} labels for {len(cloud)} points"
-                    )
+    boxes = None
+    if (root / "boxes").is_dir():
+        box_path = root / "boxes" / f"{stem}.txt"
+        if not box_path.is_file():
+            raise PairingError(f"frame {stem}: missing box file boxes/{stem}.txt")
+        boxes = read_kitti_boxes(box_path.read_text())
 
-        boxes = None
-        if box_dir.is_dir():
-            box_path = box_dir / f"{stem}.txt"
-            if not box_path.is_file():
-                raise PairingError(f"frame {stem}: missing box file {box_path}")
-            boxes = read_kitti_boxes(box_path.read_text())
+    return DatasetFrame(frame_id=stem, cloud=cloud, labels=labels, boxes=boxes)
 
-        yield DatasetFrame(frame_id=stem, cloud=cloud, labels=labels, boxes=boxes)
+
+def iterate_dataset(root: str | Path, profile: DatasetProfile) -> Iterator[DatasetFrame]:
+    """Yield `load_frame` of each of the `frame_stems`; raises as they do."""
+    for stem in frame_stems(root):
+        yield load_frame(root, stem, profile)

@@ -9,12 +9,13 @@ from click.testing import CliRunner
 from lidarcorrupt import (
     LabelArray,
     PointCloud,
+    ProfileError,
     read_nuscenes_scan,
     write_kitti_scan,
     write_nuscenes_scan,
     write_semkitti_labels,
 )
-from lidarcorrupt.cli import main
+from lidarcorrupt.cli import RunConfig, main
 
 from conftest import make_beam_cloud
 
@@ -56,6 +57,19 @@ class TestCorrupt:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["entries"] == []
         assert manifest["failures"] == []
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_input_root_not_a_directory(self, runner, tmp_path, kind):
+        src, out = tmp_path / "in", tmp_path / "out"
+        if kind == "file":
+            src.write_bytes(b"")
+        with pytest.raises(ProfileError, match="not a directory"):
+            RunConfig(profile_name="kitti", input_root=src, output_root=out)
+        result = runner.invoke(
+            main, ["corrupt", "--dataset", "kitti", "--in", str(src), "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert not out.exists()
 
     def test_full_matrix_counts(self, runner, tmp_path):
         src = build_dataset(tmp_path / "in", n_frames=1)

@@ -315,3 +315,55 @@ class TestVoxelize:
             VoxelConfig(l=(0.0, 0.05, 0.05))
         with pytest.raises(ValueError):
             VoxelConfig(l=(0.05, 0.05, 0.05), gamma=0.03)
+
+
+def plane_from_mask_reference(xyz, mask):
+    """The former label-plane fit: (upward normal, d), or None under 3 points."""
+    pts = xyz[mask].astype(np.float64)
+    if len(pts) < 3:
+        return None
+    centroid = pts.mean(axis=0)
+    _, _, vt = np.linalg.svd(pts - centroid, full_matrices=False)
+    normal = vt[-1]
+    if normal[2] < 0:
+        normal = -normal
+    return normal, -float(normal @ centroid)
+
+
+class TestLstsqPlane:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_bitwise(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        xyz = rng.uniform(-30, 30, (500, 3)).astype(dtype)
+        xyz[:, 2] = (0.02 * xyz[:, 0] - 1.7 + rng.normal(0, 0.05, 500)).astype(dtype)
+        mask = rng.random(500) < 0.6
+        before = xyz.copy()
+        normal, d = geometry.lstsq_plane(xyz, mask)
+        ref_normal, ref_d = plane_from_mask_reference(xyz, mask)
+        assert np.array_equal(normal, ref_normal) and d == ref_d
+        assert normal[2] >= 0
+        assert np.array_equal(xyz, before)  # the caller's points are not centred
+
+    def test_normal_points_up_on_tilted_planes(self):
+        rng = np.random.default_rng(0)
+        svd_downward = 0
+        for _ in range(20):
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            a = np.cross(n, [1.0, 0.0, 0.0])
+            a /= np.linalg.norm(a)
+            uv = rng.uniform(-5, 5, (50, 2))
+            xyz = uv[:, :1] * a + uv[:, 1:] * np.cross(n, a) + 3.0 * n
+            svd_downward += np.linalg.svd(xyz - xyz.mean(axis=0))[2][-1][2] < 0
+            normal, d = geometry.lstsq_plane(xyz, np.ones(50, bool))
+            assert normal[2] >= 0
+            assert np.allclose(normal, n if n[2] >= 0 else -n)
+            assert np.allclose(xyz @ normal + d, 0)
+        assert svd_downward  # the flip is exercised
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_under_three_points_is_none(self, count):
+        xyz = np.arange(12, dtype=np.float32).reshape(4, 3)
+        mask = np.arange(4) < count
+        assert geometry.lstsq_plane(xyz, mask) is None

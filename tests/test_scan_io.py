@@ -11,17 +11,22 @@ from lidarcorrupt import (
     MalformedScanError,
     PairingError,
     PointCloud,
+    frame_stems,
     iterate_dataset,
+    load_frame,
     load_profile,
     read_kitti_boxes,
     read_kitti_scan,
     read_nuscenes_scan,
+    read_scan,
     read_semkitti_labels,
     write_kitti_boxes,
     write_kitti_scan,
     write_nuscenes_scan,
+    write_scan,
     write_semkitti_labels,
 )
+from lidarcorrupt.cli import RunConfig, run_corrupt
 
 
 def random_cloud(rng, n, with_ring=False, beam_count=32):
@@ -246,3 +251,53 @@ class TestIterateDataset:
         frame = next(iterate_dataset(tmp_path, profile))
         assert frame.cloud.intensity.tolist() == [0.0, 1.0]
         assert frame.cloud.ring.tolist() == [0, 5]
+
+
+PROFILES = ("semantickitti", "kitti", "nuscenes", "wod")
+
+
+class TestScanCodec:
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_write_inverts_read(self, name):
+        profile = load_profile(name)
+        rng = np.random.default_rng(11)
+        pc = random_cloud(rng, 500, with_ring=name == "nuscenes",
+                          beam_count=profile.beam_count)
+        if name == "nuscenes":  # raw nuScenes intensities are integers in [0, 255]
+            pc = pc.with_fields(intensity=rng.integers(0, 256, 500).astype(np.float32))
+            data = write_nuscenes_scan(pc)
+        else:
+            data = write_kitti_scan(pc)
+        cloud = read_scan(data, profile, "f")
+        assert cloud.frame_id == "f"
+        assert (cloud.intensity <= 1).all()
+        assert write_scan(cloud, profile) == data
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_channels_follow_ring(self, name):
+        profile = load_profile(name)
+        pc = random_cloud(np.random.default_rng(3), 7, with_ring=True)
+        assert len(write_scan(pc, profile)) == 7 * 5 * 4
+        ringless = PointCloud(xyz=pc.xyz, intensity=pc.intensity)
+        assert len(write_scan(ringless, profile)) == 7 * 4 * 4
+
+    def test_frame_stems_requires_directory(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            frame_stems(tmp_path / "missing")
+
+    def test_missing_label_message_is_shared(self, tmp_path):
+        profile = load_profile("semantickitti")
+        (tmp_path / "in" / "velodyne").mkdir(parents=True)
+        (tmp_path / "in" / "labels").mkdir()
+        pc = random_cloud(np.random.default_rng(0), 4)
+        (tmp_path / "in" / "velodyne" / "000000.bin").write_bytes(write_kitti_scan(pc))
+        expected = "frame 000000: missing label file labels/000000.label"
+        with pytest.raises(PairingError) as info:
+            list(iterate_dataset(tmp_path / "in", profile))
+        assert str(info.value) == expected
+        with pytest.raises(PairingError, match=expected):
+            load_frame(tmp_path / "in", "000000", profile)
+        manifest = run_corrupt(RunConfig(profile_name="semantickitti",
+                                         input_root=tmp_path / "in",
+                                         output_root=tmp_path / "out"))
+        assert manifest["failures"] == [{"frame": "000000", "error": expected}]
