@@ -16,7 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -159,13 +160,24 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
     return entries, failures
 
 
+def _frame_result(stem: str, future: Future) -> tuple[list[dict], list[dict]]:
+    """A pooled frame's result, or one frame-level failure if a worker died
+    and broke the pool before the frame's result came back."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return [], [{"frame": stem, "error": f"{type(exc).__name__}: {exc}"}]
+
+
 def run_corrupt(cfg: RunConfig) -> dict:
     """Generate the corruption sets and write `manifest.json` under the output root.
 
     Output bytes are a pure function of (cfg, input bytes): per-frame seeds
     depend only on the global seed and frame identity, and the manifest is
     assembled in sorted order regardless of worker scheduling, so reruns and
-    different worker counts reproduce identical checksums.
+    different worker counts reproduce identical checksums. A frame whose
+    worker dies is recorded as a failure; the frames that finished keep their
+    entries and the manifest is still written.
     """
     profile = cfg.load()  # fail fast on unknown profiles/overrides
     stems = frame_stems(cfg.input_root)
@@ -174,7 +186,8 @@ def run_corrupt(cfg: RunConfig) -> dict:
     job_args = [(stem, cfg, profile) for stem in stems]
     if cfg.workers > 1 and len(stems) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_corrupt_one_frame, job_args))
+            futures = [pool.submit(_corrupt_one_frame, arg) for arg in job_args]
+            results = [_frame_result(s, f) for s, f in zip(stems, futures)]
     else:
         results = [_corrupt_one_frame(arg) for arg in job_args]
 

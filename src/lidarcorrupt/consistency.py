@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .rng import make_rng
 
@@ -110,6 +109,11 @@ def interpolate_prediction(
         raise ValueError("cannot interpolate from an empty prediction field")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    # Importing scipy.spatial takes longer than the rest of the package
+    # together and no command-line path comes here, so it is loaded on the
+    # first call rather than with the package.
+    from scipy.spatial import cKDTree
+
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
     k_eff = min(k, len(partial))
 

@@ -30,7 +30,7 @@ from .geometry import (
 )
 from .profiles import CorruptionKind, DatasetProfile, Severity
 from .rng import derive_seed, make_rng
-from .types import BoxSet, LabelArray, PointCloud
+from .types import INTENSITY_TOLERANCE, BoxSet, LabelArray, PointCloud
 
 __all__ = [
     "Provenance",
@@ -171,7 +171,7 @@ def apply_fog(
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     intensity = frame.cloud.intensity
-    if intensity.size and float(intensity.max()) > 1.0 + 1e-6:
+    if intensity.size and float(intensity.max()) > 1.0 + INTENSITY_TOLERANCE:
         raise ValueError(
             "fog expects intensities normalized to [0, 1]; "
             f"max is {float(intensity.max()):.4g}"

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CorruptScanError, MalformedScanError, PairingError
 from .profiles import DatasetProfile
-from .types import Box, BoxSet, LabelArray, PointCloud
+from .types import INTENSITY_TOLERANCE, Box, BoxSet, LabelArray, PointCloud
 
 __all__ = [
     "read_kitti_scan",
@@ -177,16 +177,26 @@ def write_kitti_boxes(boxes: BoxSet) -> str:
 
 def read_scan(data: bytes, profile: DatasetProfile, frame_id: str = "") -> PointCloud:
     """Decode a scan in the profile's layout (nuScenes: 5 channels with the
-    ring, others: 4), dividing intensity by the profile's `intensity_scale`."""
+    ring, others: 4), dividing intensity by the profile's `intensity_scale`.
+
+    Raises:
+        CorruptScanError: an intensity is above 1 after the division.
+    """
     if profile.name == "nuscenes":
         cloud = read_nuscenes_scan(data, frame_id=frame_id, beam_count=profile.beam_count)
     else:
         cloud = read_kitti_scan(data, frame_id=frame_id)
-    if profile.intensity_scale == 1.0:
-        return cloud
-    return cloud.with_fields(
-        intensity=(cloud.intensity / profile.intensity_scale).astype(np.float32)
-    )
+    scale = profile.intensity_scale
+    if scale != 1.0:
+        cloud = cloud.with_fields(intensity=(cloud.intensity / scale).astype(np.float32))
+    over = np.flatnonzero(cloud.intensity > 1.0 + INTENSITY_TOLERANCE)
+    if over.size:
+        i = over[0]
+        raise CorruptScanError(
+            f"intensity {float(cloud.intensity[i]) * scale:.6g} at point {i} is above "
+            f"1 after dividing by the {profile.name} intensity_scale {scale:g}"
+        )
+    return cloud
 
 
 def write_scan(cloud: PointCloud, profile: DatasetProfile) -> bytes:

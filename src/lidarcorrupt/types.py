@@ -19,6 +19,9 @@ from .errors import CorruptScanError
 
 __all__ = ["PointCloud", "LabelArray", "Box", "BoxSet"]
 
+# Operators take intensities in [0, 1]; a value above 1 + this is out of contract.
+INTENSITY_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class PointCloud:

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior on small on-disk fixtures."""
 
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -15,9 +17,30 @@ from lidarcorrupt import (
     write_nuscenes_scan,
     write_semkitti_labels,
 )
+from lidarcorrupt import cli
 from lidarcorrupt.cli import RunConfig, main
 
 from conftest import make_beam_cloud
+
+_REAL_CORRUPT_ONE_FRAME = cli._corrupt_one_frame
+DYING_STEM = "000002"
+
+
+def _die_on_last_frame(args):
+    """Pool stand-in for `_corrupt_one_frame`: kills its worker on DYING_STEM
+    once every other frame has returned, so which frames finish is fixed."""
+    stem, cfg, _ = args
+    done = cfg.output_root.parent / "done"
+    if stem != DYING_STEM:
+        result = _REAL_CORRUPT_ONE_FRAME(args)
+        done.mkdir(exist_ok=True)
+        (done / stem).touch()
+        return result
+    deadline = time.monotonic() + 30
+    while len(list(done.glob("*"))) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.5)  # let the last finished result reach the parent
+    os._exit(1)
 
 
 @pytest.fixture
@@ -282,6 +305,22 @@ class TestCorrupt:
         for entry in manifest["entries"]:
             digest = hashlib.sha256((out / entry["file"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
+
+    def test_dead_worker_keeps_finished_frames(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_corrupt_one_frame", _die_on_last_frame)
+        src = build_dataset(tmp_path / "in", n_frames=3, beams=8)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["corrupt", "--dataset", "semantickitti", "--in", str(src),
+                   "--out", str(out), "--corruptions", "motion_blur", "--workers", "2"]
+        )
+        assert result.exit_code == 1, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted({e["frame"] for e in manifest["entries"]}) == ["000000", "000001"]
+        assert len(manifest["entries"]) == 2 * 3 * 2
+        [failure] = manifest["failures"]
+        assert failure["frame"] == DYING_STEM
+        assert failure["error"].startswith("BrokenProcessPool: ")
 
     def test_partial_failure_exit_one(self, runner, tmp_path):
         src = build_dataset(tmp_path / "in", n_frames=1)

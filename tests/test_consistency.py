@@ -1,10 +1,16 @@
 """Masking, subsampling, interpolation, and the consistency losses."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lidarcorrupt
 from lidarcorrupt import (
     MaskSelection,
     PredictionField,
@@ -122,6 +128,39 @@ class TestInterpolate:
         field = PredictionField(values=np.zeros((0, 2)), anchor_xyz=np.zeros((0, 3)))
         with pytest.raises(ValueError, match="empty"):
             interpolate_prediction(field, np.zeros((3, 3)))
+
+
+IMPORT_BUDGET_SCRIPT = """
+import json, sys
+import numpy as np
+import lidarcorrupt, lidarcorrupt.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+at_import = scipy_modules()
+field = lidarcorrupt.PredictionField(
+    values=np.array([[1.0], [3.0]]), anchor_xyz=np.array([[0, 0, 0], [2, 0, 0]], float)
+)
+out = lidarcorrupt.interpolate_prediction(field, np.array([[1.0, 0, 0], [2.0, 0, 0]]), k=2)
+print(json.dumps({"at_import": at_import, "values": out.values.tolist(),
+                  "after_call": "scipy.spatial" in sys.modules}))
+"""
+
+
+def test_scipy_loaded_only_by_interpolation():
+    """The package and the CLI import without scipy (~0.45 s, ~30 MB);
+    `interpolate_prediction` loads it on its first call."""
+    src = str(Path(lidarcorrupt.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUDGET_SCRIPT], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    result = json.loads(done.stdout)
+    assert result["at_import"] == []
+    assert result["values"] == [[2.0], [3.0]]
+    assert result["after_call"]
 
 
 class TestLosses:

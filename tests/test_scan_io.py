@@ -301,3 +301,40 @@ class TestScanCodec:
                                          input_root=tmp_path / "in",
                                          output_root=tmp_path / "out"))
         assert manifest["failures"] == [{"frame": "000000", "error": expected}]
+
+
+class TestIntensityContract:
+    """Intensities above 1 after scaling are rejected once, at read."""
+
+    @staticmethod
+    def scan_with_intensity(name, value, index=3):
+        rng = np.random.default_rng(5)
+        pc = random_cloud(rng, 6, with_ring=name == "nuscenes")
+        if name == "nuscenes":  # raw 0-255
+            pc = pc.with_fields(intensity=np.round(pc.intensity * 255))
+        intensity = pc.intensity.copy()
+        intensity[index] = value
+        pc = pc.with_fields(intensity=intensity)
+        return write_nuscenes_scan(pc) if name == "nuscenes" else write_kitti_scan(pc)
+
+    @pytest.mark.parametrize("name,value", [("wod", 1.5), ("kitti", 1.01), ("nuscenes", 256.0)])
+    def test_above_one_rejected_with_point_index(self, name, value):
+        data = self.scan_with_intensity(name, value)
+        with pytest.raises(CorruptScanError, match=f"intensity {value:g} at point 3 "):
+            read_scan(data, load_profile(name), "f")
+
+    @pytest.mark.parametrize("name,value", [("wod", 1.0), ("wod", 1.0 + 5e-7),
+                                            ("nuscenes", 255.0)])
+    def test_top_of_range_accepted(self, name, value):
+        cloud = read_scan(self.scan_with_intensity(name, value), load_profile(name))
+        assert cloud.intensity[3] == np.float32(value / load_profile(name).intensity_scale)
+
+    def test_frame_fails_once_at_load(self, tmp_path):
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in" / "000000.bin").write_bytes(self.scan_with_intensity("wod", 2.0))
+        manifest = run_corrupt(RunConfig(profile_name="wod", input_root=tmp_path / "in",
+                                         output_root=tmp_path / "out"))
+        assert manifest["entries"] == []
+        [failure] = manifest["failures"]
+        assert failure["frame"] == "000000" and "kind" not in failure
+        assert "intensity 2 at point 3" in failure["error"]
