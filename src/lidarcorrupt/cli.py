@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -101,6 +102,21 @@ def _severity_params(
     }
 
 
+def _write_atomic(path: Path, data: bytes | str) -> None:
+    """Write `path` as a `.tmp` sibling renamed into place, so no partial
+    file ever carries the final name; on failure the `.tmp` is removed."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        if isinstance(data, str):
+            tmp.write_text(data)
+        else:
+            tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
     """Worker: corrupt one frame for every selected (kind, severity).
 
@@ -136,7 +152,7 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
                     outputs.append((f"{stem}.label", write_semkitti_labels(result.labels)))
                 for name, payload in outputs:
                     path = out_dir / name
-                    path.write_bytes(payload)
+                    _write_atomic(path, payload)
                     entries.append(
                         {
                             "file": str(path.relative_to(cfg.output_root)),
@@ -185,7 +201,7 @@ def run_corrupt(cfg: RunConfig) -> dict:
 
     job_args = [(stem, cfg, profile) for stem in stems]
     if cfg.workers > 1 and len(stems) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(stems))) as pool:
             futures = [pool.submit(_corrupt_one_frame, arg) for arg in job_args]
             results = [_frame_result(s, f) for s, f in zip(stems, futures)]
     else:
@@ -210,8 +226,9 @@ def run_corrupt(cfg: RunConfig) -> dict:
         "entries": all_entries,
         "failures": all_failures,
     }
-    (cfg.output_root / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_atomic(
+        cfg.output_root / "manifest.json",
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
     )
     return manifest
 

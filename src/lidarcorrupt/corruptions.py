@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -92,6 +92,11 @@ class CorruptedFrame:
                 )
         object.__setattr__(self, "provenance", prov)
 
+    @cached_property
+    def ranges(self) -> np.ndarray:
+        """Each point's distance from the sensor, computed on first use."""
+        return point_ranges(self.cloud.xyz)
+
     @classmethod
     def clean(
         cls,
@@ -134,14 +139,6 @@ def _linear_decay_response(distance: float) -> Callable[[np.ndarray], np.ndarray
     return response
 
 
-def _ranges_of(frame: CorruptedFrame, ranges: Optional[np.ndarray]) -> np.ndarray:
-    if ranges is None:
-        return point_ranges(frame.cloud.xyz)
-    if len(ranges) != len(frame.cloud):
-        raise ValueError(f"{len(ranges)} ranges for {len(frame.cloud)} points")
-    return ranges
-
-
 def apply_fog(
     frame: CorruptedFrame,
     alpha: float,
@@ -152,7 +149,6 @@ def apply_fog(
     scatter_fraction: tuple[float, float] = (0.05, 0.5),
     fog_class: Optional[int] = None,
     soft_response: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    ranges: Optional[np.ndarray] = None,
 ) -> CorruptedFrame:
     """Fog: attenuate every return and scatter those the fog outshines.
 
@@ -163,7 +159,7 @@ def apply_fog(
     `response_distance`. A point whose soft response wins is relocated to a
     fraction of its range (uniform in `scatter_fraction`) along the same ray,
     takes the soft intensity (clamped to [0, 1]), and is relabeled
-    `fog_class`. `ranges` optionally supplies the precomputed point ranges.
+    `fog_class`.
 
     Raises:
         ValueError: alpha negative or intensities not normalized to [0, 1].
@@ -182,7 +178,7 @@ def apply_fog(
 
     response = soft_response or _linear_decay_response(response_distance)
     i64 = intensity.astype(np.float64)
-    r = _ranges_of(frame, ranges)
+    r = frame.ranges
     i_hard = i64 * np.exp(-2.0 * alpha * r)
     i_soft = i64 * (r * r / beta_0) * beta_bs * response(r)
     scattered = i_soft > i_hard
@@ -225,7 +221,6 @@ def apply_wet_ground(
     i_n: float = 0.02,
     seed: int = 0,
     kappa_per_mm: float = 0.1,
-    ranges: Optional[np.ndarray] = None,
 ) -> CorruptedFrame:
     """Wet ground: attenuate ground returns, drop those below the noise floor.
 
@@ -235,8 +230,7 @@ def apply_wet_ground(
     together with their labels. Non-ground points pass through bitwise.
     `d_w` is in millimeters of water; `d_w` = 0 is a dry road and an exact
     identity. The attenuation model is deterministic; `seed` is accepted for
-    interface symmetry. `ranges` optionally supplies the precomputed point
-    ranges.
+    interface symmetry.
 
     Raises:
         ValueError: d_w negative, or ground mask misaligned with the cloud.
@@ -259,7 +253,7 @@ def apply_wet_ground(
 
     xyz = frame.cloud.xyz.astype(np.float64)
     if model is not None:
-        r = _ranges_of(frame, ranges)
+        r = frame.ranges
         with np.errstate(invalid="ignore", divide="ignore"):
             cos_inc = np.abs(xyz @ model.normal) / np.maximum(r, 1e-12)
         cos_inc = np.where(r > 0, cos_inc, 1.0)
@@ -323,7 +317,6 @@ def apply_snow(
     reflectivity: float = 0.3,
     min_particle_range: float = 1.0,
     particle_distances: Optional[np.ndarray] = None,
-    ranges: Optional[np.ndarray] = None,
 ) -> CorruptedFrame:
     """Snow: re-terminate rays on sampled particles, attenuate the rest.
 
@@ -334,8 +327,7 @@ def apply_snow(
     returns lose intensity to extinction: exp(-2 * k * range) with
     k = `extinction_per_rate` * r_s. `r_s` = 0 is an exact identity.
     `particle_distances` overrides the sampler (one distance per ray, inf
-    for none) for reproducing a known particle field. `ranges` optionally
-    supplies the precomputed point ranges.
+    for none) for reproducing a known particle field.
     """
     if r_s < 0:
         raise ValueError(f"snowfall rate must be >= 0, got {r_s}")
@@ -343,7 +335,7 @@ def apply_snow(
     if r_s == 0 or n == 0:
         return frame
 
-    r = _ranges_of(frame, ranges)
+    r = frame.ranges
     if particle_distances is None:
         rng = make_rng("snow", seed)
         particle_distances = sample_particle_distances(
@@ -455,48 +447,21 @@ def apply_crosstalk(
     )
 
 
-def _vehicle_mask(
-    frame: CorruptedFrame,
-    vehicle_classes: Iterable[int],
-    vehicle_box_classes: Optional[Iterable[int]],
-) -> np.ndarray:
-    vehicle_classes = frozenset(vehicle_classes)
-    if frame.labels is not None and vehicle_classes:
-        return np.isin(
-            frame.labels.semantic, np.array(sorted(vehicle_classes), dtype=np.int64)
-        )
-    if frame.boxes is not None:
-        classes = None if vehicle_box_classes is None else frozenset(vehicle_box_classes)
-        return frame.boxes.contains(frame.cloud.xyz, classes)
-    raise ValueError(
-        "incomplete echo needs semantic labels or boxes to find vehicle points"
-    )
-
-
 def apply_incomplete_echo(
-    frame: CorruptedFrame,
-    k_e: float,
-    seed: int,
-    vehicle_classes: Iterable[int] = (),
-    vehicle_box_classes: Optional[Iterable[int]] = None,
-    vehicle_mask: Optional[np.ndarray] = None,
+    frame: CorruptedFrame, vehicle_mask: np.ndarray, k_e: float, seed: int
 ) -> CorruptedFrame:
-    """Incomplete echo: delete a k_e fraction of vehicle points.
+    """Incomplete echo: delete a k_e fraction of the vehicle points.
 
-    The vehicle set comes from semantic labels when available, otherwise
-    from membership in vehicle-class boxes, unless `vehicle_mask` supplies
-    it precomputed. Exactly round(k_e * |V|) points are removed with their
-    labels; boxes are returned untouched.
+    `vehicle_mask` marks the vehicle points (`FrameContext.vehicle_mask`
+    finds them from labels or boxes). Exactly round(k_e * |V|) points are
+    removed with their labels; boxes are returned untouched.
 
     Raises:
-        ValueError: neither labels (with a class set) nor boxes available,
-            or `vehicle_mask` misaligned with the cloud.
+        ValueError: `vehicle_mask` misaligned with the cloud.
     """
     if not 0 <= k_e <= 1:
         raise ValueError(f"k_e must be in [0, 1], got {k_e}")
-    if vehicle_mask is None:
-        vehicle_mask = _vehicle_mask(frame, vehicle_classes, vehicle_box_classes)
-    elif len(vehicle_mask) != len(frame.cloud):
+    if len(vehicle_mask) != len(frame.cloud):
         raise ValueError(
             f"vehicle mask length {len(vehicle_mask)} != point count {len(frame.cloud)}"
         )
@@ -512,33 +477,17 @@ def apply_incomplete_echo(
     return frame.select(keep)
 
 
-def beam_ranks(partition: BeamPartition) -> np.ndarray:
-    """Each point's position among its beam's points, in cloud order."""
-    # A stable sort groups each beam's points in original order; a point's
-    # rank within its beam is its offset from the beam's first position.
-    order = np.argsort(partition.beam_of, kind="stable")
-    beams = partition.beam_of[order]
-    position = np.arange(len(beams))
-    first = np.ones(len(beams), dtype=bool)
-    first[1:] = beams[1:] != beams[:-1]
-    ranks = np.empty_like(position)
-    ranks[order] = position - np.maximum.accumulate(np.where(first, position, 0))
-    return ranks
-
-
 def apply_cross_sensor(
     frame: CorruptedFrame,
     partition: BeamPartition,
     beams_kept: int,
     subsample_keep: float = 0.5,
-    ranks: Optional[np.ndarray] = None,
 ) -> CorruptedFrame:
     """Cross-sensor: retain an equal-stride subset of beams, then thin each.
 
     `beams_kept` beams are chosen at equal stride across the
     elevation-ordered beam list (no randomness), and within each surviving
     beam every round(1/subsample_keep)-th point survives in original order.
-    `ranks` optionally supplies the precomputed `beam_ranks(partition)`.
     """
     if not 1 <= beams_kept <= partition.beam_count:
         raise ValueError(
@@ -551,11 +500,7 @@ def apply_cross_sensor(
         np.arange(beams_kept) * partition.beam_count / beams_kept
     ).astype(np.int64)
 
-    if ranks is None:
-        ranks = beam_ranks(partition)
-    elif len(ranks) != len(partition.beam_of):
-        raise ValueError(f"{len(ranks)} beam ranks for {len(partition.beam_of)} points")
-    keep = np.isin(partition.beam_of, kept_beams) & (ranks % stride == 0)
+    keep = np.isin(partition.beam_of, kept_beams) & (partition.ranks % stride == 0)
     if keep.all():
         return frame
     return frame.select(keep)
@@ -564,12 +509,12 @@ def apply_cross_sensor(
 class FrameContext:
     """Derived structures of one frame, computed on first use and cached.
 
-    The point ranges, the beam partition, the points' ranks within their
-    beams, the ground and the vehicle mask depend on the frame but not on
-    the corruption or severity, so one context serves all of a frame's
-    outputs. A structure whose computation raises is not cached: each
+    The beam partition, the ground and the vehicle mask depend on the frame
+    but not on the corruption or severity, so one context serves all of a
+    frame's outputs. A structure whose computation raises is not cached: each
     output that needs it fails with the same error, and the others are
-    unaffected.
+    unaffected. Point ranges are cached on the frame (`CorruptedFrame.ranges`)
+    and beam ranks on the partition (`BeamPartition.ranks`).
 
     The ground is the plane through the ground-labelled points (their mask
     when fewer than 3), or, when the frame has no labels or the profile no
@@ -585,16 +530,8 @@ class FrameContext:
         self.seed = seed
 
     @cached_property
-    def ranges(self) -> np.ndarray:
-        return point_ranges(self.frame.cloud.xyz)
-
-    @cached_property
     def partition(self) -> BeamPartition:
         return partition_beams(self.frame.cloud, self.profile)
-
-    @cached_property
-    def beam_ranks(self) -> np.ndarray:
-        return beam_ranks(self.partition)
 
     @cached_property
     def ground(self) -> Union[GroundModel, np.ndarray]:
@@ -614,10 +551,20 @@ class FrameContext:
 
     @cached_property
     def vehicle_mask(self) -> np.ndarray:
-        return _vehicle_mask(
-            self.frame,
-            self.profile.vehicle_classes,
-            self.profile.vehicle_box_classes or None,
+        """Vehicle-labelled points, or else the points in vehicle-class boxes.
+        Raises ValueError when the frame has neither labels nor boxes."""
+        frame, profile = self.frame, self.profile
+        if frame.labels is not None and profile.vehicle_classes:
+            return np.isin(
+                frame.labels.semantic,
+                np.array(sorted(profile.vehicle_classes), dtype=np.int64),
+            )
+        if frame.boxes is not None:
+            return frame.boxes.contains(
+                frame.cloud.xyz, profile.vehicle_box_classes or None
+            )
+        raise ValueError(
+            "incomplete echo needs semantic labels or boxes to find vehicle points"
         )
 
 
@@ -631,8 +578,8 @@ def apply(
 
     Derives the operator seed from (spec.seed, frame id, kind, severity), so
     any single corrupted frame is reproducible in isolation. Prerequisite
-    structures (ranges, ground, beam partition and ranks, vehicle mask) come
-    from `ctx`, which callers corrupting one frame many times build once with
+    structures (ground, beam partition, vehicle mask) come from `ctx`, which
+    callers corrupting one frame many times build once with
     `FrameContext(frame, profile, spec.seed)`. Without one, a throwaway
     context is built, with the same result.
 
@@ -658,7 +605,6 @@ def apply(
             response_distance=float(profile.param("fog_response_distance")),
             scatter_fraction=tuple(profile.param("fog_scatter_fraction")),
             fog_class=profile.fog_class,
-            ranges=ctx.ranges,
         )
     if kind is CorruptionKind.WET_GROUND:
         return apply_wet_ground(
@@ -668,7 +614,6 @@ def apply(
             i_n=float(profile.param("wet_noise_floor")),
             seed=seed,
             kappa_per_mm=float(profile.param("wet_kappa_per_mm")),
-            ranges=ctx.ranges,
         )
     if kind is CorruptionKind.SNOW:
         return apply_snow(
@@ -682,7 +627,6 @@ def apply(
             extinction_per_rate=float(profile.param("snow_extinction_per_rate")),
             reflectivity=float(profile.param("snow_reflectivity")),
             min_particle_range=float(profile.param("snow_min_particle_range")),
-            ranges=ctx.ranges,
         )
     if kind is CorruptionKind.MOTION_BLUR:
         return apply_motion_blur(
@@ -708,9 +652,9 @@ def apply(
     if kind is CorruptionKind.INCOMPLETE_ECHO:
         return apply_incomplete_echo(
             frame,
+            ctx.vehicle_mask,
             k_e=float(profile.severity_value(kind, severity, "fraction")),
             seed=seed,
-            vehicle_mask=ctx.vehicle_mask,
         )
     if kind is CorruptionKind.CROSS_SENSOR:
         return apply_cross_sensor(
@@ -718,6 +662,5 @@ def apply(
             ctx.partition,
             beams_kept=int(profile.severity_value(kind, severity, "beams_kept")),
             subsample_keep=float(profile.param("subsample_keep")),
-            ranks=ctx.beam_ranks,
         )
     raise ValueError(f"unknown corruption kind {kind!r}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -188,6 +189,20 @@ class BeamPartition:
     beam_of: np.ndarray
     beam_count: int
     method: BeamMethod
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Each point's position among its beam's points, in cloud order."""
+        # A stable sort groups each beam's points in original order; a point's
+        # rank within its beam is its offset from the beam's first position.
+        order = np.argsort(self.beam_of, kind="stable")
+        beams = self.beam_of[order]
+        position = np.arange(len(beams))
+        first = np.ones(len(beams), dtype=bool)
+        first[1:] = beams[1:] != beams[:-1]
+        ranks = np.empty_like(position)
+        ranks[order] = position - np.maximum.accumulate(np.where(first, position, 0))
+        return ranks
 
 
 def partition_beams(

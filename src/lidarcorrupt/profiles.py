@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -144,7 +145,7 @@ class DatasetProfile:
         severity-table entry. A value must have the shape of the one it
         replaces: a number for a number, a list of as many numbers for a
         list (a severity triple, for instance), and a nonempty list of
-        numbers for an ``_axis``.
+        numbers for an ``_axis``. NaN and infinity are not numbers here.
 
         Raises:
             ProfileError: a key names no existing parameter or table entry
@@ -177,7 +178,10 @@ class DatasetProfile:
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a finite float: NaN and infinity are not parameter values."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _expected_shape(key: str, old: Any, new: Any) -> Optional[str]:

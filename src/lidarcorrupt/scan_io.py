@@ -18,6 +18,7 @@ concurrently. Decoders reject non-finite values instead of propagating them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
@@ -147,9 +148,10 @@ def read_kitti_boxes(text: str) -> BoxSet:
             )
         if fields[0] not in KITTI_CLASS_IDS:
             raise MalformedScanError(f"box label line {lineno}: unknown type {fields[0]!r}")
-        h, w, l = (float(v) for v in fields[8:11])
-        x, y, z = (float(v) for v in fields[11:14])
-        yaw = float(fields[14])
+        values = [float(v) for v in fields[8:15]]
+        if not all(map(math.isfinite, values)):
+            raise MalformedScanError(f"box label line {lineno}: non-finite geometry")
+        h, w, l, x, y, z, yaw = values
         boxes.append(
             Box(
                 center=(x, y, z + h / 2.0),

@@ -162,7 +162,7 @@ def test_criterion_03_count_exactness_and_determinism(tmp_path):
             ),
         )
         cross_out = apply_crosstalk(big, k_t=0.01, sigma_c=3.0, seed=13, crosstalk_class=23)
-        echo_out = apply_incomplete_echo(big, k_e=0.75, seed=17, vehicle_classes={10})
+        echo_out = apply_incomplete_echo(big, big.labels.semantic == 10, k_e=0.75, seed=17)
 
         counts = (
             len(beam_out.cloud),
@@ -254,8 +254,8 @@ def test_criterion_06_zero_parameter_identities():
         "motion_blur": apply_motion_blur(frame, sigma_t=0.0, seed=5),
         "beam_missing": apply_beam_missing(frame, part, m=0, seed=5),
         "crosstalk": apply_crosstalk(frame, k_t=0.0, sigma_c=3.0, seed=5),
-        "incomplete_echo": apply_incomplete_echo(frame, k_e=0.0, seed=5,
-                                                 vehicle_classes={10}),
+        "incomplete_echo": apply_incomplete_echo(frame, frame.labels.semantic == 10,
+                                                 k_e=0.0, seed=5),
         "cross_sensor": apply_cross_sensor(frame, part, beams_kept=64,
                                            subsample_keep=1.0),
     }

@@ -1,8 +1,11 @@
 """End-to-end command-line behavior on small on-disk fixtures."""
 
+import hashlib
 import json
 import os
 import time
+from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +198,11 @@ class TestCorrupt:
         ("fog.alpha_axis=abc", "a nonempty list of numbers"),
         ("fog.alpha_axis=[]", "a nonempty list of numbers"),
         ("fog.alpha_axis=[0.01, true]", "a nonempty list of numbers"),
+        ("ransac_threshold=Infinity", "a number"),
+        ("crosstalk_sigma=NaN", "a number"),
+        ("crosstalk_sigma=-Infinity", "a number"),
+        ("fog.beta_bs=0.01,nan,0.3", "a 3-entry severity triple of numbers"),
+        ("fog.alpha_axis=[0.01, NaN]", "a nonempty list of numbers"),
     ])
     def test_wrong_override_type_rejected(self, runner, tmp_path, override, expected):
         src = build_dataset(tmp_path / "in", n_frames=1)
@@ -321,6 +329,82 @@ class TestCorrupt:
         [failure] = manifest["failures"]
         assert failure["frame"] == DYING_STEM
         assert failure["error"].startswith("BrokenProcessPool: ")
+
+    @pytest.mark.parametrize("workers,pool_size", [(2, 2), (64, 3)])
+    def test_pool_sized_to_frames(self, tmp_path, monkeypatch, workers, pool_size):
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size and runs each task in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        src = build_dataset(tmp_path / "in", n_frames=3, beams=8)
+        manifest = cli.run_corrupt(RunConfig(
+            profile_name="semantickitti", input_root=src, output_root=tmp_path / "out",
+            kinds=(cli.CorruptionKind.MOTION_BLUR,), workers=workers))
+        assert sizes == [pool_size]
+        assert len(manifest["entries"]) == 3 * 3 * 2 and manifest["failures"] == []
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        doomed = out / "fog" / "heavy" / "000000.bin"
+        write_bytes = Path.write_bytes
+
+        def flaky(path, data):
+            if path == doomed.with_name("000000.bin.tmp"):
+                write_bytes(path, data[:10])
+                raise OSError("disk full")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", flaky)
+        src = build_dataset(tmp_path / "in", n_frames=1, beams=8)
+        manifest = cli.run_corrupt(RunConfig(
+            profile_name="semantickitti", input_root=src, output_root=out,
+            kinds=(cli.CorruptionKind.FOG, cli.CorruptionKind.MOTION_BLUR)))
+        assert manifest["failures"] == [{"frame": "000000", "kind": "fog",
+                                         "severity": "heavy", "error": "disk full"}]
+        assert not doomed.exists()
+        assert not list(out.rglob("*.tmp"))
+        assert len(manifest["entries"]) == 2 * 3 * 2 - 2
+        on_disk = {str(p.relative_to(out)) for p in out.rglob("*")
+                   if p.is_file() and p.name != "manifest.json"}
+        assert on_disk == {e["file"] for e in manifest["entries"]}
+        for entry in manifest["entries"]:
+            digest = hashlib.sha256((out / entry["file"]).read_bytes()).hexdigest()
+            assert digest == entry["sha256"]
+        assert json.loads((out / "manifest.json").read_text()) == manifest
+
+    def test_failed_manifest_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        write_text = Path.write_text
+
+        def flaky(path, data, *args, **kwargs):
+            if path.name == "manifest.json.tmp":
+                write_text(path, data[:10])
+                raise OSError("disk full")
+            return write_text(path, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", flaky)
+        src = build_dataset(tmp_path / "in", n_frames=1, beams=8)
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            cli.run_corrupt(RunConfig(profile_name="semantickitti", input_root=src,
+                                      output_root=out, kinds=(cli.CorruptionKind.FOG,)))
+        assert not (out / "manifest.json").exists()
+        assert not list(out.rglob("*.tmp"))
 
     def test_partial_failure_exit_one(self, runner, tmp_path):
         src = build_dataset(tmp_path / "in", n_frames=1)

@@ -16,6 +16,7 @@ from lidarcorrupt import (
 from lidarcorrupt.corruptions import (
     CorruptedFrame,
     CorruptionSpec,
+    FrameContext,
     Provenance,
     apply,
     apply_beam_missing,
@@ -26,7 +27,6 @@ from lidarcorrupt.corruptions import (
     apply_motion_blur,
     apply_snow,
     apply_wet_ground,
-    beam_ranks,
 )
 from lidarcorrupt.errors import ProfileError
 from lidarcorrupt.profiles import CorruptionKind, Severity
@@ -372,17 +372,17 @@ class TestIncompleteEcho:
 
     def test_zero_fraction_identity(self):
         frame = self._vehicle_frame()
-        out = apply_incomplete_echo(frame, k_e=0.0, seed=0, vehicle_classes={10})
+        out = apply_incomplete_echo(frame, frame.labels.semantic == 10, k_e=0.0, seed=0)
         assert_identity(frame, out)
 
     def test_no_vehicles_identity(self):
         frame = simple_frame(semantic=40)
-        out = apply_incomplete_echo(frame, k_e=0.75, seed=0, vehicle_classes={10})
+        out = apply_incomplete_echo(frame, frame.labels.semantic == 10, k_e=0.75, seed=0)
         assert_identity(frame, out)
 
     def test_count_and_membership_oracle(self):
         frame = self._vehicle_frame()
-        out = apply_incomplete_echo(frame, k_e=0.75, seed=3, vehicle_classes={10})
+        out = apply_incomplete_echo(frame, frame.labels.semantic == 10, k_e=0.75, seed=3)
         assert len(out.cloud) == 925
         # every deleted point was vehicle-labeled: survivors include all 900 others
         assert (out.labels.semantic == 40).sum() == 900
@@ -400,22 +400,41 @@ class TestIncompleteEcho:
         )
         boxes = BoxSet((Box(center=(0, 0, 0), lwh=(2, 2, 2), yaw=0.0, class_id=0),))
         frame = CorruptedFrame.clean(cloud, labels=None, boxes=boxes)
-        out = apply_incomplete_echo(
-            frame, k_e=0.75, seed=4, vehicle_box_classes={0}
-        )
+        mask = FrameContext(frame, load_profile("kitti"), seed=0).vehicle_mask
+        assert mask.tolist() == [True] * 40 + [False] * 60
+        out = apply_incomplete_echo(frame, mask, k_e=0.75, seed=4)
         assert len(out.cloud) == 100 - 30  # round(0.75 * 40) of the inside points
         # all surviving far points untouched
         survivors = {tuple(r) for r in out.cloud.xyz.tolist()}
         assert all(tuple(r) in survivors for r in outside.tolist())
 
+    def test_box_classes_filter_vehicle_query(self):
+        # kitti counts Car/Van/Truck/Cyclist boxes as vehicles, not Pedestrian.
+        cloud = PointCloud(xyz=np.array([[0, 0, 0], [10, 0, 0]], np.float32),
+                           intensity=np.zeros(2, np.float32))
+        boxes = BoxSet((Box(center=(0, 0, 0), lwh=(2, 2, 2), yaw=0.0, class_id=0),
+                        Box(center=(10, 0, 0), lwh=(2, 2, 2), yaw=0.0, class_id=3)))
+        frame = CorruptedFrame.clean(cloud, boxes=boxes)
+        mask = FrameContext(frame, load_profile("kitti"), seed=0).vehicle_mask
+        assert mask.tolist() == [True, False]
+
+    def test_labels_take_precedence_over_boxes(self):
+        frame = self._vehicle_frame()
+        mask = FrameContext(frame, load_profile("semantickitti"), seed=0).vehicle_mask
+        assert np.array_equal(mask, frame.labels.semantic == 10)
+
     def test_requires_labels_or_boxes(self):
         cloud = PointCloud(
             xyz=np.zeros((5, 3), np.float32), intensity=np.zeros(5, np.float32)
         )
+        ctx = FrameContext(CorruptedFrame.clean(cloud), load_profile("semantickitti"), 0)
         with pytest.raises(ValueError, match="labels or boxes"):
-            apply_incomplete_echo(
-                CorruptedFrame.clean(cloud), k_e=0.5, seed=0, vehicle_classes={10}
-            )
+            ctx.vehicle_mask
+
+    def test_misaligned_mask_rejected(self):
+        frame = self._vehicle_frame()
+        with pytest.raises(ValueError, match="vehicle mask length 999 != point count 1000"):
+            apply_incomplete_echo(frame, np.ones(999, bool), k_e=0.5, seed=0)
 
 
 class TestCrossSensor:
@@ -493,18 +512,6 @@ class TestCrossSensor:
                 CorruptedFrame.clean(cloud), part, beams_kept, subsample_keep
             )
             assert out.cloud.equals(cloud.select(keep))
-            out = apply_cross_sensor(
-                CorruptedFrame.clean(cloud), part, beams_kept, subsample_keep,
-                ranks=beam_ranks(part),
-            )
-            assert out.cloud.equals(cloud.select(keep))
-
-    def test_ranks_for_another_partition_rejected(self, beam_cloud_64x10):
-        cloud, _ = beam_cloud_64x10
-        part = partition_beams(cloud, 64)
-        with pytest.raises(ValueError, match="639 beam ranks for 640 points"):
-            apply_cross_sensor(CorruptedFrame.clean(cloud), part, beams_kept=8,
-                               ranks=beam_ranks(part)[1:])
 
     def test_beams_out_of_range(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10

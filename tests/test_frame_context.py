@@ -1,5 +1,7 @@
 """Per-frame context: derived structures built once and shared by all outputs."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from lidarcorrupt import (
     write_kitti_scan,
 )
 from lidarcorrupt import cli, corruptions
+from lidarcorrupt.geometry import BeamPartition
 from lidarcorrupt.corruptions import (
     CorruptedFrame,
     CorruptionSpec,
@@ -115,7 +118,9 @@ def test_derived_structures_built_once_per_frame(profile_name, ransac, tmp_path,
                         spy("ransac", corruptions.fit_ground_ransac))
     monkeypatch.setattr(corruptions, "point_ranges",
                         spy("ranges", corruptions.point_ranges))
-    monkeypatch.setattr(corruptions, "beam_ranks", spy("ranks", corruptions.beam_ranks))
+    ranks = cached_property(spy("ranks", BeamPartition.ranks.func))
+    ranks.__set_name__(BeamPartition, "ranks")
+    monkeypatch.setattr(BeamPartition, "ranks", ranks)
     monkeypatch.setattr(BoxSet, "contains", spy("contains", BoxSet.contains))
     src = write_dataset(tmp_path / "in", profile_name, n_frames=2)
     manifest = cli.run_corrupt(cli.RunConfig(

@@ -166,6 +166,28 @@ class TestKittiBoxes:
         with pytest.raises(MalformedScanError, match="unknown type"):
             read_kitti_boxes("Spaceship 0 0 0 0 0 0 0 1 1 1 0 0 0 0\n")
 
+    @pytest.mark.parametrize("column,value", [
+        (8, "nan"), (9, "nan"), (10, "inf"), (11, "inf"), (12, "-inf"), (13, "nan"),
+        (14, "nan"),
+    ])
+    def test_non_finite_rejected_with_line(self, column, value):
+        fields = self.LINE.split()
+        fields[column] = value
+        with pytest.raises(MalformedScanError, match="box label line 1: non-finite"):
+            read_kitti_boxes(self.LINE + " ".join(fields) + "\n")
+
+    def test_non_finite_box_fails_frame_once_at_load(self, tmp_path):
+        (tmp_path / "in" / "boxes").mkdir(parents=True)
+        cloud = random_cloud(np.random.default_rng(0), 8)
+        (tmp_path / "in" / "000000.bin").write_bytes(write_kitti_scan(cloud))
+        (tmp_path / "in" / "boxes" / "000000.txt").write_text(
+            "Car 0 0 0 0 0 0 0 1.5 nan 4 1 2 -1 0.3\n")
+        manifest = run_corrupt(RunConfig(profile_name="kitti", input_root=tmp_path / "in",
+                                         output_root=tmp_path / "out"))
+        assert manifest["entries"] == []
+        assert manifest["failures"] == [
+            {"frame": "000000", "error": "box label line 0: non-finite geometry"}]
+
     def test_roundtrip(self):
         boxes = read_kitti_boxes(self.LINE)
         again = read_kitti_boxes(write_kitti_boxes(boxes))
