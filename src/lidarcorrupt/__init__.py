@@ -35,7 +35,6 @@ from .corruptions import (
     apply_wet_ground,
 )
 from .errors import (
-    BeamPartitionError,
     CorruptScanError,
     LidarCorruptError,
     MalformedScanError,

@@ -273,31 +273,39 @@ def run_evaluate(
     """Score predictions against ground truth, per corruption and severity.
 
     Expects ``clean/`` plus ``<kind>/<severity>/`` subdirectories of
-    ``.label`` files on both sides (corruption directories present in the
-    ground truth are scored; absent ones are skipped). Injected corruption
-    classes in the ground truth are remapped to the profile's ignore label
-    before scoring.
+    ``.label`` files on both sides. A corruption absent from the ground
+    truth is skipped; one present needs all three severities. Injected
+    corruption classes in the ground truth are remapped to the profile's
+    ignore label before scoring.
+
+    Raises:
+        PairingError: no ``clean/``, or a corruption with only some of its
+            severity directories in the ground truth.
     """
     pred_root, gt_root = Path(pred_root), Path(gt_root)
     clean_gt = gt_root / "clean"
     if not clean_gt.is_dir():
         raise PairingError(f"ground truth has no clean/ directory under {gt_root}")
-    clean = _miou_over_dir(pred_root / "clean", clean_gt, profile, num_classes)
-
-    per_corruption: dict[str, tuple[float, ...]] = {}
+    present = []
     for kind in KIND_ORDER:
-        values = []
-        for severity in ALL_SEVERITIES:
-            gt_dir = gt_root / kind.value / severity.value
-            if not gt_dir.is_dir():
-                continue
-            values.append(
-                _miou_over_dir(
-                    pred_root / kind.value / severity.value, gt_dir, profile, num_classes
-                )
+        missing = [f"{kind.value}/{s.value}" for s in ALL_SEVERITIES
+                   if not (gt_root / kind.value / s.value).is_dir()]
+        if 0 < len(missing) < len(ALL_SEVERITIES):
+            raise PairingError(
+                f"ground truth has {kind.value} but no {', '.join(missing)} "
+                f"directory under {gt_root}; a corruption needs all three severities"
             )
-        if values:
-            per_corruption[kind.value] = tuple(values)
+        if not missing:
+            present.append(kind.value)
+    clean = _miou_over_dir(pred_root / "clean", clean_gt, profile, num_classes)
+    per_corruption = {
+        kind: tuple(
+            _miou_over_dir(pred_root / kind / s.value, gt_root / kind / s.value,
+                           profile, num_classes)
+            for s in ALL_SEVERITIES
+        )
+        for kind in present
+    }
     return AccuracyRecord(
         model=model, clean_acc=clean, per_corruption=per_corruption, metric_kind="mIoU"
     )

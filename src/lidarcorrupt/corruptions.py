@@ -14,17 +14,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .geometry import (
     BeamPartition,
     GroundModel,
-    GroundSource,
     fit_ground_ransac,
     ground_mask_from_labels,
-    lstsq_plane,
     partition_beams,
     point_ranges,
 )
@@ -202,35 +200,21 @@ def apply_fog(
     )
 
 
-def _plane_from_mask(cloud: PointCloud, mask: np.ndarray) -> Optional[GroundModel]:
-    """Least-squares plane over masked points; None if under-determined."""
-    fit = lstsq_plane(cloud.xyz, mask)
-    if fit is None:
-        return None
-    normal, d = fit
-    a, b, c = (float(v) for v in normal)
-    return GroundModel(
-        plane=(a, b, c, d), inlier_mask=mask, source=GroundSource.SEMANTIC_LABELS
-    )
-
-
 def apply_wet_ground(
     frame: CorruptedFrame,
-    ground: Union[GroundModel, np.ndarray],
+    ground: GroundModel,
     d_w: float,
     i_n: float = 0.02,
-    seed: int = 0,
     kappa_per_mm: float = 0.1,
 ) -> CorruptedFrame:
     """Wet ground: attenuate ground returns, drop those below the noise floor.
 
     Ground-point intensity is scaled by exp(-kappa * d_w / cos(theta)) where
-    theta is the beam's incidence angle against the ground plane; grazing
-    beams lose the most energy. Attenuated returns below `i_n` are deleted
-    together with their labels. Non-ground points pass through bitwise.
-    `d_w` is in millimeters of water; `d_w` = 0 is a dry road and an exact
-    identity. The attenuation model is deterministic; `seed` is accepted for
-    interface symmetry.
+    theta is the beam's incidence angle against the ground plane (normal
+    incidence when `ground.plane` is None); grazing beams lose the most
+    energy. Attenuated returns below `i_n` are deleted together with their
+    labels. Non-ground points pass through bitwise. `d_w` is in millimeters
+    of water; `d_w` = 0 is a dry road and an exact identity.
 
     Raises:
         ValueError: d_w negative, or ground mask misaligned with the cloud.
@@ -238,28 +222,20 @@ def apply_wet_ground(
     if d_w < 0:
         raise ValueError(f"water height must be >= 0, got {d_w}")
     n = len(frame.cloud)
-    if isinstance(ground, GroundModel):
-        model: Optional[GroundModel] = ground
-        mask = np.asarray(ground.inlier_mask, dtype=bool)
-    else:
-        mask = np.asarray(ground, dtype=bool)
-        model = None
+    mask = np.asarray(ground.inlier_mask, dtype=bool)
     if len(mask) != n:
         raise ValueError(f"ground mask length {len(mask)} != point count {n}")
     if d_w == 0 or n == 0 or not mask.any():
         return frame
-    if model is None:
-        model = _plane_from_mask(frame.cloud, mask)
 
-    xyz = frame.cloud.xyz.astype(np.float64)
-    if model is not None:
-        r = frame.ranges
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cos_inc = np.abs(xyz @ model.normal) / np.maximum(r, 1e-12)
-        cos_inc = np.where(r > 0, cos_inc, 1.0)
-    else:
-        # Under-determined ground geometry: assume normal incidence.
+    if ground.plane is None:
         cos_inc = np.ones(n)
+    else:
+        r = frame.ranges
+        xyz = frame.cloud.xyz.astype(np.float64)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cos_inc = np.abs(xyz @ ground.normal) / np.maximum(r, 1e-12)
+        cos_inc = np.where(r > 0, cos_inc, 1.0)
     attenuation = np.exp(-kappa_per_mm * d_w / np.maximum(cos_inc, 1e-6))
 
     i64 = frame.cloud.intensity.astype(np.float64)
@@ -516,9 +492,9 @@ class FrameContext:
     unaffected. Point ranges are cached on the frame (`CorruptedFrame.ranges`)
     and beam ranks on the partition (`BeamPartition.ranks`).
 
-    The ground is the plane through the ground-labelled points (their mask
-    when fewer than 3), or, when the frame has no labels or the profile no
-    ground classes, a RANSAC `GroundModel` seeded by (run seed, frame id,
+    The ground is the ground-labelled points and their plane
+    (`GroundModel.from_mask`), or, when the frame has no labels or the
+    profile no ground classes, a RANSAC fit seeded by (run seed, frame id,
     wet_ground).
     """
 
@@ -531,15 +507,15 @@ class FrameContext:
 
     @cached_property
     def partition(self) -> BeamPartition:
-        return partition_beams(self.frame.cloud, self.profile)
+        return partition_beams(self.frame.cloud, self.profile.beam_count)
 
     @cached_property
-    def ground(self) -> Union[GroundModel, np.ndarray]:
+    def ground(self) -> GroundModel:
         frame, profile = self.frame, self.profile
         if frame.labels is not None and profile.ground_classes:
-            mask = ground_mask_from_labels(frame.labels, profile)
-            model = _plane_from_mask(frame.cloud, mask)
-            return mask if model is None else model
+            return GroundModel.from_mask(
+                frame.cloud.xyz, ground_mask_from_labels(frame.labels, profile)
+            )
         return fit_ground_ransac(
             frame.cloud,
             iterations=int(profile.param("ransac_iterations")),
@@ -612,7 +588,6 @@ def apply(
             ground=ctx.ground,
             d_w=float(profile.severity_value(kind, severity, "water_height_mm")),
             i_n=float(profile.param("wet_noise_floor")),
-            seed=seed,
             kappa_per_mm=float(profile.param("wet_kappa_per_mm")),
         )
     if kind is CorruptionKind.SNOW:

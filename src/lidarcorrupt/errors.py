@@ -21,10 +21,6 @@ class NoPlaneError(LidarCorruptError):
     """Plane fitting failed: too few points or all samples degenerate."""
 
 
-class BeamPartitionError(LidarCorruptError):
-    """Beam assignment impossible: no ring channel and no beam count."""
-
-
 class ProfileError(LidarCorruptError):
     """Dataset profile is missing parameters for a requested corruption."""
 

@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import BeamPartitionError, NoPlaneError
+from .errors import NoPlaneError
 from .profiles import DatasetProfile
 from .rng import make_rng
 from .types import LabelArray, PointCloud
@@ -35,16 +35,10 @@ __all__ = [
 ]
 
 
-def point_ranges(xyz: np.ndarray) -> Union[float, np.ndarray]:
-    """Euclidean distance from the sensor origin, per point.
-
-    Accepts a single (3,) point (returns a float) or an (N, 3) array
-    (returns an (N,) float64 array).
-    """
-    arr = np.asarray(xyz, dtype=np.float64)
-    if arr.ndim == 1:
-        return float(np.linalg.norm(arr))
-    return np.linalg.norm(arr, axis=1)
+def point_ranges(xyz: np.ndarray) -> np.ndarray:
+    """Euclidean distance from the sensor origin of each row of an (N, 3)
+    array, as an (N,) float64 array."""
+    return np.linalg.norm(np.asarray(xyz, dtype=np.float64), axis=1)
 
 
 class GroundSource(str, enum.Enum):
@@ -54,11 +48,19 @@ class GroundSource(str, enum.Enum):
 
 @dataclass(frozen=True)
 class GroundModel:
-    """Ground plane a*x + b*y + c*z + d = 0 with unit normal (a, b, c)."""
+    """Ground plane a*x + b*y + c*z + d = 0 with unit normal (a, b, c), and
+    the ground points. `plane` is None when fewer than 3 points define none."""
 
-    plane: tuple[float, float, float, float]
+    plane: Optional[tuple[float, float, float, float]]
     inlier_mask: np.ndarray
     source: GroundSource
+
+    @classmethod
+    def from_mask(cls, xyz: np.ndarray, mask: np.ndarray) -> "GroundModel":
+        """The labelled ground `xyz[mask]` and its least-squares plane."""
+        fit = lstsq_plane(xyz, mask)
+        plane = None if fit is None else (*(float(v) for v in fit[0]), fit[1])
+        return cls(plane=plane, inlier_mask=mask, source=GroundSource.SEMANTIC_LABELS)
 
     @property
     def normal(self) -> np.ndarray:
@@ -205,35 +207,19 @@ class BeamPartition:
         return ranks
 
 
-def partition_beams(
-    pc: PointCloud, profile: Union[DatasetProfile, int, None] = None
-) -> BeamPartition:
-    """Assign every point to a beam.
+def partition_beams(pc: PointCloud, beam_count: int) -> BeamPartition:
+    """Assign every point to one of `beam_count` beams.
 
     Uses the ring channel verbatim when present. Otherwise points are bucketed
     into `beam_count` equal-count bins of elevation angle asin(z / range),
     with beam ids ordered by descending elevation.
-
-    Raises:
-        BeamPartitionError: no ring channel and no beam count available.
     """
-    beam_count: Optional[int]
-    if isinstance(profile, DatasetProfile):
-        beam_count = profile.beam_count
-    else:
-        beam_count = profile
-
     if pc.ring is not None:
-        count = beam_count if beam_count is not None else (
-            int(pc.ring.max()) + 1 if len(pc) else 0
-        )
         return BeamPartition(
             beam_of=pc.ring.astype(np.int64),
-            beam_count=count,
+            beam_count=beam_count,
             method=BeamMethod.RING_CHANNEL,
         )
-    if beam_count is None:
-        raise BeamPartitionError("no ring channel and no beam count given")
     if len(pc) == 0:
         return BeamPartition(
             beam_of=np.zeros(0, dtype=np.int64),

@@ -201,15 +201,22 @@ def _expected_shape(key: str, old: Any, new: Any) -> Optional[str]:
 
 
 def _profile_source(directory: Optional[str | Path]) -> dict:
+    """The profile tables; ProfileError names a table file that cannot be
+    read, is not JSON or has no "profiles" table."""
     if directory is None:
         directory = os.environ.get(PROFILE_DIR_ENV)
-    if directory is not None:
-        text = (Path(directory) / "profiles.json").read_text()
-    else:
-        text = (
+    if directory is None:
+        return json.loads(
             resources.files("lidarcorrupt").joinpath("data/profiles.json").read_text()
         )
-    return json.loads(text)
+    path = Path(directory) / "profiles.json"
+    try:
+        source = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ProfileError(f"cannot load profile tables {path}: {exc}") from exc
+    if not isinstance(source, dict) or not isinstance(source.get("profiles"), dict):
+        raise ProfileError(f'profile tables {path} have no "profiles" table')
+    return source
 
 
 def available_profiles(directory: Optional[str | Path] = None) -> list[str]:
@@ -219,7 +226,12 @@ def available_profiles(directory: Optional[str | Path] = None) -> list[str]:
 def load_profile(
     name: str, directory: Optional[str | Path] = None
 ) -> DatasetProfile:
-    """Load a named dataset profile from the built-in (or overridden) tables."""
+    """Load a named dataset profile from the built-in (or overridden) tables.
+
+    Raises:
+        ProfileError: unknown name, unreadable tables, or an entry with a
+            missing or malformed field.
+    """
     source = _profile_source(directory)
     try:
         raw = source["profiles"][name.lower()]
@@ -227,20 +239,25 @@ def load_profile(
         raise ProfileError(
             f"unknown profile {name!r}; available: {sorted(source['profiles'])}"
         ) from exc
-    params = dict(source.get("defaults", {}))
-    params.update(raw.get("params", {}))
-    return DatasetProfile(
-        name=name.lower(),
-        beam_count=int(raw["beam_count"]),
-        intensity_scale=float(raw["intensity_scale"]),
-        ignore_label=int(raw["ignore_label"]),
-        fog_class=raw["fog_class"],
-        snow_class=raw["snow_class"],
-        crosstalk_class=raw["crosstalk_class"],
-        ground_classes=frozenset(raw["ground_classes"]),
-        vehicle_classes=frozenset(raw["vehicle_classes"]),
-        vehicle_box_classes=frozenset(raw["vehicle_box_classes"]),
-        requires_labels=bool(raw["requires_labels"]),
-        severity=raw["severity"],
-        params=params,
-    )
+    try:
+        params = dict(source.get("defaults", {}))
+        params.update(raw.get("params", {}))
+        return DatasetProfile(
+            name=name.lower(),
+            beam_count=int(raw["beam_count"]),
+            intensity_scale=float(raw["intensity_scale"]),
+            ignore_label=int(raw["ignore_label"]),
+            fog_class=raw["fog_class"],
+            snow_class=raw["snow_class"],
+            crosstalk_class=raw["crosstalk_class"],
+            ground_classes=frozenset(raw["ground_classes"]),
+            vehicle_classes=frozenset(raw["vehicle_classes"]),
+            vehicle_box_classes=frozenset(raw["vehicle_box_classes"]),
+            requires_labels=bool(raw["requires_labels"]),
+            severity=raw["severity"],
+            params=params,
+        )
+    except KeyError as exc:
+        raise ProfileError(f"profile {name!r} has no {exc.args[0]!r} field") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ProfileError(f"profile {name!r} is malformed: {exc}") from exc

@@ -18,7 +18,6 @@ concurrently. Decoders reject non-finite values instead of propagating them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
@@ -134,9 +133,13 @@ def read_kitti_boxes(text: str) -> BoxSet:
     Boxes are taken at face value in the cloud's frame; labels still in the
     camera frame must be transformed by the caller. `DontCare` rows carry no
     valid geometry and are skipped.
+
+    Raises:
+        MalformedScanError: a row that does not parse or makes no valid
+            `Box`, naming its line (counted from 1).
     """
     boxes = []
-    for lineno, line in enumerate(text.splitlines()):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields:
             continue
@@ -148,18 +151,18 @@ def read_kitti_boxes(text: str) -> BoxSet:
             )
         if fields[0] not in KITTI_CLASS_IDS:
             raise MalformedScanError(f"box label line {lineno}: unknown type {fields[0]!r}")
-        values = [float(v) for v in fields[8:15]]
-        if not all(map(math.isfinite, values)):
-            raise MalformedScanError(f"box label line {lineno}: non-finite geometry")
-        h, w, l, x, y, z, yaw = values
-        boxes.append(
-            Box(
-                center=(x, y, z + h / 2.0),
-                lwh=(l, w, h),
-                yaw=yaw,
-                class_id=KITTI_CLASS_IDS[fields[0]],
+        try:
+            h, w, l, x, y, z, yaw = (float(v) for v in fields[8:15])
+            boxes.append(
+                Box(
+                    center=(x, y, z + h / 2.0),
+                    lwh=(l, w, h),
+                    yaw=yaw,
+                    class_id=KITTI_CLASS_IDS[fields[0]],
+                )
             )
-        )
+        except ValueError as exc:
+            raise MalformedScanError(f"box label line {lineno}: {exc}") from exc
     return BoxSet(tuple(boxes))
 
 

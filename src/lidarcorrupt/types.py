@@ -138,7 +138,8 @@ class LabelArray:
 class Box:
     """Oriented 3D box: center, length/width/height, yaw about +z, class id.
 
-    Dimensions must be strictly positive; yaw is normalized to (-pi, pi].
+    Every value must be finite and the dimensions strictly positive; yaw
+    is normalized to (-pi, pi].
     """
 
     center: tuple[float, float, float]
@@ -147,6 +148,8 @@ class Box:
     class_id: int
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (*self.center, *self.lwh, self.yaw))):
+            raise ValueError("non-finite geometry")
         if min(self.lwh) <= 0:
             raise ValueError(f"box dimensions must be positive, got {self.lwh}")
         yaw = math.remainder(self.yaw, 2.0 * math.pi)

@@ -17,6 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 from lidarcorrupt import (
+    GroundModel,
     LabelArray,
     PointCloud,
     VoxelConfig,
@@ -145,7 +146,7 @@ def test_criterion_03_count_exactness_and_determinism(tmp_path):
             cloud,
             LabelArray(np.full(640, 40, np.uint16), np.zeros(640, np.uint16)),
         )
-        part = partition_beams(cloud, profile)
+        part = partition_beams(cloud, profile.beam_count)
         beam_out = apply_beam_missing(frame, part, m=48, seed=11)
         sensor_out = apply_cross_sensor(frame, part, beams_kept=48, subsample_keep=0.5)
 
@@ -246,7 +247,7 @@ def test_criterion_05_fog_attenuation_exact_and_monotone():
 def test_criterion_06_zero_parameter_identities():
     frame = make_labeled_frame(seed=37)
     part = partition_beams(frame.cloud, 64)
-    ground = np.ones(len(frame.cloud), bool)
+    ground = GroundModel.from_mask(frame.cloud.xyz, np.ones(len(frame.cloud), bool))
     cases = {
         "fog": apply_fog(frame, alpha=0.0, beta_bs=0.0, seed=5),
         "wet_ground": apply_wet_ground(frame, ground, d_w=0.0),

@@ -71,6 +71,30 @@ def entry_checksums(manifest):
     return {e["file"]: e["sha256"] for e in manifest["entries"]}
 
 
+def bad_profile_dir(root, fault):
+    """A profile directory with no table file, a non-JSON one, or a
+    semantickitti entry without its beam count or that is not an object."""
+    root.mkdir()
+    if fault == "no beam_count":
+        source = json.loads(
+            (Path(cli.__file__).parent / "data" / "profiles.json").read_text())
+        del source["profiles"]["semantickitti"]["beam_count"]
+        (root / "profiles.json").write_text(json.dumps(source))
+    elif fault == "entry not an object":
+        (root / "profiles.json").write_text('{"profiles": {"semantickitti": 64}}')
+    elif fault == "invalid json":
+        (root / "profiles.json").write_text('{"profiles": {')
+    return root
+
+
+BAD_PROFILE_DIRS = [
+    ("missing", "cannot load profile tables {dir}/profiles.json"),
+    ("invalid json", "cannot load profile tables {dir}/profiles.json"),
+    ("no beam_count", "profile 'semantickitti' has no 'beam_count' field"),
+    ("entry not an object", "profile 'semantickitti' is malformed"),
+]
+
+
 class TestCorrupt:
     def test_empty_input(self, runner, tmp_path):
         src = tmp_path / "in"
@@ -406,6 +430,18 @@ class TestCorrupt:
         assert not (out / "manifest.json").exists()
         assert not list(out.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("fault,message", BAD_PROFILE_DIRS)
+    def test_bad_profile_dir_is_configuration_error(self, runner, tmp_path, fault,
+                                                    message):
+        profiles = bad_profile_dir(tmp_path / "profiles", fault)
+        src = build_dataset(tmp_path / "in", n_frames=1)
+        result = runner.invoke(
+            main, ["corrupt", "--dataset", "semantickitti", "--in", str(src),
+                   "--out", str(tmp_path / "out"), "--profile-dir", str(profiles)])
+        assert result.exit_code == 2, result.output
+        assert f"configuration error: {message.format(dir=profiles)}" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_partial_failure_exit_one(self, runner, tmp_path):
         src = build_dataset(tmp_path / "in", n_frames=1)
         (src / "velodyne" / "zzzbad.bin").write_bytes(bytes(7))  # malformed length
@@ -492,6 +528,38 @@ class TestEvaluate:
         )
         assert result.exit_code == 1
         assert "000001" in result.output
+
+    @pytest.mark.parametrize("fault,message", BAD_PROFILE_DIRS)
+    def test_bad_profile_dir_is_configuration_error(self, runner, tmp_path, fault,
+                                                    message):
+        profiles = bad_profile_dir(tmp_path / "profiles", fault)
+        self._build_eval_tree(tmp_path, [1, 2], [1, 2])
+        result = runner.invoke(
+            main,
+            ["evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+             "--dataset", "semantickitti", "--num-classes", "3",
+             "--profile-dir", str(profiles)],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"configuration error: {message.format(dir=profiles)}" in result.output
+
+    @pytest.mark.parametrize("severities,missing", [
+        (("heavy",), "fog/light, fog/moderate"),
+        (("light", "heavy"), "fog/moderate"),
+    ])
+    def test_corruption_with_some_severities_rejected(self, runner, tmp_path,
+                                                      severities, missing):
+        for sub in ("clean",) + tuple(f"fog/{s}" for s in severities):
+            write_label_dir(tmp_path / "gt" / sub, {"000000": [1, 2]})
+            write_label_dir(tmp_path / "pred" / sub, {"000000": [1, 2]})
+        result = runner.invoke(
+            main,
+            ["evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+             "--dataset", "semantickitti", "--num-classes", "3"],
+        )
+        assert result.exit_code == 1, result.output
+        assert (f"evaluation failed: ground truth has fog but no {missing} directory"
+                in result.output)
 
     @pytest.mark.parametrize("num_classes", ["0", "-3", "65537", "70000"])
     def test_num_classes_out_of_range_rejected(self, runner, tmp_path, num_classes):

@@ -29,6 +29,7 @@ from lidarcorrupt.corruptions import (
     apply_wet_ground,
 )
 from lidarcorrupt.errors import ProfileError
+from lidarcorrupt.geometry import GroundModel, GroundSource
 from lidarcorrupt.profiles import CorruptionKind, Severity
 
 from conftest import make_beam_cloud, make_labeled_frame
@@ -148,19 +149,21 @@ class TestWetGround:
         labels = LabelArray(np.full(n, 40, np.uint16), np.zeros(n, np.uint16))
         return CorruptedFrame.clean(cloud, labels)
 
+    @staticmethod
+    def _ground(frame, mask):
+        return GroundModel.from_mask(frame.cloud.xyz, mask)
+
     def test_dry_ground_identity(self):
         frame = self._flat_frame()
-        out = apply_wet_ground(frame, np.ones(len(frame.cloud), bool), d_w=0.0)
+        out = apply_wet_ground(frame, self._ground(frame, np.ones(200, bool)), d_w=0.0)
         assert_identity(frame, out)
 
     def test_no_ground_identity(self):
         frame = self._flat_frame()
-        out = apply_wet_ground(frame, np.zeros(len(frame.cloud), bool), d_w=1.2)
+        out = apply_wet_ground(frame, self._ground(frame, np.zeros(200, bool)), d_w=1.2)
         assert_identity(frame, out)
 
     def test_attenuation_oracle_on_known_plane(self):
-        from lidarcorrupt.geometry import GroundModel, GroundSource
-
         frame = self._flat_frame(n=100, z=-2.0, seed=1)
         mask = np.ones(100, bool)
         model = GroundModel(
@@ -187,7 +190,7 @@ class TestWetGround:
         frame = self._flat_frame(n=80, seed=2)
         mask = np.zeros(80, bool)
         mask[:40] = True
-        out = apply_wet_ground(frame, mask, d_w=1.2)
+        out = apply_wet_ground(frame, self._ground(frame, mask), d_w=1.2)
         # last 40 points are non-ground: values preserved exactly
         kept_tail = out.cloud.xyz[len(out.cloud) - 40 :]
         assert np.array_equal(kept_tail, frame.cloud.xyz[40:])
@@ -197,14 +200,15 @@ class TestWetGround:
 
     def test_mask_length_mismatch(self):
         frame = self._flat_frame()
+        ground = GroundModel.from_mask(frame.cloud.xyz[:3], np.ones(3, bool))
         with pytest.raises(ValueError, match="mask"):
-            apply_wet_ground(frame, np.ones(3, bool), d_w=1.0)
+            apply_wet_ground(frame, ground, d_w=1.0)
 
     def test_deeper_water_deletes_more(self):
         frame = self._flat_frame(n=400, seed=3)
-        mask = np.ones(400, bool)
-        light = apply_wet_ground(frame, mask, d_w=0.2)
-        heavy = apply_wet_ground(frame, mask, d_w=1.2)
+        ground = self._ground(frame, np.ones(400, bool))
+        light = apply_wet_ground(frame, ground, d_w=0.2)
+        heavy = apply_wet_ground(frame, ground, d_w=1.2)
         assert len(heavy.cloud) <= len(light.cloud) <= 400
         assert len(heavy.cloud) < 400  # heavy rain visibly deletes returns
 

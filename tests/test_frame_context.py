@@ -14,7 +14,7 @@ from lidarcorrupt import (
     write_kitti_scan,
 )
 from lidarcorrupt import cli, corruptions
-from lidarcorrupt.geometry import BeamPartition
+from lidarcorrupt.geometry import BeamPartition, GroundModel, GroundSource, lstsq_plane
 from lidarcorrupt.corruptions import (
     CorruptedFrame,
     CorruptionSpec,
@@ -99,6 +99,57 @@ def test_unlabelled_wet_ground_severities_share_one_ground_model():
             kappa_per_mm=float(profile.param("wet_kappa_per_mm")),
         )
         assert_same(out, expected)
+
+
+def ground_labelled_frame(n_ground):
+    """A labelled frame whose first `n_ground` points are road, one of them
+    faint enough that the heavier rains drop it; the rest are vegetation."""
+    cloud, _ = make_beam_cloud(64, 6, seed=8, with_ring=False)
+    semantic = np.full(len(cloud), 70, np.uint16)
+    semantic[:n_ground] = 40
+    intensity = cloud.intensity.copy()
+    intensity[:n_ground] = np.linspace(0.0205, 0.9, n_ground, dtype=np.float32)
+    return CorruptedFrame.clean(cloud.with_fields(intensity=intensity),
+                                LabelArray(semantic, np.zeros(len(cloud), np.uint16)))
+
+
+@pytest.mark.parametrize("n_ground", [0, 1, 2])
+def test_planeless_label_ground_wets_at_normal_incidence(n_ground):
+    profile = load_profile("semantickitti")
+    frame = ground_labelled_frame(n_ground)
+    ctx = FrameContext(frame, profile, seed=2)
+    assert isinstance(ctx.ground, GroundModel)
+    assert ctx.ground.plane is None
+    assert ctx.ground.source is GroundSource.SEMANTIC_LABELS
+    ground = frame.labels.semantic == 40
+    assert np.array_equal(ctx.ground.inlier_mask, ground)
+    kappa = float(profile.param("wet_kappa_per_mm"))
+    i_n = float(profile.param("wet_noise_floor"))
+    dropped = 0
+    for severity in Severity:
+        d_w = float(profile.severity_value(
+            CorruptionKind.WET_GROUND, severity, "water_height_mm"))
+        out = apply(CorruptionSpec(CorruptionKind.WET_GROUND, severity, seed=2),
+                    frame, profile, ctx)
+        i64 = frame.cloud.intensity.astype(np.float64)
+        wet = i64 * np.exp(np.full(len(i64), -kappa * d_w))
+        keep = ~ground | (wet >= i_n)
+        intensity = np.where(ground, wet, i64).astype(np.float32)[keep]
+        assert np.array_equal(out.cloud.xyz, frame.cloud.xyz[keep])
+        assert out.cloud.intensity.tobytes() == intensity.tobytes()
+        assert out.labels.equals(frame.labels.select(keep))
+        dropped += int((~keep).sum())
+    assert dropped == (2 if n_ground else 0)
+
+
+@pytest.mark.parametrize("n_ground", [3, 50])
+def test_label_ground_plane_is_the_least_squares_fit(n_ground):
+    frame = ground_labelled_frame(n_ground)
+    ground = FrameContext(frame, load_profile("semantickitti"), seed=2).ground
+    mask = frame.labels.semantic == 40
+    normal, d = lstsq_plane(frame.cloud.xyz, mask)
+    assert np.array(ground.plane).tobytes() == np.append(normal, d).tobytes()
+    assert GroundModel.from_mask(frame.cloud.xyz, mask).plane == ground.plane
 
 
 @pytest.mark.parametrize("profile_name,ransac", [("kitti", 1), ("semantickitti", 0)])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lidarcorrupt import (
-    BeamPartitionError,
     LabelArray,
     NoPlaneError,
     PointCloud,
@@ -33,13 +32,12 @@ def cloud_from_xyz(xyz, frame_id="f"):
 
 class TestRanges:
     def test_origin(self):
-        assert point_ranges(np.array([0.0, 0.0, 0.0])) == 0.0
+        assert point_ranges(np.zeros((1, 3))).tolist() == [0.0]
 
     def test_pythagorean(self):
-        assert point_ranges(np.array([3.0, 4.0, 0.0])) == 5.0
-
-    def test_unit_decomposition(self):
-        assert point_ranges(np.array([1.0, 2.0, 2.0])) == pytest.approx(3.0)
+        r = point_ranges(np.array([[3.0, 4.0, 0.0], [1.0, 2.0, 2.0]]))
+        assert r.dtype == np.float64
+        assert r.tolist() == [5.0, pytest.approx(3.0)]
 
     def test_batch_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -229,7 +227,7 @@ class TestGroundMaskFromLabels:
 class TestPartitionBeams:
     def test_ring_passthrough(self):
         cloud, true_beam = make_beam_cloud(with_ring=True)
-        part = partition_beams(cloud, load_profile("semantickitti"))
+        part = partition_beams(cloud, load_profile("semantickitti").beam_count)
         assert part.method is BeamMethod.RING_CHANNEL
         assert np.array_equal(part.beam_of, true_beam)
 
@@ -243,11 +241,6 @@ class TestPartitionBeams:
         pc = cloud_from_xyz([[5.0, 0.0, 1.0]])
         part = partition_beams(pc, 64)
         assert 0 <= part.beam_of[0] < 64
-
-    def test_missing_beam_count(self):
-        pc = cloud_from_xyz([[5.0, 0.0, 1.0]])
-        with pytest.raises(BeamPartitionError):
-            partition_beams(pc, None)
 
     def test_monotone_in_elevation(self):
         cloud, _ = make_beam_cloud(beams=16, points_per_beam=7, with_ring=False)

@@ -166,6 +166,20 @@ class TestKittiBoxes:
         with pytest.raises(MalformedScanError, match="unknown type"):
             read_kitti_boxes("Spaceship 0 0 0 0 0 0 0 1 1 1 0 0 0 0\n")
 
+    @pytest.mark.parametrize("row,error", [
+        ("Car 0 0 0", "box label line 3: expected 15+ fields, got 4"),
+        ("Spaceship 0 0 0 0 0 0 0 1 1 1 0 0 0 0", "box label line 3: unknown type 'Spaceship'"),
+        ("Car 0 0 0 0 0 0 0 1.5 wide 4 1 2 -1 0.3",
+         "box label line 3: could not convert string to float: 'wide'"),
+        ("Car 0 0 0 0 0 0 0 1.5 0 4 1 2 -1 0.3",
+         "box label line 3: box dimensions must be positive, got (4.0, 0.0, 1.5)"),
+        ("Car 0 0 0 0 0 0 0 1.7e308 1 4 1 2 1.7e308 0.3", "box label line 3: non-finite geometry"),
+    ])
+    def test_rejected_row_named_by_line_from_one(self, row, error):
+        with pytest.raises(MalformedScanError) as info:
+            read_kitti_boxes(self.LINE + "\n" + row + "\n")
+        assert str(info.value) == error
+
     @pytest.mark.parametrize("column,value", [
         (8, "nan"), (9, "nan"), (10, "inf"), (11, "inf"), (12, "-inf"), (13, "nan"),
         (14, "nan"),
@@ -173,7 +187,7 @@ class TestKittiBoxes:
     def test_non_finite_rejected_with_line(self, column, value):
         fields = self.LINE.split()
         fields[column] = value
-        with pytest.raises(MalformedScanError, match="box label line 1: non-finite"):
+        with pytest.raises(MalformedScanError, match="box label line 2: non-finite"):
             read_kitti_boxes(self.LINE + " ".join(fields) + "\n")
 
     def test_non_finite_box_fails_frame_once_at_load(self, tmp_path):
@@ -186,7 +200,7 @@ class TestKittiBoxes:
                                          output_root=tmp_path / "out"))
         assert manifest["entries"] == []
         assert manifest["failures"] == [
-            {"frame": "000000", "error": "box label line 0: non-finite geometry"}]
+            {"frame": "000000", "error": "box label line 1: non-finite geometry"}]
 
     def test_roundtrip(self):
         boxes = read_kitti_boxes(self.LINE)

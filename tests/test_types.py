@@ -61,6 +61,16 @@ class TestBoxes:
         with pytest.raises(ValueError):
             Box(center=(0, 0, 0), lwh=(0.0, 1, 1), yaw=0, class_id=0)
 
+    @pytest.mark.parametrize("center,lwh,yaw", [
+        ((0, 0, math.inf), (1, 1, 1), 0.0),
+        ((0, 0, 0), (1, math.nan, 1), 0.0),
+        ((0, 0, 0), (1, 1, 1), math.nan),
+        ((-math.inf, 0, 0), (1, 1, math.inf), 0.0),
+    ])
+    def test_non_finite_values_rejected(self, center, lwh, yaw):
+        with pytest.raises(ValueError, match="non-finite geometry"):
+            Box(center=center, lwh=lwh, yaw=yaw, class_id=0)
+
     def test_yaw_normalized(self):
         box = Box(center=(0, 0, 0), lwh=(1, 1, 1), yaw=3 * math.pi, class_id=0)
         assert -math.pi < box.yaw <= math.pi
