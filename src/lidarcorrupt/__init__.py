@@ -38,6 +38,7 @@ from .errors import (
     CorruptScanError,
     LidarCorruptError,
     MalformedScanError,
+    ManifestError,
     NoPlaneError,
     PairingError,
     ProfileError,

@@ -6,6 +6,7 @@ Subcommands:
   * ``evaluate`` — score prediction label files against ground truth and
     write an accuracy record.
   * ``report``   — turn accuracy records into a CE/RR robustness report.
+  * ``verify``   — re-hash the files a ``corrupt`` manifest lists.
 
 Exit codes: 0 success, 1 partial failure (some frames failed or data error),
 2 configuration error.
@@ -17,7 +18,7 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +28,7 @@ import click
 import numpy as np
 
 from .corruptions import CorruptedFrame, CorruptionSpec, FrameContext, apply
-from .errors import LidarCorruptError, PairingError, ProfileError
+from .errors import LidarCorruptError, ManifestError, PairingError, ProfileError
 from .metrics import (
     KIND_ORDER,
     AccuracyRecord,
@@ -41,6 +42,7 @@ from .metrics import (
 )
 from .profiles import CorruptionKind, DatasetProfile, Severity, load_profile
 from .rng import derive_seed
+from .types import PointCloud
 # bench/spans.py wraps the scan and box codecs by their names in this module,
 # and a traced run fails if one is missing, so they stay imported unused.
 from .scan_io import (  # noqa: F401
@@ -56,7 +58,7 @@ from .scan_io import (  # noqa: F401
     write_semkitti_labels,
 )
 
-__all__ = ["RunConfig", "run_corrupt", "run_evaluate", "run_report", "main"]
+__all__ = ["RunConfig", "run_corrupt", "run_evaluate", "run_report", "run_verify", "main"]
 
 ALL_SEVERITIES = tuple(Severity)
 
@@ -102,7 +104,7 @@ def _severity_params(
     }
 
 
-def _write_atomic(path: Path, data: bytes | str) -> None:
+def _write_atomic(path: Path, data: bytes | memoryview | str) -> None:
     """Write `path` as a `.tmp` sibling renamed into place, so no partial
     file ever carries the final name; on failure the `.tmp` is removed."""
     tmp = path.with_name(path.name + ".tmp")
@@ -117,12 +119,29 @@ def _write_atomic(path: Path, data: bytes | str) -> None:
         raise
 
 
+def _encode_and_hash(cloud: PointCloud, profile: DatasetProfile,
+                     labels: Optional[bytes], hashes: list) -> list:
+    """Helper-thread half of one output: encode the scan, hash each payload.
+
+    Calls nothing that bench/spans.py wraps (file I/O, this module's codec
+    names, cloud construction): the traced run's span stack is single-threaded.
+    """
+    payloads = [write_scan(cloud, profile)]
+    if labels is not None:
+        payloads.append(labels)
+    for payload, digest in zip(payloads, hashes):
+        digest.update(payload)
+    return payloads
+
+
 def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
     """Worker: corrupt one frame for every selected (kind, severity).
 
     `args` is (stem, cfg, profile), with the profile loaded once per run.
     The frame's derived structures are built once and shared by all of its
-    outputs.
+    outputs. Output k's scan encode and hashes run on one helper thread
+    while this thread computes output k+1, then writes output k: at most
+    two payloads are alive, and no output byte depends on the overlap.
 
     Returns (manifest entries, failures); never raises, so one bad frame
     cannot abort the batch.
@@ -136,43 +155,50 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
     except Exception as exc:  # reported per frame, batch continues
         return [], [{"frame": stem, "error": str(exc)}]
 
-    ctx = FrameContext(frame, profile, cfg.seed)
-    for kind in cfg.kinds:
-        for severity in cfg.severities:
-            try:
-                spec = CorruptionSpec(kind=kind, severity=severity, seed=cfg.seed)
-                result = apply(spec, frame, profile, ctx)
-                out_dir = cfg.output_root / kind.value / severity.value
-                out_dir.mkdir(parents=True, exist_ok=True)
-                frame_seed = derive_seed(cfg.seed, stem, kind, severity)
-                params = _severity_params(profile, kind, severity)
+    def record_failure(kind: str, severity: str, exc: Exception) -> None:
+        failures.append({"frame": stem, "kind": kind, "severity": severity,
+                         "error": str(exc)})
 
-                outputs = [(f"{stem}.bin", write_scan(result.cloud, profile))]
-                if result.labels is not None:
-                    outputs.append((f"{stem}.label", write_semkitti_labels(result.labels)))
-                for name, payload in outputs:
-                    path = out_dir / name
-                    _write_atomic(path, payload)
-                    entries.append(
-                        {
-                            "file": str(path.relative_to(cfg.output_root)),
-                            "frame": stem,
-                            "kind": kind.value,
-                            "severity": severity.value,
-                            "seed": frame_seed,
-                            "params": params,
-                            "sha256": hashlib.sha256(payload).hexdigest(),
-                        }
-                    )
-            except Exception as exc:  # reported per frame, batch continues
-                failures.append(
-                    {
-                        "frame": stem,
-                        "kind": kind.value,
-                        "severity": severity.value,
-                        "error": str(exc),
-                    }
-                )
+    def settle(job: tuple) -> None:
+        """Wait for one output's encode and hashes, then write its files."""
+        output, paths, hashes, encoded = job
+        try:
+            for path, payload, digest in zip(paths, encoded.result(), hashes):
+                _write_atomic(path, payload)
+                entries.append({"file": str(path.relative_to(cfg.output_root)),
+                                **output, "sha256": digest.hexdigest()})
+        except Exception as exc:  # reported per output, frame continues
+            record_failure(output["kind"], output["severity"], exc)
+
+    ctx = FrameContext(frame, profile, cfg.seed)
+    pending = None
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for kind in cfg.kinds:
+            for severity in cfg.severities:
+                job = None
+                try:
+                    spec = CorruptionSpec(kind=kind, severity=severity, seed=cfg.seed)
+                    result = apply(spec, frame, profile, ctx)
+                    out_dir = cfg.output_root / kind.value / severity.value
+                    out_dir.mkdir(parents=True, exist_ok=True)
+                    output = {"frame": stem, "kind": kind.value, "severity": severity.value,
+                              "seed": derive_seed(cfg.seed, stem, kind, severity),
+                              "params": _severity_params(profile, kind, severity)}
+                    paths = [out_dir / f"{stem}.bin"]
+                    labels = None
+                    if result.labels is not None:
+                        paths.append(out_dir / f"{stem}.label")
+                        labels = write_semkitti_labels(result.labels)
+                    hashes = [hashlib.sha256() for _ in paths]
+                    job = (output, paths, hashes, helper.submit(
+                        _encode_and_hash, result.cloud, profile, labels, hashes))
+                except Exception as exc:  # reported per output, frame continues
+                    record_failure(kind.value, severity.value, exc)
+                if pending is not None:
+                    settle(pending)
+                pending = job
+        if pending is not None:
+            settle(pending)
     return entries, failures
 
 
@@ -231,6 +257,38 @@ def run_corrupt(cfg: RunConfig) -> dict:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
     )
     return manifest
+
+
+def run_verify(out_root: Path) -> tuple[int, list[str]]:
+    """Re-hash every file that `out_root/manifest.json` lists.
+
+    Returns the number of entries and one line per entry whose file is
+    missing, unreadable or has a SHA-256 other than the entry's.
+
+    Raises:
+        ManifestError: no `manifest.json`, or one that is not a manifest:
+            not JSON, or no "entries" list of "file" and "sha256" strings.
+    """
+    path = Path(out_root) / "manifest.json"
+    try:
+        listed = [(e["file"], e["sha256"]) for e in json.loads(path.read_text())["entries"]]
+        if not all(isinstance(v, str) for entry in listed for v in entry):
+            raise TypeError("an entry's file or sha256 is not a string")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ManifestError(f"{path} is missing or not a manifest: {exc}") from exc
+    problems = []
+    for name, digest in listed:
+        try:
+            data = (path.parent / name).read_bytes()
+        except FileNotFoundError:
+            problems.append(f"missing: {name}")
+            continue
+        except OSError as exc:
+            problems.append(f"unreadable: {name}: {exc}")
+            continue
+        if hashlib.sha256(data).hexdigest() != digest:
+            problems.append(f"differs: {name}")
+    return len(listed), problems
 
 
 def _matched_stems(pred_dir: Path, gt_dir: Path) -> list[str]:
@@ -454,6 +512,22 @@ def cmd_report(records, baseline, fmt, out_path):
         click.echo(f"wrote {out_path}")
     else:
         click.echo(text, nl=False)
+
+
+@main.command("verify")
+@click.argument("out_root", type=click.Path(file_okay=False))
+def cmd_verify(out_root):
+    """Re-hash every file OUT_ROOT/manifest.json lists against its checksum."""
+    try:
+        checked, problems = run_verify(Path(out_root))
+    except ManifestError as exc:
+        click.echo(f"cannot verify: {exc}", err=True)
+        sys.exit(2)
+    for line in problems:
+        click.echo(line)
+    click.echo(f"{checked - len(problems)} of {checked} files match {out_root}/manifest.json")
+    if problems:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,10 @@ class NoPlaneError(LidarCorruptError):
     """Plane fitting failed: too few points or all samples degenerate."""
 
 
+class ManifestError(LidarCorruptError):
+    """An output directory has no readable run manifest."""
+
+
 class ProfileError(LidarCorruptError):
     """Dataset profile is missing parameters for a requested corruption."""
 

@@ -64,10 +64,13 @@ class GroundModel:
 
     @property
     def normal(self) -> np.ndarray:
+        """The plane's unit normal; ValueError when there is no plane."""
+        if self.plane is None:
+            raise ValueError("ground model has no plane (fewer than 3 ground points)")
         return np.asarray(self.plane[:3], dtype=np.float64)
 
     def distances(self, xyz: np.ndarray) -> np.ndarray:
-        """Unsigned point-to-plane distances."""
+        """Unsigned point-to-plane distances; ValueError when there is no plane."""
         pts = np.asarray(xyz, dtype=np.float64)
         return np.abs(pts @ self.normal + self.plane[3])
 

@@ -99,12 +99,10 @@ class DatasetProfile:
                 )
         for kind, table in self.severity.items():
             for pname, value in table.items():
-                if pname.endswith("_axis"):
-                    continue
-                if not isinstance(value, (list, tuple)) or len(value) != 3:
-                    raise ProfileError(
-                        f"{self.name}: {kind}.{pname} must be a 3-entry severity triple"
-                    )
+                key = f"{kind}.{pname}"  # a triple, or an axis when named so
+                expected = _expected_shape(key, [0, 0, 0], value)
+                if expected is not None:
+                    raise ProfileError(f"{self.name}: {key} must be {expected}, got {value!r}")
 
     def severity_value(self, kind: CorruptionKind, severity: Severity, param: str):
         """The value of `param` for `kind` at `severity` (axes returned whole)."""

@@ -75,12 +75,22 @@ def read_kitti_scan(data: bytes, frame_id: str = "") -> PointCloud:
     return PointCloud(xyz=raw[:, :3], intensity=raw[:, 3], frame_id=frame_id)
 
 
+def _pack(pc: PointCloud, channels: int, scale: float = 1.0) -> np.ndarray:
+    """The (N, channels) `<f4` records [x, y, z, intensity * scale(, ring)].
+
+    Fills one buffer and builds no cloud. Multiplying by 1.0 is exact.
+    """
+    out = np.empty((len(pc), channels), dtype="<f4")
+    out[:, :3] = pc.xyz
+    np.multiply(pc.intensity, scale, out=out[:, 3])
+    if channels == 5:
+        out[:, 4] = pc.ring
+    return out
+
+
 def write_kitti_scan(pc: PointCloud) -> bytes:
     """Encode to packed [x, y, z, intensity] float32; inverse of read."""
-    out = np.empty((len(pc), 4), dtype="<f4")
-    out[:, :3] = pc.xyz
-    out[:, 3] = pc.intensity
-    return out.tobytes()
+    return _pack(pc, 4).tobytes()
 
 
 def read_nuscenes_scan(data: bytes, frame_id: str = "", beam_count: int = 32) -> PointCloud:
@@ -99,11 +109,7 @@ def write_nuscenes_scan(pc: PointCloud) -> bytes:
     """Encode to packed [x, y, z, intensity, ring] float32. Requires a ring channel."""
     if pc.ring is None:
         raise ValueError("cloud has no ring channel; cannot encode nuScenes scan")
-    out = np.empty((len(pc), 5), dtype="<f4")
-    out[:, :3] = pc.xyz
-    out[:, 3] = pc.intensity
-    out[:, 4] = pc.ring
-    return out.tobytes()
+    return _pack(pc, 5).tobytes()
 
 
 def read_semkitti_labels(data: bytes) -> LabelArray:
@@ -204,16 +210,16 @@ def read_scan(data: bytes, profile: DatasetProfile, frame_id: str = "") -> Point
     return cloud
 
 
-def write_scan(cloud: PointCloud, profile: DatasetProfile) -> bytes:
+def write_scan(cloud: PointCloud, profile: DatasetProfile) -> memoryview:
     """Inverse of `read_scan`: a cloud with a ring (which only a nuScenes
-    scan has) gets 5 channels, others 4; intensity is multiplied back."""
-    if profile.intensity_scale != 1.0:
-        cloud = cloud.with_fields(
-            intensity=(cloud.intensity * profile.intensity_scale).astype(np.float32)
-        )
-    if cloud.ring is not None:
-        return write_nuscenes_scan(cloud)
-    return write_kitti_scan(cloud)
+    scan has) gets 5 channels, others 4; intensity is multiplied back.
+
+    Returns a 1-D byte view of the encoded records, whose `len` is the byte
+    count, without copying them to `bytes`. No cloud is built, so the
+    encode may run on a helper thread.
+    """
+    records = _pack(cloud, 4 if cloud.ring is None else 5, profile.intensity_scale)
+    return memoryview(records.reshape(-1).view(np.uint8))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ module from `bench/` as it is and enters and leaves its instrumentation.
 import importlib.util
 import pathlib
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,28 @@ def test_traced_corrupt_maps_every_span(spans, tmp_path):
     summary = spans.summarize(tracer.spans)
     assert summary["unmapped"] == []
     assert summary["counts"]["cli.files_written"] == 6
+
+
+def test_traced_nuscenes_corrupt_spans_stay_on_main_thread(spans, tmp_path):
+    """The output stage's helper thread calls nothing the tracer wraps: every
+    span opens on the main thread, nests, and each written file is counted."""
+    src = write_dataset(tmp_path / "in", "nuscenes", n_frames=1, points_per_beam=3)
+    cfg = RunConfig(profile_name="nuscenes", input_root=src, output_root=tmp_path / "out")
+    tracer = spans.Tracer()
+    threads = set()
+    open_span = tracer.span
+
+    def span_on_thread(name):
+        threads.add(threading.get_ident())
+        return open_span(name)
+
+    tracer.span = span_on_thread
+    with spans.batch(tracer):
+        manifest = run_corrupt(cfg)
+    assert manifest["failures"] == [] and len(manifest["entries"]) == 8 * 3 * 2
+    assert threads == {threading.get_ident()}
+    summary = spans.summarize(tracer.spans)
+    assert summary["unmapped"] == []
+    assert summary["min_self_s"] >= 0
+    assert abs(summary["total_self_s"] - summary["root_s"]) <= 1e-6 * summary["root_s"]
+    assert summary["counts"]["cli.files_written"] == len(manifest["entries"])

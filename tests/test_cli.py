@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import sys
+import threading
 import time
 from concurrent.futures import Future
 from pathlib import Path
@@ -82,6 +84,15 @@ def bad_profile_dir(root, fault):
         (root / "profiles.json").write_text(json.dumps(source))
     elif fault == "entry not an object":
         (root / "profiles.json").write_text('{"profiles": {"semantickitti": 64}}')
+    elif fault in ("non-numeric triple", "empty axis"):
+        source = json.loads(
+            (Path(cli.__file__).parent / "data" / "profiles.json").read_text())
+        fog = source["profiles"]["semantickitti"]["severity"]["fog"]
+        if fault == "empty axis":
+            fog["alpha_axis"] = []
+        else:
+            fog["beta_bs"] = ["a", "b", "c"]
+        (root / "profiles.json").write_text(json.dumps(source))
     elif fault == "invalid json":
         (root / "profiles.json").write_text('{"profiles": {')
     return root
@@ -92,6 +103,10 @@ BAD_PROFILE_DIRS = [
     ("invalid json", "cannot load profile tables {dir}/profiles.json"),
     ("no beam_count", "profile 'semantickitti' has no 'beam_count' field"),
     ("entry not an object", "profile 'semantickitti' is malformed"),
+    ("non-numeric triple", "semantickitti: fog.beta_bs must be a 3-entry severity "
+                           "triple of numbers, got ['a', 'b', 'c']"),
+    ("empty axis", "semantickitti: fog.alpha_axis must be a nonempty list of numbers, "
+                   "got []"),
 ]
 
 
@@ -412,6 +427,96 @@ class TestCorrupt:
             assert digest == entry["sha256"]
         assert json.loads((out / "manifest.json").read_text()) == manifest
 
+    def test_failed_write_while_next_output_encodes(self, tmp_path, monkeypatch):
+        """Output k (fog/moderate) fails to write its label while output k+1
+        (fog/heavy) is being encoded on the helper thread."""
+        out = tmp_path / "out"
+        doomed = out / "fog" / "moderate" / "000000.label.tmp"
+        next_encoding, write_failed = threading.Event(), threading.Event()
+        encodes = []
+        write_scan, write_bytes = cli.write_scan, Path.write_bytes
+
+        def held_write_scan(cloud, profile):
+            encodes.append(threading.current_thread() is threading.main_thread())
+            if len(encodes) == 3:  # fog/heavy: stay in flight until k's write failed
+                next_encoding.set()
+                assert write_failed.wait(10)
+            return write_scan(cloud, profile)
+
+        def flaky(path, data):
+            if path == doomed:
+                assert next_encoding.wait(10)
+                write_bytes(path, data[:10])
+                write_failed.set()
+                raise OSError("disk full")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(cli, "write_scan", held_write_scan)
+        monkeypatch.setattr(Path, "write_bytes", flaky)
+        src = build_dataset(tmp_path / "in", n_frames=1, beams=8)
+        manifest = cli.run_corrupt(RunConfig(
+            profile_name="semantickitti", input_root=src, output_root=out,
+            kinds=(cli.CorruptionKind.FOG, cli.CorruptionKind.MOTION_BLUR)))
+        assert write_failed.is_set() and encodes == [False] * 6
+        assert manifest["failures"] == [{"frame": "000000", "kind": "fog",
+                                         "severity": "moderate", "error": "disk full"}]
+        assert not list(out.rglob("*.tmp"))
+        assert not doomed.with_name("000000.label").exists()
+        # the .bin of output k was written before its label failed, and stays
+        assert "fog/moderate/000000.bin" in entry_checksums(manifest)
+        assert len(manifest["entries"]) == 2 * 3 * 2 - 1
+        on_disk = {str(p.relative_to(out)) for p in out.rglob("*")
+                   if p.is_file() and p.name != "manifest.json"}
+        assert on_disk == {e["file"] for e in manifest["entries"]}
+        for entry in manifest["entries"]:
+            digest = hashlib.sha256((out / entry["file"]).read_bytes()).hexdigest()
+            assert digest == entry["sha256"]
+
+    def test_encode_error_on_helper_becomes_output_record(self, tmp_path, monkeypatch):
+        write_scan = cli.write_scan
+        calls = []
+
+        def failing_write_scan(cloud, profile):
+            calls.append(threading.current_thread() is threading.main_thread())
+            if len(calls) == 2:  # fog/moderate
+                raise ValueError("cloud has no ring channel; cannot encode nuScenes scan")
+            return write_scan(cloud, profile)
+
+        monkeypatch.setattr(cli, "write_scan", failing_write_scan)
+        src = build_dataset(tmp_path / "in", n_frames=1, beams=8)
+        out = tmp_path / "out"
+        manifest = cli.run_corrupt(RunConfig(
+            profile_name="semantickitti", input_root=src, output_root=out,
+            kinds=(cli.CorruptionKind.FOG,)))
+        assert calls == [False] * 3  # every encode ran off the main thread
+        assert manifest["failures"] == [{
+            "frame": "000000", "kind": "fog", "severity": "moderate",
+            "error": "cloud has no ring channel; cannot encode nuScenes scan"}]
+        assert sorted(entry_checksums(manifest)) == [
+            f"fog/{s}/000000.{ext}" for s in ("heavy", "light") for ext in ("bin", "label")]
+        assert not (out / "fog" / "moderate" / "000000.bin").exists()
+        assert not list(out.rglob("*.tmp"))
+
+    def test_manifest_stable_under_fast_thread_switching(self, tmp_path):
+        """Switching threads every microsecond interleaves the frame's thread
+        and its helper as finely as possible; the manifest must not change."""
+        src = build_dataset(tmp_path / "in", n_frames=2, beams=8)
+        manifests = []
+        for name, interval in (("slow", sys.getswitchinterval()), ("fast", 1e-6)):
+            saved = sys.getswitchinterval()
+            sys.setswitchinterval(interval)
+            try:
+                manifests.append(cli.run_corrupt(RunConfig(
+                    profile_name="semantickitti", input_root=src,
+                    output_root=tmp_path / name)))
+            finally:
+                sys.setswitchinterval(saved)
+        slow, fast = manifests
+        assert fast == slow and fast["failures"] == [] and len(fast["entries"]) == 96
+        for entry in fast["entries"]:
+            data = (tmp_path / "fast" / entry["file"]).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+
     def test_failed_manifest_write_leaves_no_manifest(self, tmp_path, monkeypatch):
         write_text = Path.write_text
 
@@ -455,6 +560,51 @@ class TestCorrupt:
         assert len(manifest["failures"]) == 1
         assert manifest["failures"][0]["frame"] == "zzzbad"
         assert len(manifest["entries"]) == 6  # good frame still processed
+
+
+class TestVerify:
+    def _corrupt(self, runner, tmp_path):
+        src = build_dataset(tmp_path / "in", n_frames=2, beams=8)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["corrupt", "--dataset", "semantickitti", "--in", str(src),
+                   "--out", str(out), "--corruptions", "fog,snow", "--workers", "2"])
+        assert result.exit_code == 0, result.output
+        return out
+
+    def test_fresh_output_verifies(self, runner, tmp_path):
+        out = self._corrupt(runner, tmp_path)
+        result = runner.invoke(main, ["verify", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output == f"24 of 24 files match {out}/manifest.json\n"
+
+    def test_flipped_byte_and_missing_file_listed(self, runner, tmp_path):
+        out = self._corrupt(runner, tmp_path)
+        label = out / "snow" / "heavy" / "000001.label"
+        data = bytearray(label.read_bytes())
+        data[5] ^= 0x01
+        label.write_bytes(bytes(data))
+        (out / "fog" / "light" / "000000.bin").unlink()
+        result = runner.invoke(main, ["verify", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output.splitlines() == [
+            "missing: fog/light/000000.bin",
+            "differs: snow/heavy/000001.label",
+            f"22 of 24 files match {out}/manifest.json",
+        ]
+
+    @pytest.mark.parametrize("manifest", [None, "{", "[]", '{"entries": 3}',
+                                          '{"entries": [{"file": "a.bin"}]}',
+                                          '{"entries": [{"file": 1, "sha256": "00"}]}'])
+    def test_no_manifest_is_exit_two(self, runner, tmp_path, manifest):
+        out = tmp_path / "out"
+        out.mkdir()
+        if manifest is not None:
+            (out / "manifest.json").write_text(manifest)
+        result = runner.invoke(main, ["verify", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"cannot verify: {out}/manifest.json is missing or not a manifest" in (
+            result.output)
 
 
 def write_label_dir(path, semantic_arrays):

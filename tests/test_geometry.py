@@ -360,3 +360,21 @@ class TestLstsqPlane:
         xyz = np.arange(12, dtype=np.float32).reshape(4, 3)
         mask = np.arange(4) < count
         assert geometry.lstsq_plane(xyz, mask) is None
+
+
+class TestGroundModel:
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_planeless_model_has_no_normal_or_distances(self, count):
+        model = geometry.GroundModel.from_mask(np.zeros((count, 3)), np.ones(count, bool))
+        assert model.plane is None
+        message = r"ground model has no plane \(fewer than 3 ground points\)"
+        with pytest.raises(ValueError, match=message):
+            model.normal
+        with pytest.raises(ValueError, match=message):
+            model.distances(np.zeros((4, 3)))
+
+    def test_distances_to_a_plane(self):
+        xyz = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=np.float32)
+        model = geometry.GroundModel.from_mask(xyz, np.ones(3, bool))
+        assert model.normal.tolist() == [0.0, 0.0, 1.0]
+        assert model.distances(np.array([[5.0, 5.0, -2.0]])).tolist() == [2.0]

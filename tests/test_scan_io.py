@@ -317,6 +317,24 @@ class TestScanCodec:
         ringless = PointCloud(xyz=pc.xyz, intensity=pc.intensity)
         assert len(write_scan(ringless, profile)) == 7 * 4 * 4
 
+    @pytest.mark.parametrize("name", PROFILES)
+    @pytest.mark.parametrize("n,with_ring", [(500, False), (500, True), (0, False)])
+    def test_write_scan_is_a_byte_view_of_the_former_encoding(self, name, n, with_ring):
+        profile = load_profile(name)
+        pc = random_cloud(np.random.default_rng(n + 7), n, with_ring=with_ring,
+                          beam_count=profile.beam_count)
+        # the former encode: a scaled copy of the cloud, then its records
+        scaled = (pc.intensity * profile.intensity_scale).astype(np.float32)
+        expected = np.empty((n, 5 if with_ring else 4), dtype="<f4")
+        expected[:, :3] = pc.xyz
+        expected[:, 3] = scaled
+        if with_ring:
+            expected[:, 4] = pc.ring
+        view = write_scan(pc, profile)
+        assert isinstance(view, memoryview)
+        assert (view.ndim, view.format, len(view)) == (1, "B", expected.nbytes)
+        assert bytes(view) == expected.tobytes()
+
     def test_frame_stems_requires_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             frame_stems(tmp_path / "missing")
