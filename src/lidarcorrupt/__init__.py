@@ -69,9 +69,7 @@ from .metrics import (
 from .profiles import CorruptionKind, DatasetProfile, Severity, load_profile
 from .rng import derive_seed, make_rng
 from .scan_io import (
-    DatasetFrame,
     frame_stems,
-    iterate_dataset,
     load_frame,
     read_kitti_boxes,
     read_kitti_scan,

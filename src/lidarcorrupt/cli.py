@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 import click
 import numpy as np
 
-from .corruptions import CorruptedFrame, CorruptionSpec, FrameContext, apply
+from .corruptions import CorruptionSpec, FrameContext, apply
 from .errors import LidarCorruptError, ManifestError, PairingError, ProfileError
 from .metrics import (
     KIND_ORDER,
@@ -86,6 +86,10 @@ class RunConfig:
             raise ProfileError("output root must differ from input root")
         if not self.kinds or not self.severities:
             raise ProfileError("corruption and severity selections must be nonempty")
+        for what, chosen in (("corruption", self.kinds), ("severity", self.severities)):
+            repeated = sorted({str(c) for c in chosen if chosen.count(c) > 1})
+            if repeated:
+                raise ProfileError(f"{what} selection repeats {', '.join(repeated)}")
         if self.workers < 1:
             raise ProfileError(f"workers must be >= 1, got {self.workers}")
 
@@ -150,8 +154,7 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
     entries: list[dict] = []
     failures: list[dict] = []
     try:
-        loaded = load_frame(cfg.input_root, stem, profile)
-        frame = CorruptedFrame.clean(loaded.cloud, loaded.labels, loaded.boxes)
+        frame = load_frame(cfg.input_root, stem, profile)
     except Exception as exc:  # reported per frame, batch continues
         return [], [{"frame": stem, "error": str(exc)}]
 
@@ -397,20 +400,12 @@ def _parse_override(text: str) -> tuple[str, object]:
     return key.strip(), value
 
 
-def _parse_kinds(text: str) -> tuple[CorruptionKind, ...]:
+def _parse_selection(choices: type, text: str) -> tuple:
+    """Comma-separated members of the enum `choices`, or all for "all" or ""."""
     if text.strip().lower() in ("", "all"):
-        return tuple(CorruptionKind)
+        return tuple(choices)
     try:
-        return tuple(CorruptionKind(v.strip()) for v in text.split(","))
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from exc
-
-
-def _parse_severities(text: str) -> tuple[Severity, ...]:
-    if text.strip().lower() in ("", "all"):
-        return ALL_SEVERITIES
-    try:
-        return tuple(Severity(v.strip()) for v in text.split(","))
+        return tuple(choices(v.strip()) for v in text.split(","))
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
 
@@ -443,8 +438,8 @@ def cmd_corrupt(dataset, in_root, out_root, corruptions, severities, seed, worke
             profile_name=dataset,
             input_root=Path(in_root),
             output_root=Path(out_root),
-            kinds=_parse_kinds(corruptions),
-            severities=_parse_severities(severities),
+            kinds=_parse_selection(CorruptionKind, corruptions),
+            severities=_parse_selection(Severity, severities),
             seed=seed,
             workers=workers,
             overrides=dict(_parse_override(o) for o in overrides),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -95,15 +95,6 @@ class CorruptedFrame:
         """Each point's distance from the sensor, computed on first use."""
         return point_ranges(self.cloud.xyz)
 
-    @classmethod
-    def clean(
-        cls,
-        cloud: PointCloud,
-        labels: Optional[LabelArray] = None,
-        boxes: Optional[BoxSet] = None,
-    ) -> "CorruptedFrame":
-        return cls(cloud=cloud, labels=labels, boxes=boxes)
-
     def select(self, index: np.ndarray) -> "CorruptedFrame":
         """Sub-frame at `index`; labels and provenance stay aligned."""
         return CorruptedFrame(
@@ -130,13 +121,6 @@ def _tag(provenance: np.ndarray, mask: np.ndarray, tag: Provenance) -> np.ndarra
     return out
 
 
-def _linear_decay_response(distance: float) -> Callable[[np.ndarray], np.ndarray]:
-    def response(ranges: np.ndarray) -> np.ndarray:
-        return np.clip(1.0 - ranges / distance, 0.0, 1.0)
-
-    return response
-
-
 def apply_fog(
     frame: CorruptedFrame,
     alpha: float,
@@ -146,18 +130,16 @@ def apply_fog(
     response_distance: float = 50.0,
     scatter_fraction: tuple[float, float] = (0.05, 0.5),
     fog_class: Optional[int] = None,
-    soft_response: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> CorruptedFrame:
     """Fog: attenuate every return and scatter those the fog outshines.
 
     The attenuated (hard-target) response is i * exp(-2 * alpha * range).
     The competing fog (soft-target) response is
-    i * range^2 / beta_0 * beta_bs * response(range), where `response` is a
-    swappable response curve defaulting to a linear decay clamped at
-    `response_distance`. A point whose soft response wins is relocated to a
-    fraction of its range (uniform in `scatter_fraction`) along the same ray,
-    takes the soft intensity (clamped to [0, 1]), and is relabeled
-    `fog_class`.
+    i * range^2 / beta_0 * beta_bs * clip(1 - range / response_distance, 0, 1):
+    a fixed linear response that falls to 0 at `response_distance`. A point
+    whose soft response wins is relocated to a fraction of its range
+    (uniform in `scatter_fraction`) along the same ray, takes the soft
+    intensity (clamped to [0, 1]), and is relabeled `fog_class`.
 
     Raises:
         ValueError: alpha negative or intensities not normalized to [0, 1].
@@ -174,11 +156,11 @@ def apply_fog(
     if n == 0:
         return frame
 
-    response = soft_response or _linear_decay_response(response_distance)
     i64 = intensity.astype(np.float64)
     r = frame.ranges
     i_hard = i64 * np.exp(-2.0 * alpha * r)
-    i_soft = i64 * (r * r / beta_0) * beta_bs * response(r)
+    response = np.clip(1.0 - r / response_distance, 0.0, 1.0)
+    i_soft = i64 * (r * r / beta_0) * beta_bs * response
     scattered = i_soft > i_hard
 
     rng = make_rng("fog", seed)

@@ -70,6 +70,9 @@ class DatasetProfile:
     names ending in ``_axis`` are frame-level sampling axes; every other
     entry is a [light, moderate, heavy] triple. `params` holds dataset-wide
     engineering constants (noise floors, sigma defaults, RANSAC settings).
+    No number in either, nor `beam_count` or `intensity_scale`, may be
+    negative, and some have a narrower range (`_RANGES`); a value out of
+    range raises ProfileError.
     """
 
     name: str
@@ -97,12 +100,19 @@ class DatasetProfile:
                 raise ProfileError(
                     f"{self.name}: {name} overlaps injected class ids {sorted(overlap)}"
                 )
-        for kind, table in self.severity.items():
-            for pname, value in table.items():
-                key = f"{kind}.{pname}"  # a triple, or an axis when named so
-                expected = _expected_shape(key, [0, 0, 0], value)
-                if expected is not None:
-                    raise ProfileError(f"{self.name}: {key} must be {expected}, got {value!r}")
+        entries = {f"{kind}.{pname}": value  # a triple, or an axis when named so
+                   for kind, table in self.severity.items() for pname, value in table.items()}
+        for key, value in entries.items():
+            expected = _expected_shape(key, [0, 0, 0], value)
+            if expected is not None:
+                raise ProfileError(f"{self.name}: {key} must be {expected}, got {value!r}")
+        sensor = {"beam_count": self.beam_count, "intensity_scale": self.intensity_scale}
+        for key, value in {**sensor, **self.params, **entries}.items():
+            rule, allowed = _RANGES.get(key, (">= 0", lambda v, profile: True))
+            values = value if isinstance(value, (list, tuple)) else [value]
+            if not all(v >= 0 and allowed(v, self) for v in values if _is_number(v)):
+                rule = rule.format(beam_count=self.beam_count)
+                raise ProfileError(f"{self.name}: {key} must be {rule}, got {value!r}")
 
     def severity_value(self, kind: CorruptionKind, severity: Severity, param: str):
         """The value of `param` for `kind` at `severity` (axes returned whole)."""
@@ -123,13 +133,6 @@ class DatasetProfile:
         except KeyError as exc:
             raise ProfileError(f"profile {self.name!r} has no parameter {name!r}") from exc
 
-    def injected_class(self, kind: CorruptionKind) -> Optional[int]:
-        return {
-            CorruptionKind.FOG: self.fog_class,
-            CorruptionKind.SNOW: self.snow_class,
-            CorruptionKind.CROSSTALK: self.crosstalk_class,
-        }.get(kind)
-
     def injected_classes(self) -> frozenset[int]:
         return frozenset(
             c for c in (self.fog_class, self.snow_class, self.crosstalk_class)
@@ -148,7 +151,7 @@ class DatasetProfile:
         Raises:
             ProfileError: a key names no existing parameter or table entry
                 (the message lists the valid keys), or a value has the
-                wrong shape.
+                wrong shape or is out of range.
         """
         params = dict(self.params)
         severity = {k: dict(v) for k, v in self.severity.items()}
@@ -180,6 +183,28 @@ def _is_number(value: Any) -> bool:
     if isinstance(value, float):
         return math.isfinite(value)
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _whole(value: Any) -> bool:
+    return float(value).is_integer()
+
+
+# The range of a profile value beyond the rule that no value is negative:
+# key -> (the range in words, whether one number `v` of `profile` is in it).
+_RANGES = {
+    "beam_count": ("a whole number >= 1", lambda v, profile: _whole(v) and v >= 1),
+    "intensity_scale": ("> 0", lambda v, profile: v > 0),
+    "fog_beta_0": ("> 0", lambda v, profile: v > 0),
+    "fog_response_distance": ("> 0", lambda v, profile: v > 0),
+    "subsample_keep": ("in (0, 1]", lambda v, profile: 0 < v <= 1),
+    "crosstalk.fraction": ("in [0, 1]", lambda v, profile: v <= 1),
+    "incomplete_echo.fraction": ("in [0, 1]", lambda v, profile: v <= 1),
+    "beam_missing.beams_dropped": ("a whole number in [0, {beam_count}]",
+                                   lambda v, profile: _whole(v) and v <= profile.beam_count),
+    "cross_sensor.beams_kept": ("a whole number in [1, {beam_count}]",
+                                lambda v, profile: _whole(v) and 1 <= v <= profile.beam_count),
+    "ransac_iterations": ("a whole number >= 1", lambda v, profile: _whole(v) and v >= 1),
+}
 
 
 def _expected_shape(key: str, old: Any, new: Any) -> Optional[str]:

@@ -1,4 +1,4 @@
-"""Bit-exact codecs for benchmark scan/label formats plus dataset iteration.
+"""Bit-exact codecs for benchmark scan/label formats plus frame loading.
 
 Formats:
   * KITTI-style scan (``.bin``): packed little-endian float32 records
@@ -18,12 +18,11 @@ concurrently. Decoders reject non-finite values instead of propagating them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
 
 import numpy as np
 
+from .corruptions import CorruptedFrame
 from .errors import CorruptScanError, MalformedScanError, PairingError
 from .profiles import DatasetProfile
 from .types import INTENSITY_TOLERANCE, Box, BoxSet, LabelArray, PointCloud
@@ -39,10 +38,8 @@ __all__ = [
     "write_kitti_boxes",
     "read_scan",
     "write_scan",
-    "DatasetFrame",
     "frame_stems",
     "load_frame",
-    "iterate_dataset",
     "KITTI_CLASS_IDS",
 ]
 
@@ -222,16 +219,6 @@ def write_scan(cloud: PointCloud, profile: DatasetProfile) -> memoryview:
     return memoryview(records.reshape(-1).view(np.uint8))
 
 
-@dataclass(frozen=True)
-class DatasetFrame:
-    """One dataset entry: cloud plus whatever annotations were found."""
-
-    frame_id: str
-    cloud: PointCloud
-    labels: Optional[LabelArray] = None
-    boxes: Optional[BoxSet] = None
-
-
 def _scan_dir(root: Path) -> Path:
     velo = root / "velodyne"
     return velo if velo.is_dir() else root
@@ -249,8 +236,9 @@ def frame_stems(root: str | Path) -> list[str]:
     return sorted(p.stem for p in _scan_dir(root).glob("*.bin"))
 
 
-def load_frame(root: str | Path, stem: str, profile: DatasetProfile) -> DatasetFrame:
-    """Read one frame's scan, ``labels/<stem>.label`` and ``boxes/<stem>.txt``.
+def load_frame(root: str | Path, stem: str, profile: DatasetProfile) -> CorruptedFrame:
+    """Read one frame's scan, ``labels/<stem>.label`` and ``boxes/<stem>.txt``
+    into a clean frame (every point `Provenance.ORIGINAL`, frame id `stem`).
 
     Labels are attached when the file exists and mandatory when the profile
     requires them. Boxes are mandatory when ``boxes/`` exists.
@@ -279,10 +267,4 @@ def load_frame(root: str | Path, stem: str, profile: DatasetProfile) -> DatasetF
             raise PairingError(f"frame {stem}: missing box file boxes/{stem}.txt")
         boxes = read_kitti_boxes(box_path.read_text())
 
-    return DatasetFrame(frame_id=stem, cloud=cloud, labels=labels, boxes=boxes)
-
-
-def iterate_dataset(root: str | Path, profile: DatasetProfile) -> Iterator[DatasetFrame]:
-    """Yield `load_frame` of each of the `frame_stems`; raises as they do."""
-    for stem in frame_stems(root):
-        yield load_frame(root, stem, profile)
+    return CorruptedFrame(cloud, labels, boxes)

@@ -129,10 +129,6 @@ class LabelArray:
             self.instance, other.instance
         )
 
-    @staticmethod
-    def zeros(n: int) -> "LabelArray":
-        return LabelArray(np.zeros(n, np.uint16), np.zeros(n, np.uint16))
-
 
 @dataclass(frozen=True)
 class Box:
@@ -172,9 +168,6 @@ class BoxSet:
 
     def __iter__(self):
         return iter(self.boxes)
-
-    def class_ids(self) -> np.ndarray:
-        return np.array([b.class_id for b in self.boxes], dtype=np.int64)
 
     def contains(
         self, xyz: np.ndarray, class_ids: Optional[Sequence[int]] = None

@@ -72,7 +72,7 @@ def make_labeled_frame(
         semantic=np.full(len(cloud), semantic, dtype=np.uint16),
         instance=np.zeros(len(cloud), dtype=np.uint16),
     )
-    return CorruptedFrame.clean(cloud, labels)
+    return CorruptedFrame(cloud, labels)
 
 
 BOXES = BoxSet((

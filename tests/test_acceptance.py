@@ -142,7 +142,7 @@ def test_criterion_03_count_exactness_and_determinism(tmp_path):
     counts_per_run = []
     for _ in range(5):
         cloud, _ = make_beam_cloud(64, 10, seed=3)
-        frame = CorruptedFrame.clean(
+        frame = CorruptedFrame(
             cloud,
             LabelArray(np.full(640, 40, np.uint16), np.zeros(640, np.uint16)),
         )
@@ -151,7 +151,7 @@ def test_criterion_03_count_exactness_and_determinism(tmp_path):
         sensor_out = apply_cross_sensor(frame, part, beams_kept=48, subsample_keep=0.5)
 
         rng = np.random.default_rng(9)
-        big = CorruptedFrame.clean(
+        big = CorruptedFrame(
             PointCloud(
                 xyz=rng.uniform(-30, 30, (1000, 3)).astype(np.float32),
                 intensity=rng.uniform(0, 1, 1000).astype(np.float32),
@@ -205,7 +205,7 @@ def test_criterion_04_motion_blur_statistics():
         xyz=np.zeros((n, 3), np.float32), intensity=np.zeros(n, np.float32),
         frame_id="stats",
     )
-    out = apply_motion_blur(CorruptedFrame.clean(cloud), sigma_t=0.25, seed=29)
+    out = apply_motion_blur(CorruptedFrame(cloud), sigma_t=0.25, seed=29)
     offsets = out.cloud.xyz.astype(np.float64)
     for axis in range(3):
         std = offsets[:, axis].std(ddof=1)
@@ -224,7 +224,7 @@ def test_criterion_05_fog_attenuation_exact_and_monotone():
         intensity=rng.uniform(0.1, 1.0, n).astype(np.float32),
         frame_id="fog",
     )
-    frame = CorruptedFrame.clean(cloud)
+    frame = CorruptedFrame(cloud)
     r = np.linalg.norm(cloud.xyz.astype(np.float64), axis=1)
 
     previous = None

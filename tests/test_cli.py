@@ -109,6 +109,39 @@ BAD_PROFILE_DIRS = [
                    "got []"),
 ]
 
+# (profile, --set override, message after "configuration error: ") of values
+# outside the range a profile table allows.
+OUT_OF_RANGE = [
+    ("semantickitti", "subsample_keep=0", "subsample_keep must be in (0, 1], got 0"),
+    ("semantickitti", "cross_sensor.beams_kept=0,0,0",
+     "cross_sensor.beams_kept must be a whole number in [1, 64], got [0.0, 0.0, 0.0]"),
+    ("semantickitti", "beam_missing.beams_dropped=99,99,99",
+     "beam_missing.beams_dropped must be a whole number in [0, 64], "
+     "got [99.0, 99.0, 99.0]"),
+    ("semantickitti", "fog.beta_bs=-1,-1,-1",
+     "fog.beta_bs must be >= 0, got [-1.0, -1.0, -1.0]"),
+    ("semantickitti", "ransac_threshold=-1", "ransac_threshold must be >= 0, got -1"),
+    ("semantickitti", "wet_noise_floor=-5", "wet_noise_floor must be >= 0, got -5"),
+    ("semantickitti", "ransac_iterations=0",
+     "ransac_iterations must be a whole number >= 1, got 0"),
+    ("kitti", "ransac_iterations=0", "ransac_iterations must be a whole number >= 1, got 0"),
+]
+
+
+def out_of_range_profile_dir(root, profile_name, override):
+    """The built-in tables with one entry of `profile_name` set as `override` does."""
+    key, value = cli._parse_override(override)
+    source = json.loads((Path(cli.__file__).parent / "data" / "profiles.json").read_text())
+    entry = source["profiles"][profile_name]
+    if "." in key:
+        kind, pname = key.split(".")
+        entry["severity"][kind][pname] = value
+    else:
+        entry.setdefault("params", {})[key] = value
+    root.mkdir()
+    (root / "profiles.json").write_text(json.dumps(source))
+    return root
+
 
 class TestCorrupt:
     def test_empty_input(self, runner, tmp_path):
@@ -547,6 +580,51 @@ class TestCorrupt:
         assert f"configuration error: {message.format(dir=profiles)}" in result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("how", ["--set", "--profile-dir"])
+    @pytest.mark.parametrize("profile,override,message", OUT_OF_RANGE)
+    def test_out_of_range_value_is_configuration_error(self, runner, tmp_path, how,
+                                                       profile, override, message):
+        src = build_dataset(tmp_path / "in", n_frames=1)
+        if how == "--set":
+            extra = ["--set", override]
+        else:
+            extra = ["--profile-dir",
+                     str(out_of_range_profile_dir(tmp_path / "profiles", profile, override))]
+        result = runner.invoke(
+            main, ["corrupt", "--dataset", profile, "--in", str(src),
+                   "--out", str(tmp_path / "out"), *extra])
+        assert result.exit_code == 2, result.output
+        assert f"configuration error: {profile}: {message}\n" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option,text,repeated", [
+        ("--corruptions", "fog,fog", "corruption selection repeats fog"),
+        ("--corruptions", "snow,fog,snow,fog", "corruption selection repeats fog, snow"),
+        ("--severities", "heavy,light,heavy", "severity selection repeats heavy"),
+    ])
+    def test_repeated_selection_is_configuration_error(self, runner, tmp_path, option,
+                                                       text, repeated):
+        src = build_dataset(tmp_path / "in", n_frames=1)
+        result = runner.invoke(
+            main, ["corrupt", "--dataset", "semantickitti", "--in", str(src),
+                   "--out", str(tmp_path / "out"), option, text])
+        assert result.exit_code == 2, result.output
+        assert f"configuration error: {repeated}\n" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field,chosen,repeated", [
+        ("kinds", (cli.CorruptionKind.FOG, cli.CorruptionKind.FOG),
+         "corruption selection repeats fog"),
+        ("severities", (cli.Severity.HEAVY, cli.Severity.HEAVY),
+         "severity selection repeats heavy"),
+    ])
+    def test_repeated_selection_rejected_by_run_config(self, tmp_path, field, chosen,
+                                                       repeated):
+        src = build_dataset(tmp_path / "in", n_frames=1)
+        with pytest.raises(ProfileError, match=f"^{repeated}$"):
+            RunConfig(profile_name="semantickitti", input_root=src,
+                      output_root=tmp_path / "out", **{field: chosen})
+
     def test_partial_failure_exit_one(self, runner, tmp_path):
         src = build_dataset(tmp_path / "in", n_frames=1)
         (src / "velodyne" / "zzzbad.bin").write_bytes(bytes(7))  # malformed length
@@ -692,6 +770,19 @@ class TestEvaluate:
         )
         assert result.exit_code == 2, result.output
         assert f"configuration error: {message.format(dir=profiles)}" in result.output
+
+    @pytest.mark.parametrize("profile,override,message", OUT_OF_RANGE)
+    def test_out_of_range_value_is_configuration_error(self, runner, tmp_path, profile,
+                                                       override, message):
+        profiles = out_of_range_profile_dir(tmp_path / "profiles", profile, override)
+        self._build_eval_tree(tmp_path, [1, 2], [1, 2])
+        result = runner.invoke(
+            main,
+            ["evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+             "--dataset", profile, "--num-classes", "3", "--profile-dir", str(profiles)],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"configuration error: {profile}: {message}\n" in result.output
 
     @pytest.mark.parametrize("severities,missing", [
         (("heavy",), "fog/light, fog/moderate"),

@@ -48,7 +48,7 @@ def simple_frame(n=50, seed=0, semantic=40, with_boxes=False):
     boxes = None
     if with_boxes:
         boxes = BoxSet((Box(center=(0, 0, 0), lwh=(4, 2, 2), yaw=0.3, class_id=0),))
-    return CorruptedFrame.clean(cloud, labels, boxes)
+    return CorruptedFrame(cloud, labels, boxes)
 
 
 def assert_identity(frame_in, frame_out):
@@ -73,7 +73,7 @@ class TestFog:
             xyz=np.array([[10.0, 0.0, 0.0]], np.float32),
             intensity=np.array([1.0], np.float32),
         )
-        out = apply_fog(CorruptedFrame.clean(cloud), alpha=0.06, beta_bs=0.0, seed=0)
+        out = apply_fog(CorruptedFrame(cloud), alpha=0.06, beta_bs=0.0, seed=0)
         assert out.cloud.intensity[0] == pytest.approx(math.exp(-1.2), rel=1e-6)
 
     def test_attenuation_formula_exact(self):
@@ -92,18 +92,11 @@ class TestFog:
             xyz=np.array([[10.0, 5.0, -1.0]], np.float32),
             intensity=np.array([0.8], np.float32),
         )
-        frame = CorruptedFrame.clean(
+        frame = CorruptedFrame(
             cloud, LabelArray(np.array([40], np.uint16), np.array([0], np.uint16))
         )
-        # constant soft response makes the fog return dominate
-        out = apply_fog(
-            frame,
-            alpha=0.06,
-            beta_bs=1.0,
-            seed=5,
-            fog_class=21,
-            soft_response=lambda r: np.ones_like(r),
-        )
+        # at 11.2 m the linear soft response (~1.55) outshines the hard one (~0.21)
+        out = apply_fog(frame, alpha=0.06, beta_bs=1.0, seed=5, fog_class=21)
         assert out.provenance[0] == Provenance.INJECTED_FOG
         assert out.labels.semantic[0] == 21
         ratio = np.linalg.norm(out.cloud.xyz[0]) / np.linalg.norm(cloud.xyz[0])
@@ -120,7 +113,7 @@ class TestFog:
             xyz=np.zeros((1, 3), np.float32), intensity=np.array([3.0], np.float32)
         )
         with pytest.raises(ValueError, match="normalized"):
-            apply_fog(CorruptedFrame.clean(cloud), alpha=0.0, beta_bs=0.0, seed=0)
+            apply_fog(CorruptedFrame(cloud), alpha=0.0, beta_bs=0.0, seed=0)
 
     def test_alpha_monotonicity(self):
         frame = simple_frame(n=300, seed=4)
@@ -147,7 +140,7 @@ class TestWetGround:
             intensity = rng.uniform(0.2, 1.0, n).astype(np.float32)
         cloud = PointCloud(xyz=xyz, intensity=intensity, frame_id="wet")
         labels = LabelArray(np.full(n, 40, np.uint16), np.zeros(n, np.uint16))
-        return CorruptedFrame.clean(cloud, labels)
+        return CorruptedFrame(cloud, labels)
 
     @staticmethod
     def _ground(frame, mask):
@@ -223,7 +216,7 @@ class TestSnow:
         labels = LabelArray(
             np.full(len(cloud), 40, np.uint16), np.zeros(len(cloud), np.uint16)
         )
-        frame = CorruptedFrame.clean(cloud, labels)
+        frame = CorruptedFrame(cloud, labels)
         r = np.linalg.norm(cloud.xyz.astype(np.float64), axis=1)
         distances = np.full(len(cloud), np.inf)
         distances[7] = r[7] / 2  # exactly one ray hits a particle at half range
@@ -279,7 +272,7 @@ class TestMotionBlur:
         cloud = PointCloud(
             xyz=np.zeros((n, 3), np.float32), intensity=np.zeros(n, np.float32)
         )
-        out = apply_motion_blur(CorruptedFrame.clean(cloud), sigma_t=0.25, seed=2)
+        out = apply_motion_blur(CorruptedFrame(cloud), sigma_t=0.25, seed=2)
         offsets = out.cloud.xyz.astype(np.float64)
         assert abs(offsets.std() - 0.25) < 0.005
         assert abs(offsets.mean()) < 0.005
@@ -288,20 +281,20 @@ class TestMotionBlur:
 class TestBeamMissing:
     def test_zero_identity(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10
-        frame = CorruptedFrame.clean(cloud)
+        frame = CorruptedFrame(cloud)
         part = partition_beams(cloud, 64)
         assert_identity(frame, apply_beam_missing(frame, part, m=0, seed=0))
 
     def test_all_beams_empty_cloud(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10
         part = partition_beams(cloud, 64)
-        out = apply_beam_missing(CorruptedFrame.clean(cloud), part, m=64, seed=0)
+        out = apply_beam_missing(CorruptedFrame(cloud), part, m=64, seed=0)
         assert len(out.cloud) == 0
 
     def test_count_oracle(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10
         part = partition_beams(cloud, 64)
-        out = apply_beam_missing(CorruptedFrame.clean(cloud), part, m=16, seed=5)
+        out = apply_beam_missing(CorruptedFrame(cloud), part, m=16, seed=5)
         assert len(out.cloud) == 480
         out_part = partition_beams(out.cloud, 64)
         assert len(set(out_part.beam_of.tolist())) == 48
@@ -312,7 +305,7 @@ class TestBeamMissing:
             np.arange(len(cloud)).astype(np.uint16) % 50,
             np.zeros(len(cloud), np.uint16),
         )
-        frame = CorruptedFrame.clean(cloud, labels)
+        frame = CorruptedFrame(cloud, labels)
         part = partition_beams(cloud, 64)
         out = apply_beam_missing(frame, part, m=32, seed=6)
         # reconstruct the surviving index set from instance... use xyz match
@@ -327,7 +320,7 @@ class TestBeamMissing:
         cloud, _ = beam_cloud_64x10
         part = partition_beams(cloud, 64)
         with pytest.raises(ValueError):
-            apply_beam_missing(CorruptedFrame.clean(cloud), part, m=65, seed=0)
+            apply_beam_missing(CorruptedFrame(cloud), part, m=65, seed=0)
 
 
 class TestCrosstalk:
@@ -372,7 +365,7 @@ class TestIncompleteEcho:
         semantic[:n_vehicle] = 10  # car
         labels = LabelArray(semantic, np.zeros(n, np.uint16))
         boxes = BoxSet((Box(center=(0, 0, 0), lwh=(4, 2, 2), yaw=0.0, class_id=0),))
-        return CorruptedFrame.clean(cloud, labels, boxes)
+        return CorruptedFrame(cloud, labels, boxes)
 
     def test_zero_fraction_identity(self):
         frame = self._vehicle_frame()
@@ -403,7 +396,7 @@ class TestIncompleteEcho:
             frame_id="box-echo",
         )
         boxes = BoxSet((Box(center=(0, 0, 0), lwh=(2, 2, 2), yaw=0.0, class_id=0),))
-        frame = CorruptedFrame.clean(cloud, labels=None, boxes=boxes)
+        frame = CorruptedFrame(cloud, labels=None, boxes=boxes)
         mask = FrameContext(frame, load_profile("kitti"), seed=0).vehicle_mask
         assert mask.tolist() == [True] * 40 + [False] * 60
         out = apply_incomplete_echo(frame, mask, k_e=0.75, seed=4)
@@ -418,7 +411,7 @@ class TestIncompleteEcho:
                            intensity=np.zeros(2, np.float32))
         boxes = BoxSet((Box(center=(0, 0, 0), lwh=(2, 2, 2), yaw=0.0, class_id=0),
                         Box(center=(10, 0, 0), lwh=(2, 2, 2), yaw=0.0, class_id=3)))
-        frame = CorruptedFrame.clean(cloud, boxes=boxes)
+        frame = CorruptedFrame(cloud, boxes=boxes)
         mask = FrameContext(frame, load_profile("kitti"), seed=0).vehicle_mask
         assert mask.tolist() == [True, False]
 
@@ -431,7 +424,7 @@ class TestIncompleteEcho:
         cloud = PointCloud(
             xyz=np.zeros((5, 3), np.float32), intensity=np.zeros(5, np.float32)
         )
-        ctx = FrameContext(CorruptedFrame.clean(cloud), load_profile("semantickitti"), 0)
+        ctx = FrameContext(CorruptedFrame(cloud), load_profile("semantickitti"), 0)
         with pytest.raises(ValueError, match="labels or boxes"):
             ctx.vehicle_mask
 
@@ -444,7 +437,7 @@ class TestIncompleteEcho:
 class TestCrossSensor:
     def test_full_retention_identity(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10
-        frame = CorruptedFrame.clean(cloud)
+        frame = CorruptedFrame(cloud)
         part = partition_beams(cloud, 64)
         out = apply_cross_sensor(frame, part, beams_kept=64, subsample_keep=1.0)
         assert_identity(frame, out)
@@ -459,7 +452,7 @@ class TestCrossSensor:
         )
         part = partition_beams(cloud, 1)
         out = apply_cross_sensor(
-            CorruptedFrame.clean(cloud), part, beams_kept=1, subsample_keep=0.5
+            CorruptedFrame(cloud), part, beams_kept=1, subsample_keep=0.5
         )
         assert out.cloud.xyz[:, 0].tolist() == [1.0, 3.0]
 
@@ -467,7 +460,7 @@ class TestCrossSensor:
         cloud, _ = beam_cloud_64x10
         part = partition_beams(cloud, 64)
         out = apply_cross_sensor(
-            CorruptedFrame.clean(cloud), part, beams_kept=16, subsample_keep=0.5
+            CorruptedFrame(cloud), part, beams_kept=16, subsample_keep=0.5
         )
         assert len(out.cloud) == 80
 
@@ -486,7 +479,7 @@ class TestCrossSensor:
         )
         part = partition_beams(cloud, 5)
         out = apply_cross_sensor(
-            CorruptedFrame.clean(cloud), part, beams_kept=5, subsample_keep=0.5
+            CorruptedFrame(cloud), part, beams_kept=5, subsample_keep=0.5
         )
         out_ring = out.cloud.ring.tolist()
         for beam, size in enumerate([1, 2, 3, 4, 5]):
@@ -513,7 +506,7 @@ class TestCrossSensor:
             for beam in kept_beams:
                 keep[np.flatnonzero(part.beam_of == beam)[::stride]] = True
             out = apply_cross_sensor(
-                CorruptedFrame.clean(cloud), part, beams_kept, subsample_keep
+                CorruptedFrame(cloud), part, beams_kept, subsample_keep
             )
             assert out.cloud.equals(cloud.select(keep))
 
@@ -521,7 +514,7 @@ class TestCrossSensor:
         cloud, _ = beam_cloud_64x10
         part = partition_beams(cloud, 64)
         with pytest.raises(ValueError):
-            apply_cross_sensor(CorruptedFrame.clean(cloud), part, beams_kept=65)
+            apply_cross_sensor(CorruptedFrame(cloud), part, beams_kept=65)
 
 
 class TestDispatcher:
@@ -554,7 +547,7 @@ class TestDispatcher:
         labels = LabelArray(
             np.array([10, 40, 40, 48, 70], np.uint16), np.zeros(5, np.uint16)
         )
-        frame = CorruptedFrame.clean(cloud, labels)
+        frame = CorruptedFrame(cloud, labels)
         out = apply(CorruptionSpec(kind, severity, seed=3), frame, load_profile("semantickitti"))
         assert out.labels is not None
         assert len(out.labels) == len(out.cloud)
@@ -585,7 +578,11 @@ class TestDispatcher:
         frame = make_labeled_frame(seed=24)
         profile = load_profile("semantickitti")
         out = apply(CorruptionSpec(kind, Severity.HEAVY, seed=2), frame, profile)
-        injected_id = profile.injected_class(kind)
+        injected_id = {
+            CorruptionKind.FOG: profile.fog_class,
+            CorruptionKind.SNOW: profile.snow_class,
+            CorruptionKind.CROSSTALK: profile.crosstalk_class,
+        }[kind]
         labeled = out.labels.semantic == injected_id
         tagged = out.provenance == tag
         assert np.array_equal(labeled, tagged)

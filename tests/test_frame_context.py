@@ -32,12 +32,12 @@ def labelled_frame(seed=0, frame_id="000000", with_ring=False):
     cloud, _ = make_beam_cloud(64, 6, seed=seed, with_ring=with_ring, frame_id=frame_id)
     rng = np.random.default_rng(seed + 1)
     semantic = rng.choice([10, 14, 24, 40, 44, 48, 70], size=len(cloud)).astype(np.uint16)
-    return CorruptedFrame.clean(cloud, LabelArray(semantic, np.zeros(len(cloud), np.uint16)))
+    return CorruptedFrame(cloud, LabelArray(semantic, np.zeros(len(cloud), np.uint16)))
 
 
 def boxed_frame(seed=0, frame_id="000000"):
     cloud, _ = make_beam_cloud(64, 6, seed=seed, with_ring=False, frame_id=frame_id)
-    return CorruptedFrame.clean(cloud, boxes=BOXES)
+    return CorruptedFrame(cloud, boxes=BOXES)
 
 
 FRAMES = {
@@ -109,7 +109,7 @@ def ground_labelled_frame(n_ground):
     semantic[:n_ground] = 40
     intensity = cloud.intensity.copy()
     intensity[:n_ground] = np.linspace(0.0205, 0.9, n_ground, dtype=np.float32)
-    return CorruptedFrame.clean(cloud.with_fields(intensity=intensity),
+    return CorruptedFrame(cloud.with_fields(intensity=intensity),
                                 LabelArray(semantic, np.zeros(len(cloud), np.uint16)))
 
 

@@ -1,6 +1,7 @@
 """Built-in profile tables: values, validation, overrides."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -116,6 +117,51 @@ class TestOverridesAndValidation:
     def test_severity_override_must_be_triple(self):
         with pytest.raises(ProfileError, match="triple"):
             load_profile("semantickitti").with_overrides({"fog.beta_bs": [0.01, 0.02]})
+
+    @pytest.mark.parametrize("key,value", [
+        ("subsample_keep", 1), ("subsample_keep", 1e-9),
+        ("crosstalk.fraction", [0, 0.5, 1]), ("incomplete_echo.fraction", [0.0, 1.0, 1.0]),
+        ("beam_missing.beams_dropped", [0, 64.0, 1]),
+        ("cross_sensor.beams_kept", [1, 64, 2.0]),
+        ("ransac_iterations", 1), ("ransac_iterations", 5.0), ("fog.alpha_axis", [0.0]),
+        ("fog_beta_0", 1e-9), ("fog.beta_bs", [0, 0, 0]),
+    ])
+    def test_boundary_values_accepted(self, key, value):
+        load_profile("semantickitti").with_overrides({key: value})
+
+    @pytest.mark.parametrize("key,value,rule", [
+        ("subsample_keep", 1.5, "in (0, 1]"),
+        ("crosstalk.fraction", [0, 0.5, 1.01], "in [0, 1]"),
+        ("incomplete_echo.fraction", [-0.1, 0.5, 1], "in [0, 1]"),
+        ("beam_missing.beams_dropped", [0, 65, 1], "a whole number in [0, 64]"),
+        ("beam_missing.beams_dropped", [0, 1.5, 1], "a whole number in [0, 64]"),
+        ("cross_sensor.beams_kept", [1, 2, 65], "a whole number in [1, 64]"),
+        ("ransac_iterations", 2.5, "a whole number >= 1"),
+        ("fog_beta_0", 0, "> 0"), ("fog_response_distance", -1.0, "> 0"),
+        ("fog_scatter_fraction", [-0.1, 0.5], ">= 0"),
+        ("fog.alpha_axis", [0.01, -0.01], ">= 0"),
+        ("snow_reflectivity", -0.3, ">= 0"),
+    ])
+    def test_out_of_range_rejected(self, key, value, rule):
+        with pytest.raises(ProfileError) as info:
+            load_profile("semantickitti").with_overrides({key: value})
+        assert str(info.value) == f"semantickitti: {key} must be {rule}, got {value!r}"
+
+    @pytest.mark.parametrize("field,value,rule", [
+        ("beam_count", 0, "a whole number >= 1"),
+        ("intensity_scale", -255.0, "> 0"),
+        ("intensity_scale", 0.0, "> 0"),
+    ])
+    def test_sensor_field_out_of_range_rejected(self, field, value, rule):
+        with pytest.raises(ProfileError) as info:
+            replace(load_profile("nuscenes"), **{field: value})
+        assert str(info.value) == f"nuscenes: {field} must be {rule}, got {value!r}"
+
+    def test_beam_ranges_follow_beam_count(self):
+        p = load_profile("nuscenes")  # 32 beams
+        p.with_overrides({"cross_sensor.beams_kept": [32, 16, 1]})
+        with pytest.raises(ProfileError, match=r"a whole number in \[0, 32\]"):
+            p.with_overrides({"beam_missing.beams_dropped": [8, 16, 33]})
 
     def test_injected_overlap_rejected(self):
         p = load_profile("semantickitti")

@@ -7,12 +7,13 @@ import pytest
 
 from lidarcorrupt import (
     CorruptScanError,
+    CorruptedFrame,
     LabelArray,
     MalformedScanError,
     PairingError,
     PointCloud,
+    Provenance,
     frame_stems,
-    iterate_dataset,
     load_frame,
     load_profile,
     read_kitti_boxes,
@@ -211,6 +212,11 @@ class TestKittiBoxes:
         assert again.boxes[0].class_id == boxes.boxes[0].class_id
 
 
+def load_dataset(root, profile):
+    """Every frame of `root`, in `frame_stems` order."""
+    return [load_frame(root, stem, profile) for stem in frame_stems(root)]
+
+
 class TestIterateDataset:
     def _write_scan(self, path, n=4, seed=0):
         rng = np.random.default_rng(seed)
@@ -220,13 +226,13 @@ class TestIterateDataset:
 
     def test_empty_dir(self, tmp_path):
         profile = load_profile("kitti")
-        assert list(iterate_dataset(tmp_path, profile)) == []
+        assert load_dataset(tmp_path, profile) == []
 
     def test_lexicographic_order(self, tmp_path):
         profile = load_profile("kitti")
         self._write_scan(tmp_path / "000001.bin", seed=1)
         self._write_scan(tmp_path / "000000.bin", seed=2)
-        names = [f.frame_id for f in iterate_dataset(tmp_path, profile)]
+        names = [f.cloud.frame_id for f in load_dataset(tmp_path, profile)]
         assert names == ["000000", "000001"]
 
     def test_missing_label_raises(self, tmp_path):
@@ -235,7 +241,7 @@ class TestIterateDataset:
         (tmp_path / "labels").mkdir()
         self._write_scan(tmp_path / "velodyne" / "000000.bin")
         with pytest.raises(PairingError, match="000000"):
-            list(iterate_dataset(tmp_path, profile))
+            load_dataset(tmp_path, profile)
 
     def test_label_pairing_and_alignment(self, tmp_path):
         profile = load_profile("semantickitti")
@@ -244,7 +250,7 @@ class TestIterateDataset:
         self._write_scan(tmp_path / "velodyne" / "000000.bin", n=4)
         labels = LabelArray(np.full(4, 40, np.uint16), np.zeros(4, np.uint16))
         (tmp_path / "labels" / "000000.label").write_bytes(write_semkitti_labels(labels))
-        frames = list(iterate_dataset(tmp_path, profile))
+        frames = load_dataset(tmp_path, profile)
         assert len(frames) == 1
         assert len(frames[0].labels) == len(frames[0].cloud)
 
@@ -256,7 +262,7 @@ class TestIterateDataset:
         labels = LabelArray(np.zeros(3, np.uint16), np.zeros(3, np.uint16))
         (tmp_path / "labels" / "000000.label").write_bytes(write_semkitti_labels(labels))
         with pytest.raises(PairingError, match="000000"):
-            list(iterate_dataset(tmp_path, profile))
+            load_dataset(tmp_path, profile)
 
     def test_boxes_attached_for_kitti(self, tmp_path):
         profile = load_profile("kitti")
@@ -264,7 +270,7 @@ class TestIterateDataset:
         (tmp_path / "boxes").mkdir()
         self._write_scan(tmp_path / "velodyne" / "000000.bin")
         (tmp_path / "boxes" / "000000.txt").write_text(TestKittiBoxes.LINE)
-        frame = next(iterate_dataset(tmp_path, profile))
+        frame = load_dataset(tmp_path, profile)[0]
         assert frame.boxes is not None and len(frame.boxes) == 1
         assert frame.labels is None
 
@@ -274,7 +280,15 @@ class TestIterateDataset:
         (tmp_path / "boxes").mkdir()
         self._write_scan(tmp_path / "velodyne" / "000000.bin")
         with pytest.raises(PairingError, match="000000"):
-            list(iterate_dataset(tmp_path, profile))
+            load_dataset(tmp_path, profile)
+
+    def test_load_frame_is_a_clean_corrupted_frame(self, tmp_path):
+        profile = load_profile("kitti")
+        self._write_scan(tmp_path / "000007.bin", n=5)
+        frame = load_frame(tmp_path, "000007", profile)
+        assert isinstance(frame, CorruptedFrame)
+        assert frame.cloud.frame_id == "000007"
+        assert frame.provenance.tolist() == [Provenance.ORIGINAL] * 5
 
     def test_nuscenes_intensity_normalized(self, tmp_path):
         profile = load_profile("nuscenes")
@@ -284,7 +298,7 @@ class TestIterateDataset:
             ring=np.array([0, 5], np.int32),
         )
         (tmp_path / "000000.bin").write_bytes(write_nuscenes_scan(pc))
-        frame = next(iterate_dataset(tmp_path, profile))
+        frame = load_dataset(tmp_path, profile)[0]
         assert frame.cloud.intensity.tolist() == [0.0, 1.0]
         assert frame.cloud.ring.tolist() == [0, 5]
 
@@ -347,7 +361,7 @@ class TestScanCodec:
         (tmp_path / "in" / "velodyne" / "000000.bin").write_bytes(write_kitti_scan(pc))
         expected = "frame 000000: missing label file labels/000000.label"
         with pytest.raises(PairingError) as info:
-            list(iterate_dataset(tmp_path / "in", profile))
+            load_dataset(tmp_path / "in", profile)
         assert str(info.value) == expected
         with pytest.raises(PairingError, match=expected):
             load_frame(tmp_path / "in", "000000", profile)
