@@ -99,15 +99,6 @@ class RunConfig:
         )
 
 
-def _severity_params(
-    profile: DatasetProfile, kind: CorruptionKind, severity: Severity
-) -> dict:
-    return {
-        pname: profile.severity_value(kind, severity, pname)
-        for pname in profile.severity[kind.value]
-    }
-
-
 def _write_atomic(path: Path, data: bytes | memoryview | str) -> None:
     """Write `path` as a `.tmp` sibling renamed into place, so no partial
     file ever carries the final name; on failure the `.tmp` is removed."""
@@ -186,7 +177,7 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
                     out_dir.mkdir(parents=True, exist_ok=True)
                     output = {"frame": stem, "kind": kind.value, "severity": severity.value,
                               "seed": derive_seed(cfg.seed, stem, kind, severity),
-                              "params": _severity_params(profile, kind, severity)}
+                              "params": profile.severity_params(kind, severity)}
                     paths = [out_dir / f"{stem}.bin"]
                     labels = None
                     if result.labels is not None:
@@ -266,7 +257,8 @@ def run_verify(out_root: Path) -> tuple[int, list[str]]:
     """Re-hash every file that `out_root/manifest.json` lists.
 
     Returns the number of entries and one line per entry whose file is
-    missing, unreadable or has a SHA-256 other than the entry's.
+    outside `out_root` (not read), missing, unreadable or has a SHA-256
+    other than the entry's.
 
     Raises:
         ManifestError: no `manifest.json`, or one that is not a manifest:
@@ -281,6 +273,9 @@ def run_verify(out_root: Path) -> tuple[int, list[str]]:
         raise ManifestError(f"{path} is missing or not a manifest: {exc}") from exc
     problems = []
     for name, digest in listed:
+        if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == os.pardir:
+            problems.append(f"outside: {name}")
+            continue
         try:
             data = (path.parent / name).read_bytes()
         except FileNotFoundError:

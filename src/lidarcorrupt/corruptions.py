@@ -500,8 +500,8 @@ class FrameContext:
             )
         return fit_ground_ransac(
             frame.cloud,
-            iterations=int(profile.param("ransac_iterations")),
-            inlier_threshold=float(profile.param("ransac_threshold")),
+            iterations=int(profile.params["ransac_iterations"]),
+            inlier_threshold=float(profile.params["ransac_threshold"]),
             seed=derive_seed(
                 self.seed, frame.cloud.frame_id, CorruptionKind.WET_GROUND
             ),
@@ -549,60 +549,57 @@ def apply(
     elif ctx.frame is not frame or ctx.profile is not profile or ctx.seed != spec.seed:
         raise ValueError("frame context was built for another frame, profile or seed")
     seed = derive_seed(spec.seed, frame.cloud.frame_id, spec.kind, spec.severity)
-    kind, severity = spec.kind, spec.severity
+    kind, params = spec.kind, profile.params
+    entry = profile.severity_params(kind, spec.severity)
 
     if kind is CorruptionKind.FOG:
-        axis = profile.severity_value(kind, severity, "alpha_axis")
-        alpha = float(make_rng("fog-alpha", seed).choice(axis))
         return apply_fog(
             frame,
-            alpha=alpha,
-            beta_bs=float(profile.severity_value(kind, severity, "beta_bs")),
+            alpha=float(make_rng("fog-alpha", seed).choice(entry["alpha_axis"])),
+            beta_bs=float(entry["beta_bs"]),
             seed=seed,
-            beta_0=float(profile.param("fog_beta_0")),
-            response_distance=float(profile.param("fog_response_distance")),
-            scatter_fraction=tuple(profile.param("fog_scatter_fraction")),
+            beta_0=float(params["fog_beta_0"]),
+            response_distance=float(params["fog_response_distance"]),
+            scatter_fraction=tuple(params["fog_scatter_fraction"]),
             fog_class=profile.fog_class,
         )
     if kind is CorruptionKind.WET_GROUND:
         return apply_wet_ground(
             frame,
             ground=ctx.ground,
-            d_w=float(profile.severity_value(kind, severity, "water_height_mm")),
-            i_n=float(profile.param("wet_noise_floor")),
-            kappa_per_mm=float(profile.param("wet_kappa_per_mm")),
+            d_w=float(entry["water_height_mm"]),
+            i_n=float(params["wet_noise_floor"]),
+            kappa_per_mm=float(params["wet_kappa_per_mm"]),
         )
     if kind is CorruptionKind.SNOW:
         return apply_snow(
             frame,
-            r_s=float(profile.severity_value(kind, severity, "snowfall_rate")),
+            r_s=float(entry["snowfall_rate"]),
             seed=seed,
             snow_class=profile.snow_class,
-            particles_per_meter_per_rate=float(
-                profile.param("snow_particles_per_meter_per_rate")
-            ),
-            extinction_per_rate=float(profile.param("snow_extinction_per_rate")),
-            reflectivity=float(profile.param("snow_reflectivity")),
-            min_particle_range=float(profile.param("snow_min_particle_range")),
+            particles_per_meter_per_rate=float(params["snow_particles_per_meter_per_rate"]),
+            extinction_per_rate=float(params["snow_extinction_per_rate"]),
+            reflectivity=float(params["snow_reflectivity"]),
+            min_particle_range=float(params["snow_min_particle_range"]),
         )
     if kind is CorruptionKind.MOTION_BLUR:
         return apply_motion_blur(
             frame,
-            sigma_t=float(profile.severity_value(kind, severity, "sigma_t")),
+            sigma_t=float(entry["sigma_t"]),
             seed=seed,
         )
     if kind is CorruptionKind.BEAM_MISSING:
         return apply_beam_missing(
             frame,
             ctx.partition,
-            m=int(profile.severity_value(kind, severity, "beams_dropped")),
+            m=int(entry["beams_dropped"]),
             seed=seed,
         )
     if kind is CorruptionKind.CROSSTALK:
         return apply_crosstalk(
             frame,
-            k_t=float(profile.severity_value(kind, severity, "fraction")),
-            sigma_c=float(profile.param("crosstalk_sigma")),
+            k_t=float(entry["fraction"]),
+            sigma_c=float(params["crosstalk_sigma"]),
             seed=seed,
             crosstalk_class=profile.crosstalk_class,
         )
@@ -610,14 +607,14 @@ def apply(
         return apply_incomplete_echo(
             frame,
             ctx.vehicle_mask,
-            k_e=float(profile.severity_value(kind, severity, "fraction")),
+            k_e=float(entry["fraction"]),
             seed=seed,
         )
     if kind is CorruptionKind.CROSS_SENSOR:
         return apply_cross_sensor(
             frame,
             ctx.partition,
-            beams_kept=int(profile.severity_value(kind, severity, "beams_kept")),
-            subsample_keep=float(profile.param("subsample_keep")),
+            beams_kept=int(entry["beams_kept"]),
+            subsample_keep=float(params["subsample_keep"]),
         )
     raise ValueError(f"unknown corruption kind {kind!r}")

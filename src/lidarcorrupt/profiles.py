@@ -4,8 +4,12 @@ The built-in tables live in ``data/profiles.json`` (editable, versioned).
 Each profile carries the sensor beam count, the severity parameter triples
 for all eight corruptions, the semantic class-id sets used by ground and
 vehicle queries, and the synthetic class ids assigned to injected fog, snow,
-and crosstalk points. A different table directory can be selected with the
-``LIDARCORRUPT_PROFILES`` environment variable or per call.
+and crosstalk points. `load_profile` can read another directory's tables.
+
+A profile is checked whole when it is built, from a table or by
+`with_overrides`: its keys must be those of `_ENTRIES`, with values of their
+shape there, and each value in its range (`_RANGES`). ProfileError reads
+``PROFILE: KEY must be ...``, or names a missing or unknown key.
 """
 
 from __future__ import annotations
@@ -13,8 +17,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Optional
@@ -27,10 +30,7 @@ __all__ = [
     "DatasetProfile",
     "load_profile",
     "available_profiles",
-    "PROFILE_DIR_ENV",
 ]
-
-PROFILE_DIR_ENV = "LIDARCORRUPT_PROFILES"
 
 
 class CorruptionKind(str, enum.Enum):
@@ -70,9 +70,9 @@ class DatasetProfile:
     names ending in ``_axis`` are frame-level sampling axes; every other
     entry is a [light, moderate, heavy] triple. `params` holds dataset-wide
     engineering constants (noise floors, sigma defaults, RANSAC settings).
-    No number in either, nor `beam_count` or `intensity_scale`, may be
-    negative, and some have a narrower range (`_RANGES`); a value out of
-    range raises ProfileError.
+    Class ids are whole numbers in [0, 65535] (semantic ids are 16-bit),
+    box classes whole numbers. Building a profile checks it whole (see the
+    module docstring) and raises ProfileError on the first fault.
     """
 
     name: str
@@ -87,9 +87,30 @@ class DatasetProfile:
     vehicle_box_classes: frozenset[int]
     requires_labels: bool
     severity: Mapping[str, Mapping[str, Any]]
-    params: Mapping[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any]
 
     def __post_init__(self) -> None:
+        entries = {**self.params, **{f"{kind}.{pname}": value
+                   for kind, table in self.severity.items() for pname, value in table.items()}}
+        unknown = [key for key in self.params if "." in key] + [
+            key for key in entries if key not in _ENTRIES]
+        missing = [key for key in _ENTRIES if key not in entries]
+        for what, keys in (("unknown", unknown), ("missing", missing)):
+            if keys:
+                raise ProfileError(f"{self.name}: {what} key {keys[0]!r}; "
+                                   f"valid keys: {', '.join(_ENTRIES)}")
+        for key, shape in _ENTRIES.items():
+            if not _has_shape(shape, entries[key]):
+                raise ProfileError(f"{self.name}: {key} must be {shape}, got {entries[key]!r}")
+        nullable = ("fog_class", "snow_class", "crosstalk_class")
+        fields = {name: value for name, value in vars(self).items()
+                  if name in _RANGES and not (name in nullable and value is None)}
+        for key, value in {**fields, **entries}.items():
+            rule, allowed = _RANGES.get(key, (">= 0", lambda v, profile: True))
+            values = value if isinstance(value, (list, tuple, frozenset)) else [value]
+            if not all(_is_number(v) and v >= 0 and allowed(v, self) for v in values):
+                rule = rule.format(beam_count=self.beam_count)
+                raise ProfileError(f"{self.name}: {key} must be {rule}, got {value!r}")
         injected = self.injected_classes()
         for name, classes in (
             ("ground_classes", self.ground_classes),
@@ -100,38 +121,11 @@ class DatasetProfile:
                 raise ProfileError(
                     f"{self.name}: {name} overlaps injected class ids {sorted(overlap)}"
                 )
-        entries = {f"{kind}.{pname}": value  # a triple, or an axis when named so
-                   for kind, table in self.severity.items() for pname, value in table.items()}
-        for key, value in entries.items():
-            expected = _expected_shape(key, [0, 0, 0], value)
-            if expected is not None:
-                raise ProfileError(f"{self.name}: {key} must be {expected}, got {value!r}")
-        sensor = {"beam_count": self.beam_count, "intensity_scale": self.intensity_scale}
-        for key, value in {**sensor, **self.params, **entries}.items():
-            rule, allowed = _RANGES.get(key, (">= 0", lambda v, profile: True))
-            values = value if isinstance(value, (list, tuple)) else [value]
-            if not all(v >= 0 and allowed(v, self) for v in values if _is_number(v)):
-                rule = rule.format(beam_count=self.beam_count)
-                raise ProfileError(f"{self.name}: {key} must be {rule}, got {value!r}")
 
-    def severity_value(self, kind: CorruptionKind, severity: Severity, param: str):
-        """The value of `param` for `kind` at `severity` (axes returned whole)."""
-        try:
-            table = self.severity[kind.value]
-            value = table[param]
-        except KeyError as exc:
-            raise ProfileError(
-                f"profile {self.name!r} has no {kind.value}.{param} entry"
-            ) from exc
-        if param.endswith("_axis"):
-            return list(value)
-        return value[severity.index]
-
-    def param(self, name: str):
-        try:
-            return self.params[name]
-        except KeyError as exc:
-            raise ProfileError(f"profile {self.name!r} has no parameter {name!r}") from exc
+    def severity_params(self, kind: CorruptionKind, severity: Severity) -> dict:
+        """`kind`'s table at `severity`: each triple's entry, each ``_axis`` whole."""
+        return {pname: list(value) if pname.endswith("_axis") else value[severity.index]
+                for pname, value in self.severity[kind.value].items()}
 
     def injected_classes(self) -> frozenset[int]:
         return frozenset(
@@ -143,38 +137,20 @@ class DatasetProfile:
         """Copy with parameters replaced.
 
         Plain keys update `params`; dotted keys like ``fog.beta_bs`` replace a
-        severity-table entry. A value must have the shape of the one it
-        replaces: a number for a number, a list of as many numbers for a
-        list (a severity triple, for instance), and a nonempty list of
-        numbers for an ``_axis``. NaN and infinity are not numbers here.
+        severity-table entry. The copy is checked as every profile is.
 
         Raises:
-            ProfileError: a key names no existing parameter or table entry
-                (the message lists the valid keys), or a value has the
-                wrong shape or is out of range.
+            ProfileError: a key names no parameter or table entry, or a value
+                has the wrong shape or is out of range.
         """
         params = dict(self.params)
         severity = {k: dict(v) for k, v in self.severity.items()}
         for key, value in overrides.items():
-            if "." in key:
-                kind_name, pname = key.split(".", 1)
-                if kind_name not in severity:
-                    raise ProfileError(f"unknown corruption {kind_name!r} in override {key!r}")
-                table = severity[kind_name]
+            kind, dot, pname = key.partition(".")
+            if dot:
+                severity.setdefault(kind, {})[pname] = value
             else:
-                pname, table = key, params
-            if pname not in table:
-                valid = sorted(params) + sorted(
-                    f"{kind}.{name}" for kind, entries in severity.items() for name in entries
-                )
-                raise ProfileError(
-                    f"unknown override key {key!r} for profile {self.name!r}; "
-                    f"valid keys: {', '.join(valid)}"
-                )
-            expected = _expected_shape(key, table[pname], value)
-            if expected is not None:
-                raise ProfileError(f"override {key!r} must be {expected}, got {value!r}")
-            table[pname] = value
+                params[key] = value
         return replace(self, params=params, severity=severity)
 
 
@@ -186,16 +162,60 @@ def _is_number(value: Any) -> bool:
 
 
 def _whole(value: Any) -> bool:
-    return float(value).is_integer()
+    return isinstance(value, int) or value.is_integer()
 
 
-# The range of a profile value beyond the rule that no value is negative:
-# key -> (the range in words, whether one number `v` of `profile` is in it).
+_NUMBER = "a number"
+_PAIR = "a list of 2 numbers"
+_TRIPLE = "a 3-entry severity triple of numbers"
+_AXIS = "a nonempty list of numbers"
+
+# Every `params` key and severity-table entry ("kind.name") a profile has,
+# no more and no fewer, with the shape of its value.
+_ENTRIES = {
+    **dict.fromkeys((
+        "fog_beta_0", "fog_response_distance", "wet_kappa_per_mm", "wet_noise_floor",
+        "snow_particles_per_meter_per_rate", "snow_extinction_per_rate", "snow_reflectivity",
+        "snow_min_particle_range", "crosstalk_sigma", "ransac_iterations", "ransac_threshold",
+        "subsample_keep"), _NUMBER),
+    "fog_scatter_fraction": _PAIR,
+    "fog.alpha_axis": _AXIS,
+    **dict.fromkeys((
+        "fog.beta_bs", "wet_ground.water_height_mm", "snow.snowfall_rate", "motion_blur.sigma_t",
+        "beam_missing.beams_dropped", "crosstalk.fraction", "incomplete_echo.fraction",
+        "cross_sensor.beams_kept"), _TRIPLE),
+}
+
+
+def _has_shape(shape: str, value: Any) -> bool:
+    if shape == _NUMBER:
+        return _is_number(value)
+    if not isinstance(value, (list, tuple)) or not all(_is_number(v) for v in value):
+        return False
+    return len(value) > 0 if shape == _AXIS else len(value) == (2 if shape == _PAIR else 3)
+
+
+def _is_class_id(value: Any, profile: DatasetProfile) -> bool:
+    return _whole(value) and value <= 65535
+
+
+# The range of a profile value beyond the rule that it is no negative number:
+# key -> (the range in words, whether each number `v` of `profile` is in it).
 _RANGES = {
     "beam_count": ("a whole number >= 1", lambda v, profile: _whole(v) and v >= 1),
     "intensity_scale": ("> 0", lambda v, profile: v > 0),
+    "ignore_label": ("a whole number in [0, 65535]", _is_class_id),
+    "fog_class": ("a whole number in [0, 65535] or null", _is_class_id),
+    "snow_class": ("a whole number in [0, 65535] or null", _is_class_id),
+    "crosstalk_class": ("a whole number in [0, 65535] or null", _is_class_id),
+    "ground_classes": ("whole numbers in [0, 65535]", _is_class_id),
+    "vehicle_classes": ("whole numbers in [0, 65535]", _is_class_id),
+    "vehicle_box_classes": ("whole numbers >= 0", lambda v, profile: _whole(v)),
     "fog_beta_0": ("> 0", lambda v, profile: v > 0),
     "fog_response_distance": ("> 0", lambda v, profile: v > 0),
+    "fog_scatter_fraction": (
+        "a pair low <= high in [0, 1]",  # so no number is above 1 or above high
+        lambda v, profile: v <= min(1, profile.params["fog_scatter_fraction"][1])),
     "subsample_keep": ("in (0, 1]", lambda v, profile: 0 < v <= 1),
     "crosstalk.fraction": ("in [0, 1]", lambda v, profile: v <= 1),
     "incomplete_echo.fraction": ("in [0, 1]", lambda v, profile: v <= 1),
@@ -207,27 +227,9 @@ _RANGES = {
 }
 
 
-def _expected_shape(key: str, old: Any, new: Any) -> Optional[str]:
-    """What override `key` must be to replace `old`, or None when `new` is that."""
-    numbers = isinstance(new, (list, tuple)) and all(_is_number(v) for v in new)
-    if key.endswith("_axis"):
-        return None if numbers and len(new) > 0 else "a nonempty list of numbers"
-    if isinstance(old, (list, tuple)):
-        if numbers and len(new) == len(old):
-            return None
-        if "." in key:
-            return "a 3-entry severity triple of numbers"
-        return f"a list of {len(old)} numbers"
-    if _is_number(old) and not _is_number(new):
-        return "a number"
-    return None
-
-
 def _profile_source(directory: Optional[str | Path]) -> dict:
     """The profile tables; ProfileError names a table file that cannot be
     read, is not JSON or has no "profiles" table."""
-    if directory is None:
-        directory = os.environ.get(PROFILE_DIR_ENV)
     if directory is None:
         return json.loads(
             resources.files("lidarcorrupt").joinpath("data/profiles.json").read_text()
@@ -249,7 +251,7 @@ def available_profiles(directory: Optional[str | Path] = None) -> list[str]:
 def load_profile(
     name: str, directory: Optional[str | Path] = None
 ) -> DatasetProfile:
-    """Load a named dataset profile from the built-in (or overridden) tables.
+    """Load a named dataset profile from the built-in tables, or `directory`'s.
 
     Raises:
         ProfileError: unknown name, unreadable tables, or an entry with a
@@ -269,7 +271,7 @@ def load_profile(
             name=name.lower(),
             beam_count=int(raw["beam_count"]),
             intensity_scale=float(raw["intensity_scale"]),
-            ignore_label=int(raw["ignore_label"]),
+            ignore_label=raw["ignore_label"],
             fog_class=raw["fog_class"],
             snow_class=raw["snow_class"],
             crosstalk_class=raw["crosstalk_class"],

@@ -73,31 +73,65 @@ def entry_checksums(manifest):
     return {e["file"]: e["sha256"] for e in manifest["entries"]}
 
 
+def builtin_tables():
+    return json.loads((Path(cli.__file__).parent / "data" / "profiles.json").read_text())
+
+
+DELETE = object()
+SK = ("profiles", "semantickitti")
+# fault -> (a key path into the built-in tables, the value set there or DELETE)
+TABLE_EDITS = {
+    "no beam_count": ((*SK, "beam_count"), DELETE),
+    "non-numeric triple": ((*SK, "severity", "fog", "beta_bs"), ["a", "b", "c"]),
+    "empty axis": ((*SK, "severity", "fog", "alpha_axis"), []),
+    "no defaults": (("defaults",), DELETE),
+    "no snow.snowfall_rate": ((*SK, "severity", "snow", "snowfall_rate"), DELETE),
+    "no snow table": ((*SK, "severity", "snow"), DELETE),
+    "misspelled key": (("defaults", "crosstalk_sigm"), 3.0),
+    "fog_class 'x'": ((*SK, "fog_class"), "x"),
+    "fog_class 70000": ((*SK, "fog_class"), 70000),
+    "fog_class -1": ((*SK, "fog_class"), -1),
+    "fog_class 21.5": ((*SK, "fog_class"), 21.5),
+    "vehicle_classes [70000]": ((*SK, "vehicle_classes"), [70000]),
+    "ignore_label 70000": ((*SK, "ignore_label"), 70000),
+}
+# Every profile key, in the order a key error lists them.
+VALID_KEYS = (
+    "fog_beta_0, fog_response_distance, wet_kappa_per_mm, wet_noise_floor, "
+    "snow_particles_per_meter_per_rate, snow_extinction_per_rate, snow_reflectivity, "
+    "snow_min_particle_range, crosstalk_sigma, ransac_iterations, ransac_threshold, "
+    "subsample_keep, fog_scatter_fraction, fog.alpha_axis, fog.beta_bs, "
+    "wet_ground.water_height_mm, snow.snowfall_rate, motion_blur.sigma_t, "
+    "beam_missing.beams_dropped, crosstalk.fraction, incomplete_echo.fraction, "
+    "cross_sensor.beams_kept"
+)
+
+
 def bad_profile_dir(root, fault):
-    """A profile directory with no table file, a non-JSON one, or a
-    semantickitti entry without its beam count or that is not an object."""
+    """A profile directory with no table file, a non-JSON one, one whose
+    semantickitti entry is not an object, or the built-in tables edited as
+    TABLE_EDITS[fault] says."""
     root.mkdir()
-    if fault == "no beam_count":
-        source = json.loads(
-            (Path(cli.__file__).parent / "data" / "profiles.json").read_text())
-        del source["profiles"]["semantickitti"]["beam_count"]
+    if fault in TABLE_EDITS:
+        (*path, last), value = TABLE_EDITS[fault]
+        source = builtin_tables()
+        table = source
+        for key in path:
+            table = table[key]
+        if value is DELETE:
+            del table[last]
+        else:
+            table[last] = value
         (root / "profiles.json").write_text(json.dumps(source))
     elif fault == "entry not an object":
         (root / "profiles.json").write_text('{"profiles": {"semantickitti": 64}}')
-    elif fault in ("non-numeric triple", "empty axis"):
-        source = json.loads(
-            (Path(cli.__file__).parent / "data" / "profiles.json").read_text())
-        fog = source["profiles"]["semantickitti"]["severity"]["fog"]
-        if fault == "empty axis":
-            fog["alpha_axis"] = []
-        else:
-            fog["beta_bs"] = ["a", "b", "c"]
-        (root / "profiles.json").write_text(json.dumps(source))
     elif fault == "invalid json":
         (root / "profiles.json").write_text('{"profiles": {')
     return root
 
 
+# (fault, message after "configuration error: "), with {dir} the profile
+# directory and {keys} the valid keys.
 BAD_PROFILE_DIRS = [
     ("missing", "cannot load profile tables {dir}/profiles.json"),
     ("invalid json", "cannot load profile tables {dir}/profiles.json"),
@@ -107,10 +141,27 @@ BAD_PROFILE_DIRS = [
                            "triple of numbers, got ['a', 'b', 'c']"),
     ("empty axis", "semantickitti: fog.alpha_axis must be a nonempty list of numbers, "
                    "got []"),
+    ("no defaults", "semantickitti: missing key 'fog_beta_0'; valid keys: {keys}\n"),
+    ("no snow.snowfall_rate",
+     "semantickitti: missing key 'snow.snowfall_rate'; valid keys: {keys}\n"),
+    ("no snow table", "semantickitti: missing key 'snow.snowfall_rate'; valid keys: {keys}\n"),
+    ("misspelled key", "semantickitti: unknown key 'crosstalk_sigm'; valid keys: {keys}\n"),
+    ("fog_class 'x'",
+     "semantickitti: fog_class must be a whole number in [0, 65535] or null, got 'x'\n"),
+    ("fog_class 70000",
+     "semantickitti: fog_class must be a whole number in [0, 65535] or null, got 70000\n"),
+    ("fog_class -1",
+     "semantickitti: fog_class must be a whole number in [0, 65535] or null, got -1\n"),
+    ("fog_class 21.5",
+     "semantickitti: fog_class must be a whole number in [0, 65535] or null, got 21.5\n"),
+    ("vehicle_classes [70000]", "semantickitti: vehicle_classes must be whole numbers in "
+                                "[0, 65535], got frozenset({70000})\n"),
+    ("ignore_label 70000",
+     "semantickitti: ignore_label must be a whole number in [0, 65535], got 70000\n"),
 ]
 
 # (profile, --set override, message after "configuration error: ") of values
-# outside the range a profile table allows.
+# of the wrong shape or outside the range a profile table allows.
 OUT_OF_RANGE = [
     ("semantickitti", "subsample_keep=0", "subsample_keep must be in (0, 1], got 0"),
     ("semantickitti", "cross_sensor.beams_kept=0,0,0",
@@ -125,13 +176,23 @@ OUT_OF_RANGE = [
     ("semantickitti", "ransac_iterations=0",
      "ransac_iterations must be a whole number >= 1, got 0"),
     ("kitti", "ransac_iterations=0", "ransac_iterations must be a whole number >= 1, got 0"),
+    ("semantickitti", "crosstalk_sigma=abc", "crosstalk_sigma must be a number, got 'abc'"),
+    ("semantickitti", "crosstalk_sigma=[3, 3]", "crosstalk_sigma must be a number, got [3, 3]"),
+    ("semantickitti", "fog_scatter_fraction=[0.1]",
+     "fog_scatter_fraction must be a list of 2 numbers, got [0.1]"),
+    ("semantickitti", "fog_scatter_fraction=0.5,0.1",
+     "fog_scatter_fraction must be a pair low <= high in [0, 1], got [0.5, 0.1]"),
+    ("semantickitti", "fog_scatter_fraction=0.2,1.5",
+     "fog_scatter_fraction must be a pair low <= high in [0, 1], got [0.2, 1.5]"),
+    ("kitti", "ransac_iterations=true", "ransac_iterations must be a number, got True"),
+    ("kitti", "ransac_threshold=NaN", "ransac_threshold must be a number, got nan"),
 ]
 
 
 def out_of_range_profile_dir(root, profile_name, override):
     """The built-in tables with one entry of `profile_name` set as `override` does."""
     key, value = cli._parse_override(override)
-    source = json.loads((Path(cli.__file__).parent / "data" / "profiles.json").read_text())
+    source = builtin_tables()
     entry = source["profiles"][profile_name]
     if "." in key:
         kind, pname = key.split(".")
@@ -285,7 +346,9 @@ class TestCorrupt:
              "--out", str(out), "--set", override],
         )
         assert result.exit_code == 2, result.output
-        assert f"override {override.split('=')[0]!r} must be {expected}" in result.output
+        key = override.split("=")[0]
+        assert f"configuration error: semantickitti: {key} must be {expected}, got " in (
+            result.output)
         assert not out.exists()
 
     @pytest.mark.parametrize("override", [
@@ -577,7 +640,8 @@ class TestCorrupt:
             main, ["corrupt", "--dataset", "semantickitti", "--in", str(src),
                    "--out", str(tmp_path / "out"), "--profile-dir", str(profiles)])
         assert result.exit_code == 2, result.output
-        assert f"configuration error: {message.format(dir=profiles)}" in result.output
+        message = message.replace("{dir}", str(profiles)).replace("{keys}", VALID_KEYS)
+        assert f"configuration error: {message}" in result.output
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("how", ["--set", "--profile-dir"])
@@ -669,6 +733,26 @@ class TestVerify:
             "missing: fog/light/000000.bin",
             "differs: snow/heavy/000001.label",
             f"22 of 24 files match {out}/manifest.json",
+        ]
+
+    def test_entry_outside_out_listed(self, runner, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        outside = tmp_path / "outside.txt"
+        outside.write_bytes(b"not an output")
+        digest = hashlib.sha256(outside.read_bytes()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps({"entries": [
+            {"file": "../outside.txt", "sha256": digest},
+            {"file": str(outside), "sha256": digest},
+            {"file": "fog/../../outside.txt", "sha256": digest},
+        ]}))
+        result = runner.invoke(main, ["verify", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output.splitlines() == [
+            "outside: ../outside.txt",
+            f"outside: {outside}",
+            "outside: fog/../../outside.txt",
+            f"0 of 3 files match {out}/manifest.json",
         ]
 
     @pytest.mark.parametrize("manifest", [None, "{", "[]", '{"entries": 3}',
@@ -769,7 +853,8 @@ class TestEvaluate:
              "--profile-dir", str(profiles)],
         )
         assert result.exit_code == 2, result.output
-        assert f"configuration error: {message.format(dir=profiles)}" in result.output
+        message = message.replace("{dir}", str(profiles)).replace("{keys}", VALID_KEYS)
+        assert f"configuration error: {message}" in result.output
 
     @pytest.mark.parametrize("profile,override,message", OUT_OF_RANGE)
     def test_out_of_range_value_is_configuration_error(self, runner, tmp_path, profile,

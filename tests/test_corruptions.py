@@ -28,7 +28,6 @@ from lidarcorrupt.corruptions import (
     apply_snow,
     apply_wet_ground,
 )
-from lidarcorrupt.errors import ProfileError
 from lidarcorrupt.geometry import GroundModel, GroundSource
 from lidarcorrupt.profiles import CorruptionKind, Severity
 
@@ -559,11 +558,6 @@ class TestDispatcher:
         for kind in CorruptionKind:
             out = apply(CorruptionSpec(kind, Severity.HEAVY, seed=5), frame, profile)
             assert out.boxes is frame.boxes
-
-    def test_unknown_severity_parameter(self):
-        profile = load_profile("semantickitti")
-        with pytest.raises(ProfileError):
-            profile.severity_value(CorruptionKind.FOG, Severity.LIGHT, "nonexistent")
 
     @pytest.mark.parametrize(
         "kind,tag",

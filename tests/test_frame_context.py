@@ -82,8 +82,8 @@ def test_unlabelled_wet_ground_severities_share_one_ground_model():
     ctx = FrameContext(frame, profile, seed=5)
     model = fit_ground_ransac(
         frame.cloud,
-        iterations=int(profile.param("ransac_iterations")),
-        inlier_threshold=float(profile.param("ransac_threshold")),
+        iterations=int(profile.params["ransac_iterations"]),
+        inlier_threshold=float(profile.params["ransac_threshold"]),
         seed=derive_seed(5, "000042", CorruptionKind.WET_GROUND),
     )
     assert ctx.ground.plane == model.plane
@@ -93,10 +93,10 @@ def test_unlabelled_wet_ground_severities_share_one_ground_model():
         expected = apply_wet_ground(
             frame,
             model,
-            d_w=float(profile.severity_value(
-                CorruptionKind.WET_GROUND, severity, "water_height_mm")),
-            i_n=float(profile.param("wet_noise_floor")),
-            kappa_per_mm=float(profile.param("wet_kappa_per_mm")),
+            d_w=float(profile.severity_params(
+                CorruptionKind.WET_GROUND, severity)["water_height_mm"]),
+            i_n=float(profile.params["wet_noise_floor"]),
+            kappa_per_mm=float(profile.params["wet_kappa_per_mm"]),
         )
         assert_same(out, expected)
 
@@ -123,12 +123,12 @@ def test_planeless_label_ground_wets_at_normal_incidence(n_ground):
     assert ctx.ground.source is GroundSource.SEMANTIC_LABELS
     ground = frame.labels.semantic == 40
     assert np.array_equal(ctx.ground.inlier_mask, ground)
-    kappa = float(profile.param("wet_kappa_per_mm"))
-    i_n = float(profile.param("wet_noise_floor"))
+    kappa = float(profile.params["wet_kappa_per_mm"])
+    i_n = float(profile.params["wet_noise_floor"])
     dropped = 0
     for severity in Severity:
-        d_w = float(profile.severity_value(
-            CorruptionKind.WET_GROUND, severity, "water_height_mm"))
+        d_w = float(profile.severity_params(
+            CorruptionKind.WET_GROUND, severity)["water_height_mm"])
         out = apply(CorruptionSpec(CorruptionKind.WET_GROUND, severity, seed=2),
                     frame, profile, ctx)
         i64 = frame.cloud.intensity.astype(np.float64)

@@ -1,6 +1,7 @@
 """Built-in profile tables: values, validation, overrides."""
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -20,10 +21,10 @@ class TestBuiltinTables:
     def test_fog_severity_axis(self):
         for name in available_profiles():
             p = load_profile(name)
-            axis = p.severity_value(CorruptionKind.FOG, Severity.LIGHT, "alpha_axis")
+            axis = p.severity_params(CorruptionKind.FOG, Severity.LIGHT)["alpha_axis"]
             assert axis == [0.0, 0.005, 0.01, 0.02, 0.03, 0.06]
             betas = [
-                p.severity_value(CorruptionKind.FOG, s, "beta_bs") for s in Severity
+                p.severity_params(CorruptionKind.FOG, s)["beta_bs"] for s in Severity
             ]
             assert betas == [0.008, 0.05, 0.2]
 
@@ -31,15 +32,15 @@ class TestBuiltinTables:
         for name in available_profiles():
             p = load_profile(name)
             assert [
-                p.severity_value(CorruptionKind.WET_GROUND, s, "water_height_mm")
+                p.severity_params(CorruptionKind.WET_GROUND, s)["water_height_mm"]
                 for s in Severity
             ] == [0.2, 1.0, 1.2]
             assert [
-                p.severity_value(CorruptionKind.SNOW, s, "snowfall_rate")
+                p.severity_params(CorruptionKind.SNOW, s)["snowfall_rate"]
                 for s in Severity
             ] == [0.5, 1.0, 2.5]
             assert [
-                p.severity_value(CorruptionKind.INCOMPLETE_ECHO, s, "fraction")
+                p.severity_params(CorruptionKind.INCOMPLETE_ECHO, s)["fraction"]
                 for s in Severity
             ] == [0.75, 0.85, 0.95]
 
@@ -53,7 +54,7 @@ class TestBuiltinTables:
         for name, sigmas in expected.items():
             p = load_profile(name)
             got = [
-                p.severity_value(CorruptionKind.MOTION_BLUR, s, "sigma_t")
+                p.severity_params(CorruptionKind.MOTION_BLUR, s)["sigma_t"]
                 for s in Severity
             ]
             assert got == sigmas, name
@@ -67,11 +68,11 @@ class TestBuiltinTables:
         ):
             p = load_profile(name)
             assert [
-                p.severity_value(CorruptionKind.BEAM_MISSING, s, "beams_dropped")
+                p.severity_params(CorruptionKind.BEAM_MISSING, s)["beams_dropped"]
                 for s in Severity
             ] == dropped
             assert [
-                p.severity_value(CorruptionKind.CROSS_SENSOR, s, "beams_kept")
+                p.severity_params(CorruptionKind.CROSS_SENSOR, s)["beams_kept"]
                 for s in Severity
             ] == kept
 
@@ -79,12 +80,12 @@ class TestBuiltinTables:
         for name in ("semantickitti", "kitti", "wod"):
             p = load_profile(name)
             assert [
-                p.severity_value(CorruptionKind.CROSSTALK, s, "fraction")
+                p.severity_params(CorruptionKind.CROSSTALK, s)["fraction"]
                 for s in Severity
             ] == [0.006, 0.008, 0.01]
         p = load_profile("nuscenes")
         assert [
-            p.severity_value(CorruptionKind.CROSSTALK, s, "fraction") for s in Severity
+            p.severity_params(CorruptionKind.CROSSTALK, s)["fraction"] for s in Severity
         ] == [0.03, 0.07, 0.12]
 
     def test_injected_class_ids(self):
@@ -103,16 +104,19 @@ class TestBuiltinTables:
             load_profile("cityscapes")
 
 
+SCATTER_RULE = "a pair low <= high in [0, 1]"
+
+
 class TestOverridesAndValidation:
     def test_param_override(self):
         p = load_profile("semantickitti").with_overrides({"crosstalk_sigma": 1.25})
-        assert p.param("crosstalk_sigma") == 1.25
+        assert p.params["crosstalk_sigma"] == 1.25
 
     def test_severity_override(self):
         p = load_profile("semantickitti").with_overrides(
             {"fog.beta_bs": [0.01, 0.02, 0.04]}
         )
-        assert p.severity_value(CorruptionKind.FOG, Severity.HEAVY, "beta_bs") == 0.04
+        assert p.severity_params(CorruptionKind.FOG, Severity.HEAVY)["beta_bs"] == 0.04
 
     def test_severity_override_must_be_triple(self):
         with pytest.raises(ProfileError, match="triple"):
@@ -125,6 +129,7 @@ class TestOverridesAndValidation:
         ("cross_sensor.beams_kept", [1, 64, 2.0]),
         ("ransac_iterations", 1), ("ransac_iterations", 5.0), ("fog.alpha_axis", [0.0]),
         ("fog_beta_0", 1e-9), ("fog.beta_bs", [0, 0, 0]),
+        ("fog_scatter_fraction", [0.3, 0.3]), ("fog_scatter_fraction", [0, 1]),
     ])
     def test_boundary_values_accepted(self, key, value):
         load_profile("semantickitti").with_overrides({key: value})
@@ -138,7 +143,9 @@ class TestOverridesAndValidation:
         ("cross_sensor.beams_kept", [1, 2, 65], "a whole number in [1, 64]"),
         ("ransac_iterations", 2.5, "a whole number >= 1"),
         ("fog_beta_0", 0, "> 0"), ("fog_response_distance", -1.0, "> 0"),
-        ("fog_scatter_fraction", [-0.1, 0.5], ">= 0"),
+        ("fog_scatter_fraction", [-0.1, 0.5], SCATTER_RULE),
+        ("fog_scatter_fraction", [0.5, 0.1], SCATTER_RULE),
+        ("fog_scatter_fraction", [0.1, 1.5], SCATTER_RULE),
         ("fog.alpha_axis", [0.01, -0.01], ">= 0"),
         ("snow_reflectivity", -0.3, ">= 0"),
     ])
@@ -151,11 +158,30 @@ class TestOverridesAndValidation:
         ("beam_count", 0, "a whole number >= 1"),
         ("intensity_scale", -255.0, "> 0"),
         ("intensity_scale", 0.0, "> 0"),
+        ("ignore_label", 65536, "a whole number in [0, 65535]"),
+        ("ignore_label", "0", "a whole number in [0, 65535]"),
+        ("fog_class", 21.5, "a whole number in [0, 65535] or null"),
+        pytest.param("fog_class", 10**400, "a whole number in [0, 65535] or null",
+                     id="fog_class-10**400"),
+        ("snow_class", -1, "a whole number in [0, 65535] or null"),
+        ("crosstalk_class", True, "a whole number in [0, 65535] or null"),
+        ("ground_classes", frozenset({24, 70000}), "whole numbers in [0, 65535]"),
+        ("vehicle_classes", frozenset({"x"}), "whole numbers in [0, 65535]"),
+        ("vehicle_box_classes", frozenset({0, 1.5}), "whole numbers >= 0"),
+        ("vehicle_box_classes", frozenset({-1}), "whole numbers >= 0"),
     ])
     def test_sensor_field_out_of_range_rejected(self, field, value, rule):
         with pytest.raises(ProfileError) as info:
             replace(load_profile("nuscenes"), **{field: value})
         assert str(info.value) == f"nuscenes: {field} must be {rule}, got {value!r}"
+
+    @pytest.mark.parametrize("field,value", [
+        ("ignore_label", 65535), ("ignore_label", 255.0), ("fog_class", None),
+        ("fog_class", 65535), ("vehicle_classes", frozenset()),
+        ("vehicle_box_classes", frozenset({0, 70000})),
+    ])
+    def test_class_ids_accepted(self, field, value):
+        replace(load_profile("nuscenes"), **{field: value})
 
     def test_beam_ranges_follow_beam_count(self):
         p = load_profile("nuscenes")  # 32 beams
@@ -182,12 +208,28 @@ class TestOverridesAndValidation:
                 params=p.params,
             )
 
-    def test_missing_parameter_named(self):
+    def test_missing_key_named(self):
         p = load_profile("kitti")
-        with pytest.raises(ProfileError, match="no parameter"):
-            p.param("does_not_exist")
+        params = {k: v for k, v in p.params.items() if k != "crosstalk_sigma"}
+        with pytest.raises(ProfileError, match=r"^kitti: missing key 'crosstalk_sigma'; "
+                                               r"valid keys: fog_beta_0, .*crosstalk_sigma"):
+            replace(p, params=params)
+        severity = {**p.severity, "fog": {"beta_bs": [0.0, 0.0, 0.0]}}
+        with pytest.raises(ProfileError, match="^kitti: missing key 'fog.alpha_axis'; "):
+            replace(p, severity=severity)
 
-    def test_profile_dir_override(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("key", ["does_not_exist", "fog.nonexistent", "hail.rate"])
+    def test_unknown_key_named(self, key):
+        with pytest.raises(ProfileError,
+                           match=f"^kitti: unknown key {re.escape(repr(key))}; valid keys: "):
+            load_profile("kitti").with_overrides({key: [0, 0, 0]})
+
+    def test_dotted_params_key_is_unknown(self):
+        p = load_profile("kitti")
+        with pytest.raises(ProfileError, match=r"^kitti: unknown key 'fog\.beta_bs'; "):
+            replace(p, params={**p.params, "fog.beta_bs": [0, 0, 0]})
+
+    def test_profile_dir_override(self, tmp_path):
         from importlib import resources
 
         text = resources.files("lidarcorrupt").joinpath("data/profiles.json").read_text()
@@ -195,5 +237,3 @@ class TestOverridesAndValidation:
         payload["profiles"]["semantickitti"]["beam_count"] = 128
         (tmp_path / "profiles.json").write_text(json.dumps(payload))
         assert load_profile("semantickitti", tmp_path).beam_count == 128
-        monkeypatch.setenv("LIDARCORRUPT_PROFILES", str(tmp_path))
-        assert load_profile("semantickitti").beam_count == 128
