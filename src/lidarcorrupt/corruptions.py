@@ -12,7 +12,7 @@ relabeled with the matching injected class id.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -104,21 +104,24 @@ class CorruptedFrame:
             provenance=self.provenance[index],
         )
 
-
-def _relabel(
-    labels: Optional[LabelArray], mask: np.ndarray, class_id: Optional[int]
-) -> Optional[LabelArray]:
-    if labels is None or class_id is None or not mask.any():
-        return labels
-    semantic = labels.semantic.copy()
-    semantic[mask] = class_id
-    return labels.with_semantic(semantic)
-
-
-def _tag(provenance: np.ndarray, mask: np.ndarray, tag: Provenance) -> np.ndarray:
-    out = provenance.copy()
-    out[mask] = int(tag)
-    return out
+    def with_fields(
+        self, xyz: Optional[np.ndarray] = None, intensity: Optional[np.ndarray] = None, *,
+        changed: Optional[np.ndarray] = None, tag: Optional[Provenance] = None,
+        class_id: Optional[int] = None,
+    ) -> "CorruptedFrame":
+        """Copy with replaced coordinates and/or intensity; boxes kept. The
+        points in the mask `changed` are tagged `tag` and, when the frame has
+        labels and `class_id` is not None, relabeled `class_id`."""
+        labels, provenance = self.labels, self.provenance
+        if changed is not None and changed.any():
+            provenance = provenance.copy()
+            provenance[changed] = tag
+            if labels is not None and class_id is not None:
+                semantic = labels.semantic.copy()
+                semantic[changed] = class_id
+                labels = labels.with_semantic(semantic)
+        return replace(self, cloud=self.cloud.with_fields(xyz, intensity),
+                       labels=labels, provenance=provenance)
 
 
 def apply_fog(
@@ -174,12 +177,8 @@ def apply_fog(
         ).astype(np.float32)
     out_i = np.where(scattered, np.clip(i_soft, 0.0, 1.0), i_hard).astype(np.float32)
 
-    return CorruptedFrame(
-        cloud=frame.cloud.with_fields(xyz=xyz, intensity=out_i),
-        labels=_relabel(frame.labels, scattered, fog_class),
-        boxes=frame.boxes,
-        provenance=_tag(frame.provenance, scattered, Provenance.INJECTED_FOG),
-    )
+    return frame.with_fields(xyz, out_i, changed=scattered, tag=Provenance.INJECTED_FOG,
+                             class_id=fog_class)
 
 
 def apply_wet_ground(
@@ -224,15 +223,8 @@ def apply_wet_ground(
     wet_i = np.where(mask, i64 * attenuation, i64)
     survivors = ~mask | (wet_i >= i_n)
 
-    intensity = frame.cloud.intensity.copy()
-    ground_kept = mask & survivors
-    intensity[ground_kept] = wet_i[ground_kept].astype(np.float32)
-    updated = CorruptedFrame(
-        cloud=frame.cloud.with_fields(intensity=intensity),
-        labels=frame.labels,
-        boxes=frame.boxes,
-        provenance=frame.provenance,
-    )
+    # Off the ground wet_i is the float32 intensity itself, so it casts back bitwise.
+    updated = frame.with_fields(intensity=wet_i.astype(np.float32))
     if survivors.all():
         return updated
     return updated.select(survivors)
@@ -318,12 +310,8 @@ def apply_snow(
         hit_i = reflectivity * i64[hit] * np.exp(-2.0 * k * particle_distances[hit])
         intensity[hit] = np.clip(hit_i, 0.0, 1.0).astype(np.float32)
 
-    return CorruptedFrame(
-        cloud=frame.cloud.with_fields(xyz=xyz, intensity=intensity),
-        labels=_relabel(frame.labels, hit, snow_class),
-        boxes=frame.boxes,
-        provenance=_tag(frame.provenance, hit, Provenance.INJECTED_SNOW),
-    )
+    return frame.with_fields(xyz, intensity, changed=hit, tag=Provenance.INJECTED_SNOW,
+                             class_id=snow_class)
 
 
 def apply_motion_blur(frame: CorruptedFrame, sigma_t: float, seed: int) -> CorruptedFrame:
@@ -339,12 +327,7 @@ def apply_motion_blur(frame: CorruptedFrame, sigma_t: float, seed: int) -> Corru
     rng = make_rng("motion-blur", seed)
     offsets = rng.normal(0.0, sigma_t, size=(len(frame.cloud), 3))
     xyz = (frame.cloud.xyz.astype(np.float64) + offsets).astype(np.float32)
-    return CorruptedFrame(
-        cloud=frame.cloud.with_fields(xyz=xyz),
-        labels=frame.labels,
-        boxes=frame.boxes,
-        provenance=frame.provenance,
-    )
+    return frame.with_fields(xyz)
 
 
 def apply_beam_missing(
@@ -397,12 +380,8 @@ def apply_crosstalk(
 
     mask = np.zeros(n, dtype=bool)
     mask[selected] = True
-    return CorruptedFrame(
-        cloud=frame.cloud.with_fields(xyz=xyz, intensity=intensity),
-        labels=_relabel(frame.labels, mask, crosstalk_class),
-        boxes=frame.boxes,
-        provenance=_tag(frame.provenance, mask, Provenance.JITTERED_CROSSTALK),
-    )
+    return frame.with_fields(xyz, intensity, changed=mask,
+                             tag=Provenance.JITTERED_CROSSTALK, class_id=crosstalk_class)
 
 
 def apply_incomplete_echo(
@@ -489,7 +468,7 @@ class FrameContext:
 
     @cached_property
     def partition(self) -> BeamPartition:
-        return partition_beams(self.frame.cloud, self.profile.beam_count)
+        return partition_beams(self.frame.cloud, int(self.profile.beam_count))
 
     @cached_property
     def ground(self) -> GroundModel:

@@ -7,7 +7,6 @@ clustering), and fixed/flexible voxelization.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -21,12 +20,10 @@ from .types import LabelArray, PointCloud
 
 __all__ = [
     "point_ranges",
-    "GroundSource",
     "GroundModel",
     "lstsq_plane",
     "fit_ground_ransac",
     "ground_mask_from_labels",
-    "BeamMethod",
     "BeamPartition",
     "partition_beams",
     "VoxelConfig",
@@ -41,11 +38,6 @@ def point_ranges(xyz: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.asarray(xyz, dtype=np.float64), axis=1)
 
 
-class GroundSource(str, enum.Enum):
-    SEMANTIC_LABELS = "semantic_labels"
-    RANSAC = "ransac"
-
-
 @dataclass(frozen=True)
 class GroundModel:
     """Ground plane a*x + b*y + c*z + d = 0 with unit normal (a, b, c), and
@@ -53,14 +45,13 @@ class GroundModel:
 
     plane: Optional[tuple[float, float, float, float]]
     inlier_mask: np.ndarray
-    source: GroundSource
 
     @classmethod
     def from_mask(cls, xyz: np.ndarray, mask: np.ndarray) -> "GroundModel":
         """The labelled ground `xyz[mask]` and its least-squares plane."""
         fit = lstsq_plane(xyz, mask)
         plane = None if fit is None else (*(float(v) for v in fit[0]), fit[1])
-        return cls(plane=plane, inlier_mask=mask, source=GroundSource.SEMANTIC_LABELS)
+        return cls(plane=plane, inlier_mask=mask)
 
     @property
     def normal(self) -> np.ndarray:
@@ -170,21 +161,12 @@ def fit_ground_ransac(
     if best_normal[2] < 0:
         best_normal, best_d = -best_normal, -best_d
     a, b, c = (float(v) for v in best_normal)
-    return GroundModel(
-        plane=(a, b, c, float(best_d)),
-        inlier_mask=mask,
-        source=GroundSource.RANSAC,
-    )
+    return GroundModel(plane=(a, b, c, float(best_d)), inlier_mask=mask)
 
 
 def ground_mask_from_labels(labels: LabelArray, profile: DatasetProfile) -> np.ndarray:
     """True where the semantic label belongs to the profile's ground classes."""
     return np.isin(labels.semantic, np.array(sorted(profile.ground_classes), dtype=np.int64))
-
-
-class BeamMethod(str, enum.Enum):
-    RING_CHANNEL = "ring_channel"
-    ELEVATION_QUANTIZATION = "elevation_quantization"
 
 
 @dataclass(frozen=True)
@@ -193,7 +175,6 @@ class BeamPartition:
 
     beam_of: np.ndarray
     beam_count: int
-    method: BeamMethod
 
     @cached_property
     def ranks(self) -> np.ndarray:
@@ -218,17 +199,9 @@ def partition_beams(pc: PointCloud, beam_count: int) -> BeamPartition:
     with beam ids ordered by descending elevation.
     """
     if pc.ring is not None:
-        return BeamPartition(
-            beam_of=pc.ring.astype(np.int64),
-            beam_count=beam_count,
-            method=BeamMethod.RING_CHANNEL,
-        )
+        return BeamPartition(beam_of=pc.ring.astype(np.int64), beam_count=beam_count)
     if len(pc) == 0:
-        return BeamPartition(
-            beam_of=np.zeros(0, dtype=np.int64),
-            beam_count=beam_count,
-            method=BeamMethod.ELEVATION_QUANTIZATION,
-        )
+        return BeamPartition(beam_of=np.zeros(0, dtype=np.int64), beam_count=beam_count)
 
     xyz = pc.xyz.astype(np.float64)
     ranges = np.linalg.norm(xyz, axis=1)
@@ -240,11 +213,7 @@ def partition_beams(pc: PointCloud, beam_count: int) -> BeamPartition:
     boundaries = np.quantile(elevation, quantiles)
     bins = np.searchsorted(boundaries, elevation, side="right")
     beam_of = (beam_count - 1 - bins).astype(np.int64)
-    return BeamPartition(
-        beam_of=beam_of,
-        beam_count=beam_count,
-        method=BeamMethod.ELEVATION_QUANTIZATION,
-    )
+    return BeamPartition(beam_of=beam_of, beam_count=beam_count)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ for all eight corruptions, the semantic class-id sets used by ground and
 vehicle queries, and the synthetic class ids assigned to injected fog, snow,
 and crosstalk points. `load_profile` can read another directory's tables.
 
-A profile is checked whole when it is built, from a table or by
-`with_overrides`: its keys must be those of `_ENTRIES`, with values of their
-shape there, and each value in its range (`_RANGES`). ProfileError reads
+A profile is checked whole when it is built, from a table (values as
+written) or by `with_overrides`: its keys must be those of `_ENTRIES`, with
+values of their shape there, `requires_labels` true or false, and each value
+in its range (`_RANGES`). ProfileError reads
 ``PROFILE: KEY must be ...``, or names a missing or unknown key.
 """
 
@@ -102,6 +103,9 @@ class DatasetProfile:
         for key, shape in _ENTRIES.items():
             if not _has_shape(shape, entries[key]):
                 raise ProfileError(f"{self.name}: {key} must be {shape}, got {entries[key]!r}")
+        if not isinstance(self.requires_labels, bool):
+            raise ProfileError(f"{self.name}: requires_labels must be true or false, "
+                               f"got {self.requires_labels!r}")
         nullable = ("fog_class", "snow_class", "crosstalk_class")
         fields = {name: value for name, value in vars(self).items()
                   if name in _RANGES and not (name in nullable and value is None)}
@@ -155,10 +159,14 @@ class DatasetProfile:
 
 
 def _is_number(value: Any) -> bool:
-    """An int or a finite float: NaN and infinity are not parameter values."""
-    if isinstance(value, float):
+    """An int or float that is a finite float: NaN, infinity and an int too
+    large for a float are not parameter values."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
         return math.isfinite(value)
-    return isinstance(value, int) and not isinstance(value, bool)
+    except OverflowError:
+        return False
 
 
 def _whole(value: Any) -> bool:
@@ -269,8 +277,8 @@ def load_profile(
         params.update(raw.get("params", {}))
         return DatasetProfile(
             name=name.lower(),
-            beam_count=int(raw["beam_count"]),
-            intensity_scale=float(raw["intensity_scale"]),
+            beam_count=raw["beam_count"],
+            intensity_scale=raw["intensity_scale"],
             ignore_label=raw["ignore_label"],
             fog_class=raw["fog_class"],
             snow_class=raw["snow_class"],
@@ -278,7 +286,7 @@ def load_profile(
             ground_classes=frozenset(raw["ground_classes"]),
             vehicle_classes=frozenset(raw["vehicle_classes"]),
             vehicle_box_classes=frozenset(raw["vehicle_box_classes"]),
-            requires_labels=bool(raw["requires_labels"]),
+            requires_labels=raw["requires_labels"],
             severity=raw["severity"],
             params=params,
         )

@@ -79,6 +79,7 @@ def builtin_tables():
 
 DELETE = object()
 SK = ("profiles", "semantickitti")
+HUGE = 10 ** 400  # an int too large for a float
 # fault -> (a key path into the built-in tables, the value set there or DELETE)
 TABLE_EDITS = {
     "no beam_count": ((*SK, "beam_count"), DELETE),
@@ -94,6 +95,10 @@ TABLE_EDITS = {
     "fog_class 21.5": ((*SK, "fog_class"), 21.5),
     "vehicle_classes [70000]": ((*SK, "vehicle_classes"), [70000]),
     "ignore_label 70000": ((*SK, "ignore_label"), 70000),
+    "beam_count 64.5": ((*SK, "beam_count"), 64.5),
+    "requires_labels 'no'": ((*SK, "requires_labels"), "no"),
+    "intensity_scale '255'": ((*SK, "intensity_scale"), "255"),
+    "intensity_scale 10**400": ((*SK, "intensity_scale"), HUGE),
 }
 # Every profile key, in the order a key error lists them.
 VALID_KEYS = (
@@ -158,6 +163,13 @@ BAD_PROFILE_DIRS = [
                                 "[0, 65535], got frozenset({70000})\n"),
     ("ignore_label 70000",
      "semantickitti: ignore_label must be a whole number in [0, 65535], got 70000\n"),
+    ("beam_count 64.5", "semantickitti: beam_count must be a whole number >= 1, got 64.5\n"),
+    ("requires_labels 'no'",
+     "semantickitti: requires_labels must be true or false, got 'no'\n"),
+    ("intensity_scale '255'", "semantickitti: intensity_scale must be > 0, got '255'\n"),
+    pytest.param("intensity_scale 10**400",
+                 f"semantickitti: intensity_scale must be > 0, got {HUGE}\n",
+                 id="intensity_scale 10**400"),
 ]
 
 # (profile, --set override, message after "configuration error: ") of values
@@ -186,6 +198,9 @@ OUT_OF_RANGE = [
      "fog_scatter_fraction must be a pair low <= high in [0, 1], got [0.2, 1.5]"),
     ("kitti", "ransac_iterations=true", "ransac_iterations must be a number, got True"),
     ("kitti", "ransac_threshold=NaN", "ransac_threshold must be a number, got nan"),
+    pytest.param("semantickitti", f"crosstalk_sigma={HUGE}",
+                 f"crosstalk_sigma must be a number, got {HUGE}",
+                 id="semantickitti-crosstalk_sigma=10**400"),
 ]
 
 

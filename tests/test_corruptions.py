@@ -28,7 +28,7 @@ from lidarcorrupt.corruptions import (
     apply_snow,
     apply_wet_ground,
 )
-from lidarcorrupt.geometry import GroundModel, GroundSource
+from lidarcorrupt.geometry import GroundModel
 from lidarcorrupt.profiles import CorruptionKind, Severity
 
 from conftest import make_beam_cloud, make_labeled_frame
@@ -158,9 +158,7 @@ class TestWetGround:
     def test_attenuation_oracle_on_known_plane(self):
         frame = self._flat_frame(n=100, z=-2.0, seed=1)
         mask = np.ones(100, bool)
-        model = GroundModel(
-            plane=(0.0, 0.0, 1.0, 2.0), inlier_mask=mask, source=GroundSource.RANSAC
-        )
+        model = GroundModel(plane=(0.0, 0.0, 1.0, 2.0), inlier_mask=mask)
         d_w, kappa, i_n = 1.0, 0.1, 0.02
         out = apply_wet_ground(frame, model, d_w=d_w, i_n=i_n, kappa_per_mm=kappa)
 
@@ -581,3 +579,44 @@ class TestDispatcher:
         tagged = out.provenance == tag
         assert np.array_equal(labeled, tagged)
         assert tagged.any()  # heavy severity injects on this fixture
+
+
+class TestWithFields:
+    def test_tags_and_relabels_changed_points_only(self):
+        frame = simple_frame(n=5, with_boxes=True)
+        changed = np.array([True, False, True, False, False])
+        xyz = frame.cloud.xyz + np.float32(1)
+        out = frame.with_fields(xyz, changed=changed, tag=Provenance.INJECTED_SNOW,
+                                class_id=21)
+        assert np.array_equal(out.cloud.xyz, xyz)
+        assert np.array_equal(out.cloud.intensity, frame.cloud.intensity)
+        assert out.provenance.tolist() == [2, 0, 2, 0, 0]
+        assert out.labels.semantic.tolist() == [21, 40, 21, 40, 40]
+        assert np.array_equal(out.labels.instance, frame.labels.instance)
+        assert out.boxes is frame.boxes
+        # the input frame is untouched
+        assert (frame.provenance == 0).all() and (frame.labels.semantic == 40).all()
+
+    def test_empty_changed_keeps_labels_and_provenance(self):
+        frame = simple_frame(n=5)
+        intensity = np.zeros(5, np.float32)
+        out = frame.with_fields(intensity=intensity, changed=np.zeros(5, bool),
+                                tag=Provenance.INJECTED_FOG, class_id=20)
+        assert np.array_equal(out.cloud.intensity, intensity)
+        assert np.shares_memory(out.cloud.xyz, frame.cloud.xyz)  # not copied
+        assert out.labels is frame.labels and out.provenance is frame.provenance
+
+    def test_no_labels(self):
+        frame = CorruptedFrame(simple_frame(n=3).cloud)
+        out = frame.with_fields(changed=np.array([False, True, False]),
+                                tag=Provenance.JITTERED_CROSSTALK, class_id=22)
+        assert out.labels is None
+        assert out.provenance.tolist() == [0, 3, 0]
+        assert out.cloud.equals(frame.cloud)
+
+    def test_no_class_id_tags_without_relabelling(self):
+        frame = simple_frame(n=3)
+        out = frame.with_fields(changed=np.array([True, True, False]),
+                                tag=Provenance.INJECTED_FOG)
+        assert out.labels is frame.labels
+        assert out.provenance.tolist() == [1, 1, 0]

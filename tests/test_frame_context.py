@@ -1,5 +1,6 @@
 """Per-frame context: derived structures built once and shared by all outputs."""
 
+import dataclasses
 from functools import cached_property
 
 import numpy as np
@@ -14,7 +15,7 @@ from lidarcorrupt import (
     write_kitti_scan,
 )
 from lidarcorrupt import cli, corruptions
-from lidarcorrupt.geometry import BeamPartition, GroundModel, GroundSource, lstsq_plane
+from lidarcorrupt.geometry import BeamPartition, GroundModel, lstsq_plane
 from lidarcorrupt.corruptions import (
     CorruptedFrame,
     CorruptionSpec,
@@ -64,6 +65,18 @@ def test_apply_with_and_without_context_bitwise_equal(profile_name):
         for severity in Severity:
             spec = CorruptionSpec(kind, severity, seed=9)
             assert_same(apply(spec, frame, profile, ctx), apply(spec, frame, profile))
+
+
+def test_whole_float_beam_count_corrupts_as_its_int():
+    # A table may write beam_count as 64.0; the profile keeps the value as
+    # written and every beam operator reads it as 64.
+    profile = load_profile("kitti")
+    as_float = dataclasses.replace(profile, beam_count=64.0)
+    frame = boxed_frame(seed=3)
+    for kind in (CorruptionKind.BEAM_MISSING, CorruptionKind.CROSS_SENSOR):
+        for severity in Severity:
+            spec = CorruptionSpec(kind, severity, seed=5)
+            assert_same(apply(spec, frame, as_float), apply(spec, frame, profile))
 
 
 def test_context_for_another_frame_rejected():
@@ -120,7 +133,6 @@ def test_planeless_label_ground_wets_at_normal_incidence(n_ground):
     ctx = FrameContext(frame, profile, seed=2)
     assert isinstance(ctx.ground, GroundModel)
     assert ctx.ground.plane is None
-    assert ctx.ground.source is GroundSource.SEMANTIC_LABELS
     ground = frame.labels.semantic == 40
     assert np.array_equal(ctx.ground.inlier_mask, ground)
     kappa = float(profile.params["wet_kappa_per_mm"])

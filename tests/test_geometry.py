@@ -19,7 +19,6 @@ from lidarcorrupt import (
     voxelize_flexible,
 )
 from lidarcorrupt import geometry
-from lidarcorrupt.geometry import BeamMethod, GroundSource
 from lidarcorrupt.rng import make_rng
 
 from conftest import make_beam_cloud
@@ -67,7 +66,6 @@ class TestRansac:
         # every exactly-on-plane point is an inlier; the 10 elevated are not
         assert model.inlier_mask[:100].all()
         assert not model.inlier_mask[100:].any()
-        assert model.source is GroundSource.RANSAC
 
     def test_unit_normal_upward(self):
         model = fit_ground_ransac(self._ground_fixture(seed=4), seed=9)
@@ -228,13 +226,11 @@ class TestPartitionBeams:
     def test_ring_passthrough(self):
         cloud, true_beam = make_beam_cloud(with_ring=True)
         part = partition_beams(cloud, load_profile("semantickitti").beam_count)
-        assert part.method is BeamMethod.RING_CHANNEL
         assert np.array_equal(part.beam_of, true_beam)
 
     def test_elevation_recovers_generating_beam(self):
         cloud, true_beam = make_beam_cloud(with_ring=False)
         part = partition_beams(cloud, 64)
-        assert part.method is BeamMethod.ELEVATION_QUANTIZATION
         assert np.array_equal(part.beam_of, true_beam)
 
     def test_single_point_assigned(self):
