@@ -43,8 +43,10 @@ from .metrics import (
 from .profiles import CorruptionKind, DatasetProfile, Severity, load_profile
 from .rng import derive_seed
 from .types import PointCloud
-# bench/spans.py wraps the scan and box codecs by their names in this module,
-# and a traced run fails if one is missing, so they stay imported unused.
+# bench/spans.py wraps the scan and box codecs below, and the metrics
+# functions above, by their names in this module, and a traced run fails if
+# one is missing, so they stay imported: the codecs unused, and
+# `confusion_matrix` called only to name a bad label.
 from .scan_io import (  # noqa: F401
     frame_stems,
     load_frame,
@@ -304,7 +306,21 @@ def _matched_stems(pred_dir: Path, gt_dir: Path) -> list[str]:
 def _miou_over_dir(
     pred_dir: Path, gt_dir: Path, profile: DatasetProfile, num_classes: int
 ) -> float:
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
+    """mIoU of one directory from its distinct (gt, pred) semantic id pairs.
+
+    Each file's pairs are counted as keys ``gt << 16 | pred`` and merged;
+    the injected remap and the ignore label apply to the merged gt ids.
+    `miou` scores a matrix over the present class ids only: the float of
+    the ``num_classes²`` matrix, in memory that grows with the pairs.
+
+    Raises:
+        PairingError: unmatched stems, or a file of another length.
+        ValueError: `confusion_matrix`'s message, for the first file with a
+            counted label >= num_classes.
+        UndefinedMetricError: no counted point in the directory.
+    """
+    skipped = sorted(profile.injected_classes() | {profile.ignore_label})
+    keys, counts = [np.zeros(0, np.uint32)], [np.zeros(0, np.intp)]
     for stem in _matched_stems(pred_dir, gt_dir):
         pred = read_semkitti_labels((pred_dir / f"{stem}.label").read_bytes())
         gt = read_semkitti_labels((gt_dir / f"{stem}.label").read_bytes())
@@ -312,10 +328,27 @@ def _miou_over_dir(
             raise PairingError(
                 f"frame {stem}: {len(pred)} predictions for {len(gt)} labels"
             )
-        gt_sem = remap_injected(gt.semantic, profile)
-        cm += confusion_matrix(
-            pred.semantic, gt_sem, num_classes, ignore_label=profile.ignore_label
-        )
+        key = np.left_shift(gt.semantic, 16, dtype=np.uint32)
+        key |= pred.semantic
+        file_keys, file_counts = np.unique(key, return_counts=True)
+        gt_ids = file_keys >> 16
+        high = np.maximum(gt_ids, file_keys & 0xFFFF) >= num_classes
+        if high.any() and not np.isin(gt_ids[high], skipped).all():
+            # Raises, naming the file's first counted label out of range.
+            confusion_matrix(pred.semantic, remap_injected(gt.semantic, profile),
+                             num_classes, ignore_label=profile.ignore_label)
+        keys.append(file_keys)
+        counts.append(file_counts)
+    pairs, where = np.unique(np.concatenate(keys), return_inverse=True)
+    merged = np.zeros(len(pairs), np.int64)
+    np.add.at(merged, where, np.concatenate(counts))
+    gt_ids = remap_injected(pairs >> 16, profile)
+    counted = gt_ids != profile.ignore_label
+    gt_ids, pred_ids = gt_ids[counted], (pairs & 0xFFFF)[counted]
+    classes = np.union1d(gt_ids, pred_ids)
+    cm = np.zeros((len(classes), len(classes)), np.int64)
+    # The remap only sends gt ids to the ignore label, so counted pairs stay distinct.
+    cm[np.searchsorted(classes, gt_ids), np.searchsorted(classes, pred_ids)] = merged[counted]
     return miou(cm)
 
 
@@ -332,7 +365,9 @@ def run_evaluate(
     ``.label`` files on both sides. A corruption absent from the ground
     truth is skipped; one present needs all three severities. Injected
     corruption classes in the ground truth are remapped to the profile's
-    ignore label before scoring.
+    ignore label before scoring. Each directory is scored from its distinct
+    (gt, pred) pairs, so any `num_classes` in [1, 65536] runs in memory that
+    grows with those pairs, not with ``num_classes²``.
 
     Raises:
         PairingError: no ``clean/``, or a corruption with only some of its

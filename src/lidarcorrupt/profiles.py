@@ -72,8 +72,10 @@ class DatasetProfile:
     entry is a [light, moderate, heavy] triple. `params` holds dataset-wide
     engineering constants (noise floors, sigma defaults, RANSAC settings).
     Class ids are whole numbers in [0, 65535] (semantic ids are 16-bit),
-    box classes whole numbers. Building a profile checks it whole (see the
-    module docstring) and raises ProfileError on the first fault.
+    box classes whole numbers. The three class-id sets are given as lists
+    of distinct ids and kept as frozensets. Building a profile checks it
+    whole (see the module docstring) and raises ProfileError on the first
+    fault.
     """
 
     name: str
@@ -111,16 +113,24 @@ class DatasetProfile:
                   if name in _RANGES and not (name in nullable and value is None)}
         for key, value in {**fields, **entries}.items():
             rule, allowed = _RANGES.get(key, (">= 0", lambda v, profile: True))
-            values = value if isinstance(value, (list, tuple, frozenset)) else [value]
-            if not all(_is_number(v) and v >= 0 and allowed(v, self) for v in values):
+            listed = isinstance(value, (list, tuple, frozenset))
+            values = value if listed else [value]
+            # A field is one number, or for a class-id list a list of them.
+            if (key in fields and listed != (key in _CLASS_LISTS)) or not all(
+                    _is_number(v) and v >= 0 and allowed(v, self) for v in values):
                 rule = rule.format(beam_count=self.beam_count)
                 raise ProfileError(f"{self.name}: {key} must be {rule}, got {value!r}")
+        for key in _CLASS_LISTS:
+            ids = getattr(self, key)
+            if len(set(ids)) < len(ids):
+                raise ProfileError(f"{self.name}: {key} must be distinct ids, got {ids!r}")
+            object.__setattr__(self, key, frozenset(ids))
         injected = self.injected_classes()
         for name, classes in (
             ("ground_classes", self.ground_classes),
             ("vehicle_classes", self.vehicle_classes),
         ):
-            overlap = injected & set(classes)
+            overlap = injected & classes
             if overlap:
                 raise ProfileError(
                     f"{self.name}: {name} overlaps injected class ids {sorted(overlap)}"
@@ -207,6 +217,8 @@ def _is_class_id(value: Any, profile: DatasetProfile) -> bool:
     return _whole(value) and value <= 65535
 
 
+_CLASS_LISTS = ("ground_classes", "vehicle_classes", "vehicle_box_classes")
+
 # The range of a profile value beyond the rule that it is no negative number:
 # key -> (the range in words, whether each number `v` of `profile` is in it).
 _RANGES = {
@@ -283,9 +295,9 @@ def load_profile(
             fog_class=raw["fog_class"],
             snow_class=raw["snow_class"],
             crosstalk_class=raw["crosstalk_class"],
-            ground_classes=frozenset(raw["ground_classes"]),
-            vehicle_classes=frozenset(raw["vehicle_classes"]),
-            vehicle_box_classes=frozenset(raw["vehicle_box_classes"]),
+            ground_classes=raw["ground_classes"],
+            vehicle_classes=raw["vehicle_classes"],
+            vehicle_box_classes=raw["vehicle_box_classes"],
             requires_labels=raw["requires_labels"],
             severity=raw["severity"],
             params=params,

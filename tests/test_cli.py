@@ -94,6 +94,12 @@ TABLE_EDITS = {
     "fog_class -1": ((*SK, "fog_class"), -1),
     "fog_class 21.5": ((*SK, "fog_class"), 21.5),
     "vehicle_classes [70000]": ((*SK, "vehicle_classes"), [70000]),
+    "ground_classes '40'": ((*SK, "ground_classes"), "40"),
+    "ground_classes 40": ((*SK, "ground_classes"), 40),
+    "ground_classes [40, 48.5]": ((*SK, "ground_classes"), [40, 48.5]),
+    "vehicle_classes [10, 10.0]": ((*SK, "vehicle_classes"), [10, 10.0]),
+    "vehicle_box_classes [1, 1]": ((*SK, "vehicle_box_classes"), [1, 1]),
+    "ignore_label [0]": ((*SK, "ignore_label"), [0]),
     "ignore_label 70000": ((*SK, "ignore_label"), 70000),
     "beam_count 64.5": ((*SK, "beam_count"), 64.5),
     "requires_labels 'no'": ((*SK, "requires_labels"), "no"),
@@ -160,7 +166,19 @@ BAD_PROFILE_DIRS = [
     ("fog_class 21.5",
      "semantickitti: fog_class must be a whole number in [0, 65535] or null, got 21.5\n"),
     ("vehicle_classes [70000]", "semantickitti: vehicle_classes must be whole numbers in "
-                                "[0, 65535], got frozenset({70000})\n"),
+                                "[0, 65535], got [70000]\n"),
+    ("ground_classes '40'",
+     "semantickitti: ground_classes must be whole numbers in [0, 65535], got '40'\n"),
+    ("ground_classes 40",
+     "semantickitti: ground_classes must be whole numbers in [0, 65535], got 40\n"),
+    ("ground_classes [40, 48.5]",
+     "semantickitti: ground_classes must be whole numbers in [0, 65535], got [40, 48.5]\n"),
+    ("vehicle_classes [10, 10.0]",
+     "semantickitti: vehicle_classes must be distinct ids, got [10, 10.0]\n"),
+    ("vehicle_box_classes [1, 1]",
+     "semantickitti: vehicle_box_classes must be distinct ids, got [1, 1]\n"),
+    ("ignore_label [0]",
+     "semantickitti: ignore_label must be a whole number in [0, 65535], got [0]\n"),
     ("ignore_label 70000",
      "semantickitti: ignore_label must be a whole number in [0, 65535], got 70000\n"),
     ("beam_count 64.5", "semantickitti: beam_count must be a whole number >= 1, got 64.5\n"),
@@ -844,6 +862,20 @@ class TestEvaluate:
         assert result.exit_code == 0, result.output
         record = json.loads(result.output)
         assert record["clean"] == pytest.approx(1.0)
+
+    def test_num_classes_65536_scores_as_260(self, runner, tmp_path):
+        self._build_eval_tree(tmp_path, [1, 2, 40, 40, 9], [1, 40, 40, 21, 9])
+        records = []
+        for classes in ("65536", "260"):
+            result = runner.invoke(
+                main,
+                ["evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                 "--dataset", "semantickitti", "--num-classes", classes],
+            )
+            assert result.exit_code == 0, result.output
+            records.append(result.output)
+        assert records[0] == records[1]
+        assert json.loads(records[0])["clean"] == pytest.approx((1 + 0.5 + 0 + 1) / 4)
 
     def test_missing_prediction_named(self, runner, tmp_path):
         write_label_dir(tmp_path / "gt" / "clean", {"000000": [1, 2], "000001": [1, 2]})

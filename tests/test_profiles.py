@@ -183,6 +183,12 @@ class TestOverridesAndValidation:
     def test_class_ids_accepted(self, field, value):
         replace(load_profile("nuscenes"), **{field: value})
 
+    def test_class_id_lists_kept_as_frozensets(self):
+        p = replace(load_profile("nuscenes"), ground_classes=[24, 25.0], vehicle_classes=())
+        assert p.ground_classes == frozenset({24, 25})
+        assert p.vehicle_classes == frozenset()
+        assert isinstance(load_profile("semantickitti").vehicle_classes, frozenset)
+
     def test_beam_ranges_follow_beam_count(self):
         p = load_profile("nuscenes")  # 32 beams
         p.with_overrides({"cross_sensor.beams_kept": [32, 16, 1]})

@@ -1,12 +1,17 @@
-"""The label-scoring functions `evaluate` calls per file, against references.
+"""The label-scoring functions `evaluate` calls, against references.
 
 `confusion_matrix`, `remap_injected` and `read_semkitti_labels` mask, check
 and decode in the labels' own dtypes. The references below are their
-earlier bodies, which widened whole arrays to int64 first. Every case must
-give a bit-equal result, or the same exception type and message.
+earlier bodies, which widened whole arrays to int64 first. `run_evaluate`
+scores each directory from its distinct (gt, pred) pairs; its reference is
+a dense count per file. Every case must give a bit-equal result, or the
+same exception type and message.
 """
 
 import dataclasses
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lidarcorrupt import MalformedScanError, load_profile
-from lidarcorrupt.metrics import confusion_matrix, remap_injected
-from lidarcorrupt.scan_io import read_semkitti_labels
+from lidarcorrupt import MalformedScanError, PairingError, UndefinedMetricError, cli, load_profile
+from lidarcorrupt.metrics import confusion_matrix, miou, remap_injected, write_accuracy_record
+from lidarcorrupt.scan_io import read_semkitti_labels, write_semkitti_labels
 from lidarcorrupt.types import LabelArray
 
 
@@ -187,3 +192,148 @@ def test_read_semkitti_labels_matches_reference(data):
     else:
         assert_same_array(got.semantic, expected.semantic)
         assert_same_array(got.instance, expected.instance)
+
+
+# `run_evaluate` against the per-file dense count it used before scoring
+# from distinct (gt, pred) pairs. The reference matrix spans every class id
+# below `num_classes` when that fits in memory; past that it spans the ids
+# below 512, which every id in those trees is, so the rows and columns it
+# leaves out are all zero and read NaN, as in the full matrix.
+REFERENCE_MAX_CLASSES = 512
+
+
+def reference_miou_over_dir(pred_dir, gt_dir, profile, num_classes):
+    size = min(num_classes, REFERENCE_MAX_CLASSES)
+    cm = np.zeros((size, size), np.int64)
+    for stem in cli._matched_stems(pred_dir, gt_dir):
+        pred = reference_read_semkitti_labels((pred_dir / f"{stem}.label").read_bytes())
+        gt = reference_read_semkitti_labels((gt_dir / f"{stem}.label").read_bytes())
+        if size < num_classes:
+            assert max(pred.semantic.max(initial=0), gt.semantic.max(initial=0)) < size
+        if len(pred) != len(gt):
+            raise PairingError(f"frame {stem}: {len(pred)} predictions for {len(gt)} labels")
+        cm += reference_confusion_matrix(
+            pred.semantic, reference_remap_injected(gt.semantic, profile), size,
+            profile.ignore_label)
+    return miou(cm)
+
+
+def evaluate_outcome(root, profile, num_classes, scorer=None):
+    """The record `run_evaluate` writes, or the exception's type and message;
+    plus every label file read, in order, up to the end or the exception."""
+    read = []
+    original = Path.read_bytes
+
+    def recording(path):
+        read.append(path.relative_to(root).as_posix())
+        return original(path)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Path, "read_bytes", recording)
+        if scorer is not None:
+            mp.setattr(cli, "_miou_over_dir", scorer)
+        result = outcome(lambda: write_accuracy_record(
+            cli.run_evaluate(root / "pred", root / "gt", profile, num_classes)))
+    return result, read
+
+
+def assert_scores_as_reference(root, profile, num_classes):
+    """The outcome of `run_evaluate`, once checked equal to the reference's."""
+    got = evaluate_outcome(root, profile, num_classes)
+    assert got == evaluate_outcome(root, profile, num_classes, reference_miou_over_dir)
+    return got[0]
+
+
+def write_tree(root, dirs):
+    """dirs maps a relative directory to {stem: (pred ids, gt ids)}."""
+    for rel, frames in dirs.items():
+        for side in ("pred", "gt"):
+            (root / side / rel).mkdir(parents=True)
+        for stem, (pred, gt) in frames.items():
+            for side, ids in (("pred", pred), ("gt", gt)):
+                (root / side / rel / f"{stem}.label").write_bytes(write_semkitti_labels(
+                    LabelArray(np.asarray(ids, np.uint16), np.zeros(len(ids), np.uint16))))
+
+
+FOG_DIRS = ("fog/light", "fog/moderate", "fog/heavy")
+# semantickitti injects 21, 22 and 23 and ignores 0; the copy ignores 255,
+# so at up to 12 classes its ignore label and injected ids lie past them all.
+EVAL_PROFILES = [SEMANTICKITTI, load_profile("kitti"),
+                 dataclasses.replace(SEMANTICKITTI, ignore_label=255)]
+ID_POOL = [0, 1, 2, 3, 5, 11, 12, 21, 22, 23, 255, 259, 260, 300]
+
+
+@st.composite
+def label_tree(draw):
+    num_classes = draw(st.sampled_from([1, 2, 4, 12, 260, 65536]))
+    profile = draw(st.sampled_from(EVAL_PROFILES))
+    ids = st.sampled_from(ID_POOL) | st.integers(0, 24)
+    dirs = {}
+    for rel in ("clean", *(FOG_DIRS if draw(st.booleans()) else ())):
+        frames = {}
+        for i in range(draw(st.integers(0, 3))):
+            n = draw(st.integers(0, 30))
+            # One file in twelve has a prediction of another length.
+            m = n if draw(st.integers(0, 11)) else draw(st.integers(0, 30))
+            frames[f"{i:06d}"] = (draw(st.lists(ids, min_size=m, max_size=m)),
+                                  draw(st.lists(ids, min_size=n, max_size=n)))
+        dirs[rel] = frames
+    return dirs, profile, num_classes
+
+
+@settings(max_examples=80, deadline=None)
+@given(label_tree())
+def test_run_evaluate_matches_dense_reference(case):
+    dirs, profile, num_classes = case
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tree(Path(tmp), dirs)
+        assert_scores_as_reference(Path(tmp), profile, num_classes)
+
+
+def clean_and_fog(frames):
+    return {rel: frames for rel in ("clean", *FOG_DIRS)}
+
+
+@pytest.mark.parametrize("num_classes", [1, 2, 260, 65536])
+@pytest.mark.parametrize("profile", EVAL_PROFILES, ids=["semantickitti", "kitti", "ignore255"])
+def test_record_matches_reference(tmp_path, profile, num_classes):
+    # injected ids, both ignore labels, an empty file, a repeated pair
+    write_tree(tmp_path, clean_and_fog({
+        "000000": ([0, 0, 1, 0, 1, 300], [0, 0, 0, 21, 255, 22]),
+        "000001": ([], []),
+        "000002": ([0, 0, 0], [0, 0, 0]),
+    }))
+    result = assert_scores_as_reference(tmp_path, profile, num_classes)
+    if num_classes == 65536:  # every id is in range: a record, not an error
+        assert isinstance(result, str)
+
+
+def test_out_of_range_pred_under_ignored_gt_is_not_counted(tmp_path):
+    # gt 0 is semantickitti's ignore label and 22 an injected id.
+    write_tree(tmp_path, clean_and_fog({"000000": ([65535, 300, 1], [0, 22, 1])}))
+    result = assert_scores_as_reference(tmp_path, SEMANTICKITTI, 2)
+    assert json.loads(result)["clean"] == 1.0
+
+
+@pytest.mark.parametrize("side", ["gt", "pred"])
+def test_counted_out_of_range_label_named_at_its_file(tmp_path, side):
+    bad = {"gt": ([1], [7]), "pred": ([7], [1])}[side]
+    write_tree(tmp_path, clean_and_fog({
+        "000000": ([1, 2], [1, 2]), "000001": bad, "000002": ([9], [9])}))
+    result, read = evaluate_outcome(tmp_path, SEMANTICKITTI, 4)
+    assert (result, read) == evaluate_outcome(tmp_path, SEMANTICKITTI, 4,
+                                              reference_miou_over_dir)
+    assert result == (ValueError, f"{side} label 7 outside [0, 4)")
+    assert read[-2:] == ["pred/clean/000001.label", "gt/clean/000001.label"]
+
+
+@pytest.mark.parametrize("frames", [
+    {"000000": ([1, 2, 3], [0, 21, 23])},  # every gt point ignored
+    {"000000": ([], [])},  # one empty file
+    {},  # no files
+], ids=["all ignored", "empty file", "no files"])
+def test_nothing_counted_is_undefined(tmp_path, frames):
+    write_tree(tmp_path, clean_and_fog(frames))
+    result = assert_scores_as_reference(tmp_path, SEMANTICKITTI, 260)
+    assert result == (UndefinedMetricError,
+                      "mIoU undefined: no class present in pred or gt")
