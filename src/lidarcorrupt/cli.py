@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -198,13 +198,34 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
     return entries, failures
 
 
-def _frame_result(stem: str, future: Future) -> tuple[list[dict], list[dict]]:
-    """A pooled frame's result, or one frame-level failure if a worker died
-    and broke the pool before the frame's result came back."""
-    try:
-        return future.result()
-    except BrokenProcessPool as exc:
-        return [], [{"frame": stem, "error": f"{type(exc).__name__}: {exc}"}]
+def _pooled_results(job_args: list, workers: int) -> list:
+    """`_corrupt_one_frame` over `job_args` on pools of `workers` processes.
+
+    Only `workers` frames are submitted at a time, so a dead worker fails just
+    the frames then running (one killed it; which cannot be told). The rest go
+    to a fresh pool; each pool settles at least one frame, so this ends."""
+    results, todo = [], list(job_args)
+    while todo:
+        running, limit = {}, workers
+        with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
+            while True:
+                try:
+                    while todo and len(running) < limit:
+                        running[pool.submit(_corrupt_one_frame, todo[0])] = todo[0][0]
+                        del todo[0]
+                except BrokenProcessPool:  # a worker died after the last wait
+                    limit = 0
+                if not running:
+                    break
+                for future in wait(running, return_when=FIRST_COMPLETED).done:
+                    stem, exc = running.pop(future), future.exception()
+                    if isinstance(exc, BrokenProcessPool):
+                        limit = 0
+                        failure = {"frame": stem, "error": f"{type(exc).__name__}: {exc}"}
+                        results.append(([], [failure]))
+                    else:
+                        results.append(future.result())
+    return results
 
 
 def run_corrupt(cfg: RunConfig) -> dict:
@@ -214,7 +235,7 @@ def run_corrupt(cfg: RunConfig) -> dict:
     depend only on the global seed and frame identity, and the manifest is
     assembled in sorted order regardless of worker scheduling, so reruns and
     different worker counts reproduce identical checksums. A frame whose
-    worker dies is recorded as a failure; the frames that finished keep their
+    worker dies is recorded as a failure; the other frames keep their
     entries and the manifest is still written.
     """
     profile = cfg.load()  # fail fast on unknown profiles/overrides
@@ -223,9 +244,7 @@ def run_corrupt(cfg: RunConfig) -> dict:
 
     job_args = [(stem, cfg, profile) for stem in stems]
     if cfg.workers > 1 and len(stems) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(stems))) as pool:
-            futures = [pool.submit(_corrupt_one_frame, arg) for arg in job_args]
-            results = [_frame_result(s, f) for s, f in zip(stems, futures)]
+        results = _pooled_results(job_args, cfg.workers)
     else:
         results = [_corrupt_one_frame(arg) for arg in job_args]
 
@@ -330,7 +349,9 @@ def _miou_over_dir(
             )
         key = np.left_shift(gt.semantic, 16, dtype=np.uint32)
         key |= pred.semantic
-        file_keys, file_counts = np.unique(key, return_counts=True)
+        key.sort()  # np.unique(key, return_counts=True) without its copy
+        starts = np.flatnonzero(np.concatenate(([len(key) > 0], key[1:] != key[:-1])))
+        file_keys, file_counts = key[starts], np.diff(starts, append=len(key))
         gt_ids = file_keys >> 16
         high = np.maximum(gt_ids, file_keys & 0xFFFF) >= num_classes
         if high.any() and not np.isin(gt_ids[high], skipped).all():

@@ -28,7 +28,7 @@ from .geometry import (
 )
 from .profiles import CorruptionKind, DatasetProfile, Severity
 from .rng import derive_seed, make_rng
-from .types import INTENSITY_TOLERANCE, BoxSet, LabelArray, PointCloud
+from .types import INTENSITY_TOLERANCE, BoxSet, LabelArray, PointCloud, row_indices
 
 __all__ = [
     "Provenance",
@@ -97,11 +97,12 @@ class CorruptedFrame:
 
     def select(self, index: np.ndarray) -> "CorruptedFrame":
         """Sub-frame at `index`; labels and provenance stay aligned."""
+        idx = row_indices(index, len(self.cloud))
         return CorruptedFrame(
-            cloud=self.cloud.select(index),
-            labels=None if self.labels is None else self.labels.select(index),
+            cloud=self.cloud.select(idx),
+            labels=None if self.labels is None else self.labels.select(idx),
             boxes=self.boxes,
-            provenance=self.provenance[index],
+            provenance=self.provenance.take(idx),
         )
 
     def with_fields(

@@ -83,7 +83,8 @@ def lstsq_plane(
 
 
 # Rows of points scored against all RANSAC hypotheses per matmul. Bounds the
-# scoring buffer at _RANSAC_BLOCK x iterations float64 values.
+# scoring buffer at _RANSAC_BLOCK x iterations float64 values. At most 65535,
+# so a block's count per hypothesis fits the uint16 it is summed in.
 _RANSAC_BLOCK = 256
 
 
@@ -93,17 +94,20 @@ def _inlier_counts(
     """Per hypothesis, the number of points within `threshold` of its plane.
 
     `normals` is (3, H) and `offsets` (H,). Points are scored in fixed row
-    blocks through one reused buffer, so memory stays bounded for any N.
+    blocks through reused buffers, so memory stays bounded for any N. The
+    offset rides in the matmul as `[x y z 1] @ [n; d]`: the kernel sums the
+    terms in order, so it adds `1 * d` last, exactly as `+ d` after it would.
     """
-    counts = np.zeros(normals.shape[1], dtype=np.int64)
-    buf = np.empty((min(_RANSAC_BLOCK, len(pts)), normals.shape[1]))
+    planes = np.vstack([normals, offsets])
+    rows = min(_RANSAC_BLOCK, len(pts))
+    coords, buf = np.ones((rows, 4)), np.empty((rows, planes.shape[1]))
+    counts = np.zeros(planes.shape[1], dtype=np.int64)
     for start in range(0, len(pts), _RANSAC_BLOCK):
-        block = pts[start:start + _RANSAC_BLOCK]
-        dist = buf[: len(block)]
-        np.matmul(block, normals, out=dist)
-        dist += offsets
+        k = min(_RANSAC_BLOCK, len(pts) - start)
+        coords[:k, :3] = pts[start:start + k]
+        dist = np.matmul(coords[:k], planes, out=buf[:k])
         np.abs(dist, out=dist)
-        counts += np.count_nonzero(dist <= threshold, axis=0)
+        counts += (dist <= threshold).view(np.uint8).sum(axis=0, dtype=np.uint16)
     return counts
 
 
@@ -118,7 +122,9 @@ def fit_ground_ransac(
     The best-supported sample (the first one on ties) is refined by a
     least-squares fit on its inliers; the refit is kept only if it does not
     lose support. The normal is oriented upward (c >= 0) and the returned
-    inlier mask is consistent with the final plane.
+    inlier mask is consistent with the final plane. The triples are drawn
+    one `choice` per iteration and crossed in one elementwise `np.cross`;
+    the norms and offsets stay per-row dot products, as in a loop per triple.
 
     Raises:
         NoPlaneError: fewer than 3 points, or every sampled triple collinear.
@@ -129,24 +135,17 @@ def fit_ground_ransac(
         raise NoPlaneError(f"need at least 3 points to fit a plane, got {n}")
     rng = make_rng("ransac", seed)
 
-    normals = []
-    offsets = []
-    for _ in range(iterations):
-        idx = rng.choice(n, size=3, replace=False)
-        p0, p1, p2 = pts[idx]
-        normal = np.cross(p1 - p0, p2 - p0)
-        norm = np.linalg.norm(normal)
-        if norm < 1e-12:
-            continue
-        normal = normal / norm
-        normals.append(normal)
-        offsets.append(-float(normal @ p0))
-    if not normals:
+    triples = pts[np.array([rng.choice(n, size=3, replace=False) for _ in range(iterations)])]
+    p0, p1, p2 = triples.transpose(1, 0, 2)
+    normals = np.cross(p1 - p0, p2 - p0)
+    norms = np.array([np.linalg.norm(normal) for normal in normals])
+    valid = norms >= 1e-12
+    if not valid.any():
         raise NoPlaneError("all sampled triples were degenerate (collinear points)")
+    normals = normals[valid] / norms[valid, None]
+    offsets = np.array([-float(normal @ p) for normal, p in zip(normals, p0[valid])])
 
-    counts = _inlier_counts(
-        pts, np.array(normals).T, np.array(offsets), inlier_threshold
-    )
+    counts = _inlier_counts(pts, normals.T, offsets, inlier_threshold)
     best = int(np.argmax(counts))
     best_normal, best_d, best_count = normals[best], offsets[best], int(counts[best])
 

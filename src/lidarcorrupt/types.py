@@ -23,6 +23,16 @@ __all__ = ["PointCloud", "LabelArray", "Box", "BoxSet"]
 INTENSITY_TOLERANCE = 1e-6
 
 
+def row_indices(index: np.ndarray, n: int) -> np.ndarray:
+    """`index` into n rows as integer indices, a mask (of length n, else
+    IndexError) as its True positions: `take` at them gathers the same rows
+    as plain indexing, several times faster than a boolean select."""
+    index = np.asarray(index)
+    if index.dtype == bool and index.shape != (n,):
+        raise IndexError(f"boolean index of shape {index.shape} for {n} rows")
+    return np.flatnonzero(index) if index.dtype == bool else index
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """One LiDAR scan: N points with coordinates, intensity, optional ring.
@@ -64,10 +74,11 @@ class PointCloud:
 
     def select(self, index: np.ndarray) -> "PointCloud":
         """Return the sub-cloud at `index` (mask or integer indices), order kept."""
+        idx = row_indices(index, len(self))
         return PointCloud(
-            xyz=self.xyz[index],
-            intensity=self.intensity[index],
-            ring=None if self.ring is None else self.ring[index],
+            xyz=self.xyz.take(idx, axis=0),
+            intensity=self.intensity.take(idx),
+            ring=None if self.ring is None else self.ring.take(idx),
             frame_id=self.frame_id,
         )
 
@@ -119,7 +130,8 @@ class LabelArray:
         return len(self.semantic)
 
     def select(self, index: np.ndarray) -> "LabelArray":
-        return LabelArray(self.semantic[index], self.instance[index])
+        idx = row_indices(index, len(self))
+        return LabelArray(self.semantic.take(idx), self.instance.take(idx))
 
     def with_semantic(self, semantic: np.ndarray) -> "LabelArray":
         return LabelArray(semantic, self.instance)
@@ -175,19 +187,26 @@ class BoxSet:
         """Mask of points inside any box (optionally restricted to classes).
 
         Points are tested in the cloud's frame: the box z axis is vertical,
-        length runs along the yaw direction.
+        length runs along the yaw direction. A box tests only the points
+        within `reach` of its centre in x and y, by the same float64 steps, so
+        the mask is that of testing all: a point inside is within the half
+        diagonal in x and y up to <8 ulp of rotation rounding, and `reach` adds
+        a relative 2**-40 for it and an absolute 2**-1000 for underflow.
         """
         pts = np.asarray(xyz, dtype=np.float64)
         inside = np.zeros(len(pts), dtype=bool)
         for box in self.boxes:
             if class_ids is not None and box.class_id not in class_ids:
                 continue
-            d = pts - np.asarray(box.center)
+            l, w, h = box.lwh
+            reach = 0.5 * math.hypot(l, w) * (1 + 2**-40) + 2**-1000
+            near = np.flatnonzero(np.abs(pts[:, 0] - box.center[0]) <= reach)
+            near = near[np.abs(pts[near, 1] - box.center[1]) <= reach]
+            d = pts[near] - np.asarray(box.center)
             c, s = math.cos(box.yaw), math.sin(box.yaw)
             local_x = c * d[:, 0] + s * d[:, 1]
             local_y = -s * d[:, 0] + c * d[:, 1]
-            l, w, h = box.lwh
-            inside |= (
+            inside[near] |= (
                 (np.abs(local_x) <= l / 2)
                 & (np.abs(local_y) <= w / 2)
                 & (np.abs(d[:, 2]) <= h / 2)

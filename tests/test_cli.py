@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,13 @@ def _die_on_last_frame(args):
         time.sleep(0.01)
     time.sleep(0.5)  # let the last finished result reach the parent
     os._exit(1)
+
+
+def _die_on_first_frame(args):
+    """Pool stand-in for `_corrupt_one_frame`: kills its worker on 000000."""
+    if args[0] == "000000":
+        os._exit(1)
+    return _REAL_CORRUPT_ONE_FRAME(args)
 
 
 @pytest.fixture
@@ -497,6 +505,65 @@ class TestCorrupt:
         [failure] = manifest["failures"]
         assert failure["frame"] == DYING_STEM
         assert failure["error"].startswith("BrokenProcessPool: ")
+
+    def test_dead_worker_fails_only_frames_in_flight(self, tmp_path, monkeypatch):
+        src = build_dataset(tmp_path / "in", n_frames=8, beams=8)
+        kinds = (cli.CorruptionKind.MOTION_BLUR, cli.CorruptionKind.FOG)
+        clean = cli.run_corrupt(RunConfig(
+            profile_name="semantickitti", input_root=src, output_root=tmp_path / "clean",
+            kinds=kinds, workers=1))
+        monkeypatch.setattr(cli, "_corrupt_one_frame", _die_on_first_frame)
+        manifest = cli.run_corrupt(RunConfig(
+            profile_name="semantickitti", input_root=src, output_root=tmp_path / "out",
+            kinds=kinds, workers=2))
+        failed = {f["frame"] for f in manifest["failures"]}
+        # Two frames run at a time; the other one in flight may fail with 000000.
+        assert "000000" in failed and len(failed) <= 2
+        assert all(f["error"].startswith("BrokenProcessPool: ") for f in manifest["failures"])
+        assert manifest["entries"] == [e for e in clean["entries"] if e["frame"] not in failed]
+        assert len(manifest["entries"]) == (8 - len(failed)) * 2 * 3 * 2
+
+    def test_fresh_pool_after_each_break(self, tmp_path, monkeypatch):
+        """Pools break at 000000 and at 000005: those two frames fail, the
+        rest run on the pools started after each break."""
+        sizes = []
+
+        class BreakingPool:
+            """Runs tasks inline; a dying frame breaks the pool, so its future
+            fails and every later submit raises."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                self.broken = False
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, args):
+                if self.broken:
+                    raise BrokenProcessPool("pool broke")
+                future = Future()
+                if args[0] in ("000000", "000005"):
+                    self.broken = True
+                    future.set_exception(BrokenProcessPool("worker died"))
+                else:
+                    future.set_result(fn(args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", BreakingPool)
+        src = build_dataset(tmp_path / "in", n_frames=8, beams=8)
+        manifest = cli.run_corrupt(RunConfig(
+            profile_name="semantickitti", input_root=src, output_root=tmp_path / "out",
+            kinds=(cli.CorruptionKind.MOTION_BLUR,), workers=2))
+        assert sizes == [2, 2, 2]
+        assert sorted({e["frame"] for e in manifest["entries"]}) == [
+            "000001", "000002", "000003", "000004", "000006", "000007"]
+        assert [(f["frame"], f["error"]) for f in manifest["failures"]] == [
+            ("000000", "BrokenProcessPool: worker died"),
+            ("000005", "BrokenProcessPool: worker died")]
 
     @pytest.mark.parametrize("workers,pool_size", [(2, 2), (64, 3)])
     def test_pool_sized_to_frames(self, tmp_path, monkeypatch, workers, pool_size):

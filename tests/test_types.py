@@ -1,11 +1,14 @@
-"""Container validation and box geometry."""
+"""Container validation, row selection and box geometry."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarcorrupt import Box, BoxSet, CorruptScanError, LabelArray, PointCloud
+from lidarcorrupt.corruptions import CorruptedFrame
 
 
 class TestPointCloud:
@@ -106,3 +109,116 @@ class TestBoxes:
         pts = np.array([[0, 0, 0], [10, 0, 0]])
         assert boxes.contains(pts, class_ids={0}).tolist() == [True, False]
         assert boxes.contains(pts).tolist() == [True, True]
+
+
+@st.composite
+def selections(draw):
+    """(frame, index): a frame of 0-12 points, and a mask, integer indices
+    (negative ones too) or an empty index into it."""
+    n = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cloud = PointCloud(
+        xyz=rng.normal(0, 30, (n, 3)), intensity=rng.random(n),
+        ring=draw(st.sampled_from([None, rng.integers(0, 64, n)])), frame_id="f",
+    )
+    labels = LabelArray(rng.integers(0, 2**16, n), rng.integers(0, 2**16, n))
+    frame = CorruptedFrame(cloud, labels, provenance=rng.integers(0, 4, n))
+    indices = st.lists(st.integers(-n, n - 1), max_size=2 * n) if n else st.just([])
+    index = draw(st.one_of(
+        st.lists(st.booleans(), min_size=n, max_size=n).map(lambda m: np.array(m, bool)),
+        indices.map(lambda i: np.array(i, np.int64)),
+        st.sampled_from([np.zeros(0, np.int64), np.zeros(n, bool)]),
+    ))
+    return frame, index
+
+
+class TestSelect:
+    """Gathered selection equals plain NumPy indexing of every array."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(selections())
+    def test_matches_numpy_indexing(self, case):
+        frame, index = case
+        cloud, labels = frame.cloud, frame.labels
+        for sub in (frame.select(index), CorruptedFrame(
+                cloud.select(index), labels.select(index), provenance=frame.provenance[index])):
+            assert np.array_equal(sub.cloud.xyz, cloud.xyz[index])
+            assert np.array_equal(sub.cloud.intensity, cloud.intensity[index])
+            if cloud.ring is None:
+                assert sub.cloud.ring is None
+            else:
+                assert np.array_equal(sub.cloud.ring, cloud.ring[index])
+            assert np.array_equal(sub.labels.semantic, labels.semantic[index])
+            assert np.array_equal(sub.labels.instance, labels.instance[index])
+            assert np.array_equal(sub.provenance, frame.provenance[index])
+            assert sub.cloud.frame_id == "f" and sub.boxes is frame.boxes
+
+    @pytest.mark.parametrize("length", [0, 2, 4])
+    def test_wrong_length_mask_raises(self, length):
+        cloud = PointCloud(xyz=np.zeros((3, 3)), intensity=np.zeros(3))
+        labels = LabelArray(np.zeros(3, np.uint16), np.zeros(3, np.uint16))
+        mask = np.ones(length, bool)
+        for select in (cloud.select, labels.select, CorruptedFrame(cloud, labels).select):
+            with pytest.raises(IndexError):
+                select(mask)
+
+
+def contains_reference(boxes, xyz, class_ids=None):
+    """`BoxSet.contains` as it tested every point against every box."""
+    pts = np.asarray(xyz, dtype=np.float64)
+    inside = np.zeros(len(pts), dtype=bool)
+    for box in boxes:
+        if class_ids is not None and box.class_id not in class_ids:
+            continue
+        d = pts - np.asarray(box.center)
+        c, s = math.cos(box.yaw), math.sin(box.yaw)
+        local_x = c * d[:, 0] + s * d[:, 1]
+        local_y = -s * d[:, 0] + c * d[:, 1]
+        l, w, h = box.lwh
+        inside |= (
+            (np.abs(local_x) <= l / 2)
+            & (np.abs(local_y) <= w / 2)
+            & (np.abs(d[:, 2]) <= h / 2)
+        )
+    return inside
+
+
+@st.composite
+def boxes_and_points(draw):
+    """Boxes of any yaw, thin to huge, centred near or far from the origin,
+    and points on their faces and corners, 1 ulp either side, and around."""
+    size = st.one_of(st.floats(1e-3, 50), st.sampled_from([1e-300, 1e-9, 1e9, 1e300]))
+    coord = st.one_of(st.floats(-100, 100), st.floats(-1e12, 1e12))
+    boxes, pts = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        l, w, h = draw(st.tuples(size, size, size))
+        diagonal = math.atan2(w, l)  # these yaws put a corner on the x or y axis
+        yaw = draw(st.one_of(st.floats(-math.pi, math.pi), st.sampled_from(
+            [0.0, diagonal, -diagonal, math.pi / 2 - diagonal, math.pi - diagonal])))
+        box = Box(draw(st.tuples(coord, coord, coord)), (l, w, h), yaw, draw(st.integers(0, 2)))
+        boxes.append(box)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        half = np.array(box.lwh) / 2
+        # Each local coordinate is on a face, at the centre or within twice the box.
+        local = np.choose(rng.integers(0, 4, (16, 3)),
+                          [-half, half, 0 * half, half * rng.uniform(-2, 2, (16, 3))])
+        c, s = math.cos(box.yaw), math.sin(box.yaw)
+        p = np.column_stack([c * local[:, 0] - s * local[:, 1],
+                             s * local[:, 0] + c * local[:, 1], local[:, 2]]) + box.center
+        ulps = rng.integers(-1, 2, p.shape)
+        pts.append(np.where(ulps == 0, p, np.nextafter(p, np.copysign(np.inf, ulps))))
+    return BoxSet(tuple(boxes)), np.concatenate(pts)
+
+
+class TestContainsReference:
+    """Testing only the points near each box gives the mask of testing all."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxes_and_points(), st.sampled_from([None, {0}, {1, 2}]))
+    def test_equals_unfiltered_loop(self, case, class_ids):
+        boxes, pts = case
+        # Coordinates past float32's range cast to inf: such points are inside no box.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for xyz in (pts, pts.astype(np.float32)):
+                assert np.array_equal(boxes.contains(xyz, class_ids),
+                                      contains_reference(boxes, xyz, class_ids))
