@@ -12,6 +12,7 @@ relabeled with the matching injected class id.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -111,18 +112,25 @@ class CorruptedFrame:
         class_id: Optional[int] = None,
     ) -> "CorruptedFrame":
         """Copy with replaced coordinates and/or intensity; boxes kept. The
-        points in the mask `changed` are tagged `tag` and, when the frame has
-        labels and `class_id` is not None, relabeled `class_id`."""
+        points at `changed` (a mask or indices) are tagged `tag` and, when the
+        frame has labels and `class_id` is not None, relabeled `class_id`."""
         labels, provenance = self.labels, self.provenance
-        if changed is not None and changed.any():
+        idx = None if changed is None else row_indices(changed, len(self.cloud))
+        if idx is not None and idx.size:
             provenance = provenance.copy()
-            provenance[changed] = tag
+            provenance[idx] = tag
             if labels is not None and class_id is not None:
                 semantic = labels.semantic.copy()
-                semantic[changed] = class_id
+                semantic[idx] = class_id
                 labels = labels.with_semantic(semantic)
         return replace(self, cloud=self.cloud.with_fields(xyz, intensity),
                        labels=labels, provenance=provenance)
+
+
+def _check_strength(name: str, value: float) -> None:
+    """ValueError naming `name` unless `value` is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def apply_fog(
@@ -143,13 +151,16 @@ def apply_fog(
     a fixed linear response that falls to 0 at `response_distance`. A point
     whose soft response wins is relocated to a fraction of its range
     (uniform in `scatter_fraction`) along the same ray, takes the soft
-    intensity (clamped to [0, 1]), and is relabeled `fog_class`.
+    intensity (clamped to [0, 1]), and is relabeled `fog_class`. Only the
+    scattered rows are gathered and rewritten, by index, with the same
+    arithmetic per row as a full-length pass.
 
     Raises:
-        ValueError: alpha negative or intensities not normalized to [0, 1].
+        ValueError: alpha or beta_bs not finite and >= 0, or intensities
+            not normalized to [0, 1].
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    _check_strength("alpha", alpha)
+    _check_strength("beta_bs", beta_bs)
     intensity = frame.cloud.intensity
     if intensity.size and float(intensity.max()) > 1.0 + INTENSITY_TOLERANCE:
         raise ValueError(
@@ -165,20 +176,19 @@ def apply_fog(
     i_hard = i64 * np.exp(-2.0 * alpha * r)
     response = np.clip(1.0 - r / response_distance, 0.0, 1.0)
     i_soft = i64 * (r * r / beta_0) * beta_bs * response
-    scattered = i_soft > i_hard
+    idx = np.flatnonzero(i_soft > i_hard)
 
     rng = make_rng("fog", seed)
     fraction = rng.uniform(scatter_fraction[0], scatter_fraction[1], size=n)
 
     xyz = frame.cloud.xyz.copy()
-    if scattered.any():
-        xyz[scattered] = (
-            frame.cloud.xyz[scattered].astype(np.float64)
-            * fraction[scattered, None]
-        ).astype(np.float32)
-    out_i = np.where(scattered, np.clip(i_soft, 0.0, 1.0), i_hard).astype(np.float32)
+    xyz[idx] = (
+        xyz.take(idx, axis=0).astype(np.float64) * fraction.take(idx)[:, None]
+    ).astype(np.float32)
+    out_i = i_hard.astype(np.float32)
+    out_i[idx] = np.clip(i_soft.take(idx), 0.0, 1.0)
 
-    return frame.with_fields(xyz, out_i, changed=scattered, tag=Provenance.INJECTED_FOG,
+    return frame.with_fields(xyz, out_i, changed=idx, tag=Provenance.INJECTED_FOG,
                              class_id=fog_class)
 
 
@@ -199,10 +209,9 @@ def apply_wet_ground(
     of water; `d_w` = 0 is a dry road and an exact identity.
 
     Raises:
-        ValueError: d_w negative, or ground mask misaligned with the cloud.
+        ValueError: d_w not finite and >= 0, or ground mask misaligned.
     """
-    if d_w < 0:
-        raise ValueError(f"water height must be >= 0, got {d_w}")
+    _check_strength("d_w", d_w)
     n = len(frame.cloud)
     mask = np.asarray(ground.inlier_mask, dtype=bool)
     if len(mask) != n:
@@ -243,18 +252,17 @@ def sample_particle_distances(
     Particle count per ray is Poisson with mean proportional to the snowfall
     rate and the ray length; given k particles uniformly placed between
     `min_particle_range` and the return range, the nearest sits at the
-    minimum of k uniforms, drawn here in closed form.
+    minimum of k uniforms, drawn here in closed form. Only the rays with a
+    particle are gathered, by index, each with the arithmetic of a full pass.
     """
     n = len(ranges)
     span = np.maximum(ranges - min_particle_range, 0.0)
     counts = rng.poisson(particles_per_meter_per_rate * r_s * span)
     u = rng.uniform(size=n)
     distances = np.full(n, np.inf)
-    hit = counts > 0
-    if hit.any():
-        k = counts[hit].astype(np.float64)
-        nearest = 1.0 - np.power(1.0 - u[hit], 1.0 / k)
-        distances[hit] = min_particle_range + span[hit] * nearest
+    hit = np.flatnonzero(counts)
+    nearest = 1.0 - np.power(1.0 - u.take(hit), 1.0 / counts.take(hit).astype(np.float64))
+    distances[hit] = min_particle_range + span.take(hit) * nearest
     return distances
 
 
@@ -277,11 +285,12 @@ def apply_snow(
     `reflectivity`-scaled intensity and relabeled `snow_class`. All other
     returns lose intensity to extinction: exp(-2 * k * range) with
     k = `extinction_per_rate` * r_s. `r_s` = 0 is an exact identity.
-    `particle_distances` overrides the sampler (one distance per ray, inf
-    for none) for reproducing a known particle field.
+    `particle_distances` overrides the sampler (one distance >= 0 per ray,
+    inf for none; ValueError otherwise) for reproducing a known particle
+    field. Only the rays cut short are gathered and rewritten, by index,
+    each with the arithmetic of a full-length pass.
     """
-    if r_s < 0:
-        raise ValueError(f"snowfall rate must be >= 0, got {r_s}")
+    _check_strength("r_s", r_s)
     n = len(frame.cloud)
     if r_s == 0 or n == 0:
         return frame
@@ -296,22 +305,21 @@ def apply_snow(
         particle_distances = np.asarray(particle_distances, dtype=np.float64)
         if len(particle_distances) != n:
             raise ValueError("particle_distances must have one entry per point")
-    hit = particle_distances < r
+        if not (particle_distances >= 0).all():
+            raise ValueError("particle_distances must be >= 0 (inf for none), not NaN")
+    idx = np.flatnonzero(particle_distances < r)
 
     k = extinction_per_rate * r_s
     i64 = frame.cloud.intensity.astype(np.float64)
     xyz = frame.cloud.xyz.copy()
     intensity = (i64 * np.exp(-2.0 * k * r)).astype(np.float32)
-    if hit.any():
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(r > 0, particle_distances / np.maximum(r, 1e-300), 0.0)
-        xyz[hit] = (
-            frame.cloud.xyz[hit].astype(np.float64) * scale[hit, None]
-        ).astype(np.float32)
-        hit_i = reflectivity * i64[hit] * np.exp(-2.0 * k * particle_distances[hit])
-        intensity[hit] = np.clip(hit_i, 0.0, 1.0).astype(np.float32)
+    hit_d, hit_r = particle_distances.take(idx), r.take(idx)
+    scale = np.where(hit_r > 0, hit_d / np.maximum(hit_r, 1e-300), 0.0)
+    xyz[idx] = (xyz.take(idx, axis=0).astype(np.float64) * scale[:, None]).astype(np.float32)
+    hit_i = reflectivity * i64.take(idx) * np.exp(-2.0 * k * hit_d)
+    intensity[idx] = np.clip(hit_i, 0.0, 1.0)
 
-    return frame.with_fields(xyz, intensity, changed=hit, tag=Provenance.INJECTED_SNOW,
+    return frame.with_fields(xyz, intensity, changed=idx, tag=Provenance.INJECTED_SNOW,
                              class_id=snow_class)
 
 
@@ -319,16 +327,16 @@ def apply_motion_blur(frame: CorruptedFrame, sigma_t: float, seed: int) -> Corru
     """Motion blur: independent Gaussian jitter on each coordinate axis.
 
     Intensity, labels, and point count are untouched. sigma_t = 0 is an
-    exact identity.
+    exact identity. The coordinates are added into the float64 offsets in
+    place; addition commutes, so the sums are those of xyz + offsets.
     """
-    if sigma_t < 0:
-        raise ValueError(f"sigma_t must be >= 0, got {sigma_t}")
+    _check_strength("sigma_t", sigma_t)
     if sigma_t == 0 or len(frame.cloud) == 0:
         return frame
     rng = make_rng("motion-blur", seed)
     offsets = rng.normal(0.0, sigma_t, size=(len(frame.cloud), 3))
-    xyz = (frame.cloud.xyz.astype(np.float64) + offsets).astype(np.float32)
-    return frame.with_fields(xyz)
+    offsets += frame.cloud.xyz
+    return frame.with_fields(offsets.astype(np.float32))
 
 
 def apply_beam_missing(
@@ -362,6 +370,7 @@ def apply_crosstalk(
     """
     if not 0 <= k_t <= 1:
         raise ValueError(f"k_t must be in [0, 1], got {k_t}")
+    _check_strength("sigma_c", sigma_c)
     n = len(frame.cloud)
     n_sel = int(np.rint(k_t * n))
     if n_sel == 0:
@@ -379,9 +388,7 @@ def apply_crosstalk(
         frame.cloud.intensity[selected].astype(np.float64) + noise[:, 3], 0.0, 1.0
     ).astype(np.float32)
 
-    mask = np.zeros(n, dtype=bool)
-    mask[selected] = True
-    return frame.with_fields(xyz, intensity, changed=mask,
+    return frame.with_fields(xyz, intensity, changed=selected,
                              tag=Provenance.JITTERED_CROSSTALK, class_id=crosstalk_class)
 
 

@@ -620,3 +620,33 @@ class TestWithFields:
                                 tag=Provenance.INJECTED_FOG)
         assert out.labels is frame.labels
         assert out.provenance.tolist() == [1, 1, 0]
+
+
+def _nan_or_negative_cases():
+    """(operator call on a 50-point frame, parameter name it must name)."""
+    nan = float("nan")
+    ground = GroundModel(plane=None, inlier_mask=np.ones(50, dtype=bool))
+    cases = []
+    for bad in (nan, -1.0, math.inf):
+        cases += [
+            (lambda f, v=bad: apply_fog(f, alpha=v, beta_bs=0.008, seed=0), "alpha"),
+            (lambda f, v=bad: apply_fog(f, alpha=0.01, beta_bs=v, seed=0), "beta_bs"),
+            (lambda f, v=bad: apply_snow(f, r_s=v, seed=0), "r_s"),
+            (lambda f, v=bad: apply_motion_blur(f, sigma_t=v, seed=0), "sigma_t"),
+            (lambda f, v=bad: apply_crosstalk(f, k_t=0.5, sigma_c=v, seed=0), "sigma_c"),
+            (lambda f, v=bad: apply_wet_ground(f, ground, d_w=v), "d_w"),
+        ]
+    for bad in (nan, -1.0, -math.inf):
+        cases.append((lambda f, v=bad: apply_snow(
+            f, r_s=1.0, seed=0, particle_distances=np.full(50, v)), "particle_distances"))
+    return cases
+
+
+class TestBadStrengths:
+    """A NaN, negative or infinite strength, or a negative or NaN particle
+    distance, raises a ValueError that names its parameter."""
+
+    @pytest.mark.parametrize("call, name", _nan_or_negative_cases())
+    def test_rejected_by_name(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call(simple_frame())
