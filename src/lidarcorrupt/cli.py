@@ -116,6 +116,19 @@ def _write_atomic(path: Path, data: bytes | memoryview | str) -> None:
         raise
 
 
+def _emit(text: str, out_path: Optional[str]) -> None:
+    """Print `text`, or write it to `out_path`; an unwritable path exits 2."""
+    if not out_path:
+        click.echo(text, nl=False)
+        return
+    try:
+        _write_atomic(Path(out_path), text)
+    except OSError as exc:
+        click.echo(f"configuration error: cannot write {out_path}: {exc}", err=True)
+        sys.exit(2)
+    click.echo(f"wrote {out_path}")
+
+
 def _encode_and_hash(cloud: PointCloud, profile: DatasetProfile,
                      labels: Optional[bytes], hashes: list) -> list:
     """Helper-thread half of one output: encode the scan, hash each payload.
@@ -236,11 +249,14 @@ def run_corrupt(cfg: RunConfig) -> dict:
     assembled in sorted order regardless of worker scheduling, so reruns and
     different worker counts reproduce identical checksums. A frame whose
     worker dies is recorded as a failure; the other frames keep their
-    entries and the manifest is still written.
+    entries and the manifest is still written. An unwritable root raises ProfileError.
     """
     profile = cfg.load()  # fail fast on unknown profiles/overrides
     stems = frame_stems(cfg.input_root)
-    cfg.output_root.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.output_root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ProfileError(f"cannot write {cfg.output_root}: {exc}") from exc
 
     job_args = [(stem, cfg, profile) for stem in stems]
     if cfg.workers > 1 and len(stems) > 1:
@@ -532,12 +548,7 @@ def cmd_evaluate(pred_root, gt_root, dataset, num_classes, model, out_path, prof
     except (LidarCorruptError, ValueError, OSError, MemoryError) as exc:
         click.echo(f"evaluation failed: {exc}", err=True)
         sys.exit(1)
-    text = write_accuracy_record(record)
-    if out_path:
-        Path(out_path).write_text(text)
-        click.echo(f"wrote {out_path}")
-    else:
-        click.echo(text, nl=False)
+    _emit(write_accuracy_record(record), out_path)
 
 
 @main.command("report")
@@ -553,11 +564,7 @@ def cmd_report(records, baseline, fmt, out_path):
     except (LidarCorruptError, ValueError, ZeroDivisionError, OSError, KeyError) as exc:
         click.echo(f"report failed: {exc}", err=True)
         sys.exit(1)
-    if out_path:
-        Path(out_path).write_text(text)
-        click.echo(f"wrote {out_path}")
-    else:
-        click.echo(text, nl=False)
+    _emit(text, out_path)
 
 
 @main.command("verify")

@@ -138,9 +138,9 @@ def apply_fog(
     alpha: float,
     beta_bs: float,
     seed: int,
-    beta_0: float = 50.0,
-    response_distance: float = 50.0,
-    scatter_fraction: tuple[float, float] = (0.05, 0.5),
+    beta_0: float,
+    response_distance: float,
+    scatter_fraction: tuple[float, float],
     fog_class: Optional[int] = None,
 ) -> CorruptedFrame:
     """Fog: attenuate every return and scatter those the fog outshines.
@@ -196,8 +196,8 @@ def apply_wet_ground(
     frame: CorruptedFrame,
     ground: GroundModel,
     d_w: float,
-    i_n: float = 0.02,
-    kappa_per_mm: float = 0.1,
+    i_n: float,
+    kappa_per_mm: float,
 ) -> CorruptedFrame:
     """Wet ground: attenuate ground returns, drop those below the noise floor.
 
@@ -244,8 +244,8 @@ def sample_particle_distances(
     ranges: np.ndarray,
     r_s: float,
     rng: np.random.Generator,
-    particles_per_meter_per_rate: float = 0.004,
-    min_particle_range: float = 1.0,
+    particles_per_meter_per_rate: float,
+    min_particle_range: float,
 ) -> np.ndarray:
     """Distance to the nearest airborne particle along each ray (inf if none).
 
@@ -271,11 +271,11 @@ def apply_snow(
     r_s: float,
     seed: int,
     snow_class: Optional[int] = None,
-    particles_per_meter_per_rate: float = 0.004,
-    extinction_per_rate: float = 0.005,
-    reflectivity: float = 0.3,
-    min_particle_range: float = 1.0,
-    particle_distances: Optional[np.ndarray] = None,
+    *,
+    particles_per_meter_per_rate: float,
+    extinction_per_rate: float,
+    reflectivity: float,
+    min_particle_range: float,
 ) -> CorruptedFrame:
     """Snow: re-terminate rays on sampled particles, attenuate the rest.
 
@@ -285,28 +285,17 @@ def apply_snow(
     `reflectivity`-scaled intensity and relabeled `snow_class`. All other
     returns lose intensity to extinction: exp(-2 * k * range) with
     k = `extinction_per_rate` * r_s. `r_s` = 0 is an exact identity.
-    `particle_distances` overrides the sampler (one distance >= 0 per ray,
-    inf for none; ValueError otherwise) for reproducing a known particle
-    field. Only the rays cut short are gathered and rewritten, by index,
-    each with the arithmetic of a full-length pass.
+    Only the rays cut short are gathered and rewritten, by index, each with
+    the arithmetic of a full-length pass.
     """
     _check_strength("r_s", r_s)
-    n = len(frame.cloud)
-    if r_s == 0 or n == 0:
+    if r_s == 0 or len(frame.cloud) == 0:
         return frame
 
     r = frame.ranges
-    if particle_distances is None:
-        rng = make_rng("snow", seed)
-        particle_distances = sample_particle_distances(
-            r, r_s, rng, particles_per_meter_per_rate, min_particle_range
-        )
-    else:
-        particle_distances = np.asarray(particle_distances, dtype=np.float64)
-        if len(particle_distances) != n:
-            raise ValueError("particle_distances must have one entry per point")
-        if not (particle_distances >= 0).all():
-            raise ValueError("particle_distances must be >= 0 (inf for none), not NaN")
+    particle_distances = sample_particle_distances(
+        r, r_s, make_rng("snow", seed), particles_per_meter_per_rate, min_particle_range
+    )
     idx = np.flatnonzero(particle_distances < r)
 
     k = extinction_per_rate * r_s
@@ -426,7 +415,7 @@ def apply_cross_sensor(
     frame: CorruptedFrame,
     partition: BeamPartition,
     beams_kept: int,
-    subsample_keep: float = 0.5,
+    subsample_keep: float,
 ) -> CorruptedFrame:
     """Cross-sensor: retain an equal-stride subset of beams, then thin each.
 
@@ -476,7 +465,7 @@ class FrameContext:
 
     @cached_property
     def partition(self) -> BeamPartition:
-        return partition_beams(self.frame.cloud, int(self.profile.beam_count))
+        return partition_beams(self.frame.cloud, int(self.profile.beam_count), self.frame.ranges)
 
     @cached_property
     def ground(self) -> GroundModel:

@@ -114,8 +114,8 @@ def _inlier_counts(
 
 def fit_ground_ransac(
     pc: PointCloud,
-    iterations: int = 200,
-    inlier_threshold: float = 0.15,
+    iterations: int,
+    inlier_threshold: float,
     seed: int = 0,
 ) -> GroundModel:
     """Fit the dominant plane by RANSAC over sampled point triples.
@@ -191,21 +191,22 @@ class BeamPartition:
         return ranks
 
 
-def partition_beams(pc: PointCloud, beam_count: int) -> BeamPartition:
+def partition_beams(pc: PointCloud, beam_count: int, ranges: np.ndarray) -> BeamPartition:
     """Assign every point to one of `beam_count` beams.
 
     Uses the ring channel verbatim when present. Otherwise points are bucketed
     into `beam_count` equal-count bins of elevation angle asin(z / range),
-    with beam ids ordered by descending elevation. The quantiles are taken
-    of the sorted angles: a quantile reads only order statistics, so it is
-    the same value, and the selection runs faster on sorted input.
+    with beam ids ordered by descending elevation; `ranges` are the points'
+    `point_ranges` (a frame caches them as `CorruptedFrame.ranges`). The
+    quantiles are taken of the sorted angles: a quantile reads only order
+    statistics, so it is the same value, and the selection runs faster on
+    sorted input.
     """
     if pc.ring is not None:
         return BeamPartition(beam_of=pc.ring.astype(np.int64), beam_count=beam_count)
     if len(pc) == 0:
         return BeamPartition(beam_of=np.zeros(0, dtype=np.int64), beam_count=beam_count)
 
-    ranges = point_ranges(pc.xyz)
     z = pc.xyz[:, 2].astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         sin_elev = np.where(ranges > 0, z / np.maximum(ranges, 1e-300), 0.0)

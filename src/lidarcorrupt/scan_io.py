@@ -93,7 +93,7 @@ def write_kitti_scan(pc: PointCloud) -> bytes:
     return _pack(pc, 4).tobytes()
 
 
-def read_nuscenes_scan(data: bytes, frame_id: str = "", beam_count: int = 32) -> PointCloud:
+def read_nuscenes_scan(data: bytes, frame_id: str = "", *, beam_count: int) -> PointCloud:
     """Decode a 5-channel nuScenes scan; the 5th channel becomes the ring index."""
     raw = _decode_floats(data, 5, "nuscenes scan")
     ring = np.rint(raw[:, 4]).astype(np.int32)

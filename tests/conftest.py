@@ -8,12 +8,32 @@ from lidarcorrupt import (
     BoxSet,
     LabelArray,
     PointCloud,
+    load_profile,
+    partition_beams,
+    point_ranges,
     write_kitti_boxes,
     write_kitti_scan,
     write_nuscenes_scan,
     write_semkitti_labels,
 )
 from lidarcorrupt.corruptions import CorruptedFrame
+
+# The operators' dataset constants, read from the profile as `apply` reads
+# them (every built-in profile shares the `defaults` table).
+PARAMS = load_profile("semantickitti").params
+FOG = {"beta_0": PARAMS["fog_beta_0"], "response_distance": PARAMS["fog_response_distance"],
+       "scatter_fraction": tuple(PARAMS["fog_scatter_fraction"])}
+WET = {"i_n": PARAMS["wet_noise_floor"], "kappa_per_mm": PARAMS["wet_kappa_per_mm"]}
+SNOW = {key: PARAMS[f"snow_{key}"] for key in (
+    "particles_per_meter_per_rate", "extinction_per_rate", "reflectivity", "min_particle_range")}
+RANSAC = {"iterations": PARAMS["ransac_iterations"],
+          "inlier_threshold": PARAMS["ransac_threshold"]}
+NUSCENES_BEAMS = load_profile("nuscenes").beam_count
+
+
+def partition(cloud, beam_count):
+    """`partition_beams` from the cloud's own point ranges."""
+    return partition_beams(cloud, beam_count, point_ranges(cloud.xyz))
 
 
 def make_beam_cloud(

@@ -54,7 +54,7 @@ from lidarcorrupt.corruptions import (
 )
 from lidarcorrupt.metrics import AccuracyRecord, aggregate
 
-from conftest import make_beam_cloud, make_labeled_frame
+from conftest import FOG, NUSCENES_BEAMS, SNOW, WET, make_beam_cloud, make_labeled_frame
 from test_cli import build_dataset, entry_checksums
 
 # Published severity-averaged IoU (%) per corruption: fog, wet, snow,
@@ -146,7 +146,7 @@ def test_criterion_03_count_exactness_and_determinism(tmp_path):
             cloud,
             LabelArray(np.full(640, 40, np.uint16), np.zeros(640, np.uint16)),
         )
-        part = partition_beams(cloud, profile.beam_count)
+        part = partition_beams(cloud, profile.beam_count, frame.ranges)
         beam_out = apply_beam_missing(frame, part, m=48, seed=11)
         sensor_out = apply_cross_sensor(frame, part, beams_kept=48, subsample_keep=0.5)
 
@@ -229,7 +229,7 @@ def test_criterion_05_fog_attenuation_exact_and_monotone():
 
     previous = None
     for alpha in (0.005, 0.01, 0.02, 0.03, 0.06):
-        out = apply_fog(frame, alpha=alpha, beta_bs=0.0, seed=1)
+        out = apply_fog(frame, alpha=alpha, beta_bs=0.0, seed=1, **FOG)
         expected64 = cloud.intensity.astype(np.float64) * np.exp(-2 * alpha * r)
         expected32 = expected64.astype(np.float32)
         diff = np.abs(out.cloud.intensity.astype(np.float64) - expected64)
@@ -246,12 +246,12 @@ def test_criterion_05_fog_attenuation_exact_and_monotone():
 
 def test_criterion_06_zero_parameter_identities():
     frame = make_labeled_frame(seed=37)
-    part = partition_beams(frame.cloud, 64)
+    part = partition_beams(frame.cloud, 64, frame.ranges)
     ground = GroundModel.from_mask(frame.cloud.xyz, np.ones(len(frame.cloud), bool))
     cases = {
-        "fog": apply_fog(frame, alpha=0.0, beta_bs=0.0, seed=5),
-        "wet_ground": apply_wet_ground(frame, ground, d_w=0.0),
-        "snow": apply_snow(frame, r_s=0.0, seed=5),
+        "fog": apply_fog(frame, alpha=0.0, beta_bs=0.0, seed=5, **FOG),
+        "wet_ground": apply_wet_ground(frame, ground, d_w=0.0, **WET),
+        "snow": apply_snow(frame, r_s=0.0, seed=5, **SNOW),
         "motion_blur": apply_motion_blur(frame, sigma_t=0.0, seed=5),
         "beam_missing": apply_beam_missing(frame, part, m=0, seed=5),
         "crosstalk": apply_crosstalk(frame, k_t=0.0, sigma_c=3.0, seed=5),
@@ -336,7 +336,8 @@ def test_criterion_09_codec_roundtrips():
 
         nusc = PointCloud(xyz=xyz, intensity=intensity, ring=ring)
         raw5 = write_nuscenes_scan(nusc)
-        assert write_nuscenes_scan(read_nuscenes_scan(raw5)) == raw5
+        back = read_nuscenes_scan(raw5, beam_count=NUSCENES_BEAMS)
+        assert write_nuscenes_scan(back) == raw5
 
         labels = LabelArray(
             rng.integers(0, 2**16, n).astype(np.uint16),

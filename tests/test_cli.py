@@ -26,7 +26,7 @@ from lidarcorrupt import (
 from lidarcorrupt import cli
 from lidarcorrupt.cli import RunConfig, main
 
-from conftest import make_beam_cloud
+from conftest import NUSCENES_BEAMS, make_beam_cloud
 
 _REAL_CORRUPT_ONE_FRAME = cli._corrupt_one_frame
 DYING_STEM = "000002"
@@ -75,6 +75,24 @@ def build_dataset(root, n_frames=1, beams=64, points_per_beam=2):
         (root / "velodyne" / f"{i:06d}.bin").write_bytes(write_kitti_scan(cloud))
         (root / "labels" / f"{i:06d}.label").write_bytes(write_semkitti_labels(labels))
     return root
+
+
+def unwritable(tmp_path):
+    """A path below a regular file, where no file or directory can be made."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    return blocker / "sub"
+
+
+def assert_unwritable(result, tmp_path, path, *others):
+    """Exit 2 with a configuration error naming `path`, no traceback, and
+    nothing written: `tmp_path` holds the blocking file and `others` only."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"configuration error: cannot write {path}: " in result.output
+    assert "Traceback" not in result.output
+    assert sorted(os.listdir(tmp_path)) == sorted(["blocker", *others])
+    assert (tmp_path / "blocker").read_text() == "kept"
 
 
 def entry_checksums(manifest):
@@ -430,6 +448,15 @@ class TestCorrupt:
         )
         assert result.exit_code == 2
 
+    def test_unwritable_output_is_configuration_error(self, runner, tmp_path):
+        src = build_dataset(tmp_path / "in")
+        out = unwritable(tmp_path)
+        result = runner.invoke(
+            main, ["corrupt", "--dataset", "semantickitti", "--in", str(src),
+                   "--out", str(out), "--corruptions", "fog"]
+        )
+        assert_unwritable(result, tmp_path, out, "in")
+
     def test_unknown_corruption_rejected(self, runner, tmp_path):
         src = build_dataset(tmp_path / "in")
         result = runner.invoke(
@@ -457,7 +484,8 @@ class TestCorrupt:
         )
         assert result.exit_code == 0, result.output
         written = read_nuscenes_scan(
-            (out / "beam_missing" / "heavy" / "000000.bin").read_bytes()
+            (out / "beam_missing" / "heavy" / "000000.bin").read_bytes(),
+            beam_count=NUSCENES_BEAMS,
         )
         assert 0 < len(written) < 64  # 24 of 32 beams dropped
         # survivors keep their raw 0-255 intensity convention and ring ids
@@ -899,6 +927,17 @@ class TestEvaluate:
         assert record["clean"] == 1.0
         assert record["corruptions"]["fog"] == [1.0, 1.0, 1.0]
 
+    def test_unwritable_record_is_configuration_error(self, runner, tmp_path):
+        semantic = [1, 2, 3, 1, 2, 3]
+        self._build_eval_tree(tmp_path, semantic, semantic)
+        out_file = unwritable(tmp_path) / "record.json"
+        result = runner.invoke(
+            main,
+            ["evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+             "--dataset", "semantickitti", "--num-classes", "4", "--out", str(out_file)],
+        )
+        assert_unwritable(result, tmp_path, out_file, "gt", "pred")
+
     def test_single_class_prediction_hand_value(self, runner, tmp_path):
         # gt has classes 1 and 2 in equal parts; prediction says 1 everywhere:
         # IoU_1 = 2/4, IoU_2 = 0 -> mIoU = 0.25
@@ -1087,6 +1126,15 @@ class TestReport:
         assert payload["fog_ce"] == pytest.approx(float(row[3]))
         # published cell: KPConv fog CE vs MinkUNet18 baseline
         assert payload["fog_ce"] == pytest.approx(103.20, abs=0.05)
+
+    def test_unwritable_report_is_configuration_error(self, runner, tmp_path):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(self._record_payload("base", 0.6276, 0.5587)))
+        out_file = unwritable(tmp_path) / "report.csv"
+        result = runner.invoke(
+            main, ["report", "--baseline", str(base), "--out", str(out_file)]
+        )
+        assert_unwritable(result, tmp_path, out_file, "base.json")
 
     def test_incomplete_record_fails(self, runner, tmp_path):
         base = tmp_path / "base.json"

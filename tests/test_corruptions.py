@@ -11,8 +11,8 @@ from lidarcorrupt import (
     LabelArray,
     PointCloud,
     load_profile,
-    partition_beams,
 )
+from lidarcorrupt import corruptions
 from lidarcorrupt.corruptions import (
     CorruptedFrame,
     CorruptionSpec,
@@ -31,7 +31,15 @@ from lidarcorrupt.corruptions import (
 from lidarcorrupt.geometry import GroundModel
 from lidarcorrupt.profiles import CorruptionKind, Severity
 
-from conftest import make_beam_cloud, make_labeled_frame
+from conftest import (
+    FOG,
+    PARAMS,
+    SNOW,
+    WET,
+    make_beam_cloud,
+    make_labeled_frame,
+    partition,
+)
 
 
 def simple_frame(n=50, seed=0, semantic=40, with_boxes=False):
@@ -62,7 +70,7 @@ def assert_identity(frame_in, frame_out):
 class TestFog:
     def test_zero_parameters_identity(self):
         frame = simple_frame()
-        out = apply_fog(frame, alpha=0.0, beta_bs=0.0, seed=1)
+        out = apply_fog(frame, alpha=0.0, beta_bs=0.0, seed=1, **FOG)
         assert_identity(frame, out)
         assert (out.provenance == Provenance.ORIGINAL).all()
 
@@ -72,13 +80,13 @@ class TestFog:
             xyz=np.array([[10.0, 0.0, 0.0]], np.float32),
             intensity=np.array([1.0], np.float32),
         )
-        out = apply_fog(CorruptedFrame(cloud), alpha=0.06, beta_bs=0.0, seed=0)
+        out = apply_fog(CorruptedFrame(cloud), alpha=0.06, beta_bs=0.0, seed=0, **FOG)
         assert out.cloud.intensity[0] == pytest.approx(math.exp(-1.2), rel=1e-6)
 
     def test_attenuation_formula_exact(self):
         frame = simple_frame(n=500, seed=2)
         alpha = 0.02
-        out = apply_fog(frame, alpha=alpha, beta_bs=0.0, seed=3)
+        out = apply_fog(frame, alpha=alpha, beta_bs=0.0, seed=3, **FOG)
         r = np.linalg.norm(frame.cloud.xyz.astype(np.float64), axis=1)
         expected = (
             frame.cloud.intensity.astype(np.float64) * np.exp(-2 * alpha * r)
@@ -95,7 +103,7 @@ class TestFog:
             cloud, LabelArray(np.array([40], np.uint16), np.array([0], np.uint16))
         )
         # at 11.2 m the linear soft response (~1.55) outshines the hard one (~0.21)
-        out = apply_fog(frame, alpha=0.06, beta_bs=1.0, seed=5, fog_class=21)
+        out = apply_fog(frame, alpha=0.06, beta_bs=1.0, seed=5, fog_class=21, **FOG)
         assert out.provenance[0] == Provenance.INJECTED_FOG
         assert out.labels.semantic[0] == 21
         ratio = np.linalg.norm(out.cloud.xyz[0]) / np.linalg.norm(cloud.xyz[0])
@@ -112,20 +120,20 @@ class TestFog:
             xyz=np.zeros((1, 3), np.float32), intensity=np.array([3.0], np.float32)
         )
         with pytest.raises(ValueError, match="normalized"):
-            apply_fog(CorruptedFrame(cloud), alpha=0.0, beta_bs=0.0, seed=0)
+            apply_fog(CorruptedFrame(cloud), alpha=0.0, beta_bs=0.0, seed=0, **FOG)
 
     def test_alpha_monotonicity(self):
         frame = simple_frame(n=300, seed=4)
-        low = apply_fog(frame, alpha=0.01, beta_bs=0.0, seed=0)
-        high = apply_fog(frame, alpha=0.03, beta_bs=0.0, seed=0)
+        low = apply_fog(frame, alpha=0.01, beta_bs=0.0, seed=0, **FOG)
+        high = apply_fog(frame, alpha=0.03, beta_bs=0.0, seed=0, **FOG)
         assert (high.cloud.intensity <= low.cloud.intensity).all()
         positive = frame.cloud.intensity > 0
         assert (high.cloud.intensity[positive] < low.cloud.intensity[positive]).all()
 
     def test_deterministic(self):
         frame = simple_frame(n=200, seed=6)
-        a = apply_fog(frame, alpha=0.03, beta_bs=0.2, seed=9)
-        b = apply_fog(frame, alpha=0.03, beta_bs=0.2, seed=9)
+        a = apply_fog(frame, alpha=0.03, beta_bs=0.2, seed=9, **FOG)
+        b = apply_fog(frame, alpha=0.03, beta_bs=0.2, seed=9, **FOG)
         assert a.cloud.equals(b.cloud)
 
 
@@ -147,12 +155,12 @@ class TestWetGround:
 
     def test_dry_ground_identity(self):
         frame = self._flat_frame()
-        out = apply_wet_ground(frame, self._ground(frame, np.ones(200, bool)), d_w=0.0)
+        out = apply_wet_ground(frame, self._ground(frame, np.ones(200, bool)), d_w=0.0, **WET)
         assert_identity(frame, out)
 
     def test_no_ground_identity(self):
         frame = self._flat_frame()
-        out = apply_wet_ground(frame, self._ground(frame, np.zeros(200, bool)), d_w=1.2)
+        out = apply_wet_ground(frame, self._ground(frame, np.zeros(200, bool)), d_w=1.2, **WET)
         assert_identity(frame, out)
 
     def test_attenuation_oracle_on_known_plane(self):
@@ -180,7 +188,7 @@ class TestWetGround:
         frame = self._flat_frame(n=80, seed=2)
         mask = np.zeros(80, bool)
         mask[:40] = True
-        out = apply_wet_ground(frame, self._ground(frame, mask), d_w=1.2)
+        out = apply_wet_ground(frame, self._ground(frame, mask), d_w=1.2, **WET)
         # last 40 points are non-ground: values preserved exactly
         kept_tail = out.cloud.xyz[len(out.cloud) - 40 :]
         assert np.array_equal(kept_tail, frame.cloud.xyz[40:])
@@ -192,13 +200,13 @@ class TestWetGround:
         frame = self._flat_frame()
         ground = GroundModel.from_mask(frame.cloud.xyz[:3], np.ones(3, bool))
         with pytest.raises(ValueError, match="mask"):
-            apply_wet_ground(frame, ground, d_w=1.0)
+            apply_wet_ground(frame, ground, d_w=1.0, **WET)
 
     def test_deeper_water_deletes_more(self):
         frame = self._flat_frame(n=400, seed=3)
         ground = self._ground(frame, np.ones(400, bool))
-        light = apply_wet_ground(frame, ground, d_w=0.2)
-        heavy = apply_wet_ground(frame, ground, d_w=1.2)
+        light = apply_wet_ground(frame, ground, d_w=0.2, **WET)
+        heavy = apply_wet_ground(frame, ground, d_w=1.2, **WET)
         assert len(heavy.cloud) <= len(light.cloud) <= 400
         assert len(heavy.cloud) < 400  # heavy rain visibly deletes returns
 
@@ -206,9 +214,9 @@ class TestWetGround:
 class TestSnow:
     def test_zero_rate_identity(self):
         frame = simple_frame(seed=7)
-        assert_identity(frame, apply_snow(frame, r_s=0.0, seed=0))
+        assert_identity(frame, apply_snow(frame, r_s=0.0, seed=0, **SNOW))
 
-    def test_forced_particle_field_oracle(self):
+    def test_forced_particle_field_oracle(self, monkeypatch):
         cloud, _ = make_beam_cloud(beams=4, points_per_beam=5, seed=8)
         labels = LabelArray(
             np.full(len(cloud), 40, np.uint16), np.zeros(len(cloud), np.uint16)
@@ -217,10 +225,11 @@ class TestSnow:
         r = np.linalg.norm(cloud.xyz.astype(np.float64), axis=1)
         distances = np.full(len(cloud), np.inf)
         distances[7] = r[7] / 2  # exactly one ray hits a particle at half range
-        r_s, k = 2.5, 0.005 * 2.5
-        out = apply_snow(
-            frame, r_s=r_s, seed=0, snow_class=22, particle_distances=distances
-        )
+        monkeypatch.setattr(corruptions, "sample_particle_distances",
+                            lambda *args: distances)
+        r_s = 2.5
+        k = SNOW["extinction_per_rate"] * r_s
+        out = apply_snow(frame, r_s=r_s, seed=0, snow_class=22, **SNOW)
 
         assert np.linalg.norm(out.cloud.xyz[7].astype(np.float64)) == pytest.approx(
             r[7] / 2, rel=1e-5
@@ -237,15 +246,15 @@ class TestSnow:
 
     def test_sampled_snow_deterministic(self):
         frame = simple_frame(n=400, seed=9)
-        a = apply_snow(frame, r_s=2.5, seed=11, snow_class=22)
-        b = apply_snow(frame, r_s=2.5, seed=11, snow_class=22)
+        a = apply_snow(frame, r_s=2.5, seed=11, snow_class=22, **SNOW)
+        b = apply_snow(frame, r_s=2.5, seed=11, snow_class=22, **SNOW)
         assert a.cloud.equals(b.cloud)
         assert np.array_equal(a.provenance, b.provenance)
 
     def test_rate_monotone_in_hits(self):
         frame = simple_frame(n=2000, seed=10)
-        light = apply_snow(frame, r_s=0.5, seed=3, snow_class=22)
-        heavy = apply_snow(frame, r_s=2.5, seed=3, snow_class=22)
+        light = apply_snow(frame, r_s=0.5, seed=3, snow_class=22, **SNOW)
+        heavy = apply_snow(frame, r_s=2.5, seed=3, snow_class=22, **SNOW)
         n_light = (light.provenance == Provenance.INJECTED_SNOW).sum()
         n_heavy = (heavy.provenance == Provenance.INJECTED_SNOW).sum()
         assert n_heavy > n_light > 0
@@ -279,21 +288,21 @@ class TestBeamMissing:
     def test_zero_identity(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10
         frame = CorruptedFrame(cloud)
-        part = partition_beams(cloud, 64)
+        part = partition(cloud, 64)
         assert_identity(frame, apply_beam_missing(frame, part, m=0, seed=0))
 
     def test_all_beams_empty_cloud(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10
-        part = partition_beams(cloud, 64)
+        part = partition(cloud, 64)
         out = apply_beam_missing(CorruptedFrame(cloud), part, m=64, seed=0)
         assert len(out.cloud) == 0
 
     def test_count_oracle(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10
-        part = partition_beams(cloud, 64)
+        part = partition(cloud, 64)
         out = apply_beam_missing(CorruptedFrame(cloud), part, m=16, seed=5)
         assert len(out.cloud) == 480
-        out_part = partition_beams(out.cloud, 64)
+        out_part = partition(out.cloud, 64)
         assert len(set(out_part.beam_of.tolist())) == 48
 
     def test_survivors_bitwise_equal_and_ordered(self, beam_cloud_64x10):
@@ -303,7 +312,7 @@ class TestBeamMissing:
             np.zeros(len(cloud), np.uint16),
         )
         frame = CorruptedFrame(cloud, labels)
-        part = partition_beams(cloud, 64)
+        part = partition(cloud, 64)
         out = apply_beam_missing(frame, part, m=32, seed=6)
         # reconstruct the surviving index set from instance... use xyz match
         survivor_rows = {tuple(row) for row in out.cloud.xyz.tolist()}
@@ -315,7 +324,7 @@ class TestBeamMissing:
 
     def test_m_out_of_range(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10
-        part = partition_beams(cloud, 64)
+        part = partition(cloud, 64)
         with pytest.raises(ValueError):
             apply_beam_missing(CorruptedFrame(cloud), part, m=65, seed=0)
 
@@ -435,7 +444,7 @@ class TestCrossSensor:
     def test_full_retention_identity(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10
         frame = CorruptedFrame(cloud)
-        part = partition_beams(cloud, 64)
+        part = partition(cloud, 64)
         out = apply_cross_sensor(frame, part, beams_kept=64, subsample_keep=1.0)
         assert_identity(frame, out)
 
@@ -447,7 +456,7 @@ class TestCrossSensor:
             intensity=np.arange(4, dtype=np.float32) / 4,
             ring=np.zeros(4, np.int32),
         )
-        part = partition_beams(cloud, 1)
+        part = partition(cloud, 1)
         out = apply_cross_sensor(
             CorruptedFrame(cloud), part, beams_kept=1, subsample_keep=0.5
         )
@@ -455,7 +464,7 @@ class TestCrossSensor:
 
     def test_count_oracle(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10
-        part = partition_beams(cloud, 64)
+        part = partition(cloud, 64)
         out = apply_cross_sensor(
             CorruptedFrame(cloud), part, beams_kept=16, subsample_keep=0.5
         )
@@ -474,7 +483,7 @@ class TestCrossSensor:
             intensity=np.zeros(len(rows), np.float32),
             ring=np.array(ring, np.int32),
         )
-        part = partition_beams(cloud, 5)
+        part = partition(cloud, 5)
         out = apply_cross_sensor(
             CorruptedFrame(cloud), part, beams_kept=5, subsample_keep=0.5
         )
@@ -495,7 +504,7 @@ class TestCrossSensor:
             intensity=rng.uniform(0, 1, n).astype(np.float32),
             ring=ring,
         )
-        part = partition_beams(cloud, 32)
+        part = partition(cloud, 32)
         stride = max(1, int(round(1.0 / subsample_keep)))
         for beams_kept in (1, 5, 16, 32):
             kept_beams = np.floor(np.arange(beams_kept) * 32 / beams_kept).astype(int)
@@ -509,9 +518,10 @@ class TestCrossSensor:
 
     def test_beams_out_of_range(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10
-        part = partition_beams(cloud, 64)
+        part = partition(cloud, 64)
         with pytest.raises(ValueError):
-            apply_cross_sensor(CorruptedFrame(cloud), part, beams_kept=65)
+            apply_cross_sensor(CorruptedFrame(cloud), part, beams_kept=65,
+                               subsample_keep=PARAMS["subsample_keep"])
 
 
 class TestDispatcher:
@@ -629,22 +639,19 @@ def _nan_or_negative_cases():
     cases = []
     for bad in (nan, -1.0, math.inf):
         cases += [
-            (lambda f, v=bad: apply_fog(f, alpha=v, beta_bs=0.008, seed=0), "alpha"),
-            (lambda f, v=bad: apply_fog(f, alpha=0.01, beta_bs=v, seed=0), "beta_bs"),
-            (lambda f, v=bad: apply_snow(f, r_s=v, seed=0), "r_s"),
+            (lambda f, v=bad: apply_fog(f, alpha=v, beta_bs=0.008, seed=0, **FOG), "alpha"),
+            (lambda f, v=bad: apply_fog(f, alpha=0.01, beta_bs=v, seed=0, **FOG), "beta_bs"),
+            (lambda f, v=bad: apply_snow(f, r_s=v, seed=0, **SNOW), "r_s"),
             (lambda f, v=bad: apply_motion_blur(f, sigma_t=v, seed=0), "sigma_t"),
             (lambda f, v=bad: apply_crosstalk(f, k_t=0.5, sigma_c=v, seed=0), "sigma_c"),
-            (lambda f, v=bad: apply_wet_ground(f, ground, d_w=v), "d_w"),
+            (lambda f, v=bad: apply_wet_ground(f, ground, d_w=v, **WET), "d_w"),
         ]
-    for bad in (nan, -1.0, -math.inf):
-        cases.append((lambda f, v=bad: apply_snow(
-            f, r_s=1.0, seed=0, particle_distances=np.full(50, v)), "particle_distances"))
     return cases
 
 
 class TestBadStrengths:
-    """A NaN, negative or infinite strength, or a negative or NaN particle
-    distance, raises a ValueError that names its parameter."""
+    """A NaN, negative or infinite strength raises a ValueError that names
+    its parameter."""
 
     @pytest.mark.parametrize("call, name", _nan_or_negative_cases())
     def test_rejected_by_name(self, call, name):

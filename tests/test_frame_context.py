@@ -13,8 +13,10 @@ from lidarcorrupt import (
     fit_ground_ransac,
     load_profile,
     write_kitti_scan,
+    write_scan,
+    write_semkitti_labels,
 )
-from lidarcorrupt import cli, corruptions
+from lidarcorrupt import cli, corruptions, geometry
 from lidarcorrupt.geometry import BeamPartition, GroundModel, lstsq_plane
 from lidarcorrupt.corruptions import (
     CorruptedFrame,
@@ -164,14 +166,15 @@ def test_label_ground_plane_is_the_least_squares_fit(n_ground):
     assert GroundModel.from_mask(frame.cloud.xyz, mask).plane == ground.plane
 
 
-@pytest.mark.parametrize("profile_name,ransac", [("kitti", 1), ("semantickitti", 0)])
-def test_derived_structures_built_once_per_frame(profile_name, ransac, tmp_path,
-                                                 monkeypatch):
-    calls = {"partition": 0, "ransac": 0, "contains": 0, "ranges": 0, "ranks": 0}
+@pytest.fixture
+def calls(monkeypatch):
+    """How often each derived structure is computed, by name, from here on.
+    Point ranges count from `corruptions` and from `geometry` alike."""
+    counts = dict.fromkeys(("partition", "ransac", "contains", "ranges", "ranks"), 0)
 
     def spy(name, fn):
         def counted(*args, **kwargs):
-            calls[name] += 1
+            counts[name] += 1
             return fn(*args, **kwargs)
         return counted
 
@@ -179,12 +182,17 @@ def test_derived_structures_built_once_per_frame(profile_name, ransac, tmp_path,
                         spy("partition", corruptions.partition_beams))
     monkeypatch.setattr(corruptions, "fit_ground_ransac",
                         spy("ransac", corruptions.fit_ground_ransac))
-    monkeypatch.setattr(corruptions, "point_ranges",
-                        spy("ranges", corruptions.point_ranges))
+    for module in (corruptions, geometry):
+        monkeypatch.setattr(module, "point_ranges", spy("ranges", module.point_ranges))
     ranks = cached_property(spy("ranks", BeamPartition.ranks.func))
     ranks.__set_name__(BeamPartition, "ranks")
     monkeypatch.setattr(BeamPartition, "ranks", ranks)
     monkeypatch.setattr(BoxSet, "contains", spy("contains", BoxSet.contains))
+    return counts
+
+
+@pytest.mark.parametrize("profile_name,ransac", [("kitti", 1), ("semantickitti", 0)])
+def test_derived_structures_built_once_per_frame(profile_name, ransac, tmp_path, calls):
     src = write_dataset(tmp_path / "in", profile_name, n_frames=2)
     manifest = cli.run_corrupt(cli.RunConfig(
         profile_name=profile_name, input_root=src, output_root=tmp_path / "out", seed=3))
@@ -192,6 +200,54 @@ def test_derived_structures_built_once_per_frame(profile_name, ransac, tmp_path,
     assert len({(e["frame"], e["kind"], e["severity"]) for e in manifest["entries"]}) == 48
     assert calls == {"partition": 2, "ransac": 2 * ransac, "contains": 2 * ransac,
                      "ranges": 2, "ranks": 2}
+
+
+def test_ringless_partition_reads_the_frame_ranges(calls):
+    # Fog reads the ranges and the beam partition bins by elevation from them.
+    profile = load_profile("semantickitti")
+    frame = labelled_frame(seed=1)
+    ctx = FrameContext(frame, profile, seed=4)
+    for kind in (CorruptionKind.FOG, CorruptionKind.BEAM_MISSING):
+        apply(CorruptionSpec(kind, Severity.HEAVY, seed=4), frame, profile, ctx)
+    assert (calls["ranges"], calls["partition"]) == (1, 1)
+
+
+# Another in-range value for each plain `params` key. The `ransac_*` keys
+# are read only where RANSAC finds the ground: on an unlabelled kitti frame.
+PARAM_CHANGES = {
+    "fog_beta_0": 20.0, "fog_response_distance": 80.0, "fog_scatter_fraction": [0.2, 0.9],
+    "wet_kappa_per_mm": 0.5, "wet_noise_floor": 0.3,
+    "snow_particles_per_meter_per_rate": 0.02, "snow_extinction_per_rate": 0.05,
+    "snow_reflectivity": 0.9, "snow_min_particle_range": 5.0,
+    "crosstalk_sigma": 1.0, "ransac_iterations": 3, "ransac_threshold": 0.5,
+    "subsample_keep": 0.25,
+}
+
+
+def output_bytes(frame, profile):
+    """Every output of `frame` under `profile`, encoded as `corrupt` writes it."""
+    ctx = FrameContext(frame, profile, seed=3)
+    outputs = []
+    for kind in CorruptionKind:
+        for severity in Severity:
+            out = apply(CorruptionSpec(kind, severity, seed=3), frame, profile, ctx)
+            labels = b"" if out.labels is None else write_semkitti_labels(out.labels)
+            outputs.append(bytes(write_scan(out.cloud, profile)) + labels)
+    return outputs
+
+
+def test_param_changes_cover_every_param():
+    assert sorted(PARAM_CHANGES) == sorted(load_profile("semantickitti").params)
+
+
+@pytest.mark.parametrize("key", sorted(PARAM_CHANGES))
+def test_every_param_reaches_an_output(key):
+    ransac = key.startswith("ransac_")
+    profile = load_profile("kitti" if ransac else "semantickitti")
+    frame = boxed_frame(seed=2) if ransac else labelled_frame(seed=2)
+    changed = profile.with_overrides({key: PARAM_CHANGES[key]})
+    assert changed.params[key] != profile.params[key]
+    assert output_bytes(frame, changed) != output_bytes(frame, profile)
 
 
 def test_failing_structure_fails_only_the_outputs_that_need_it(tmp_path):

@@ -21,7 +21,7 @@ from lidarcorrupt import (
 from lidarcorrupt import geometry
 from lidarcorrupt.rng import make_rng
 
-from conftest import make_beam_cloud
+from conftest import RANSAC, make_beam_cloud
 
 
 def cloud_from_xyz(xyz, frame_id="f"):
@@ -58,7 +58,7 @@ class TestRansac:
         return cloud_from_xyz(np.vstack([ground, outliers]))
 
     def test_recovers_plane(self):
-        model = fit_ground_ransac(self._ground_fixture(), seed=1)
+        model = fit_ground_ransac(self._ground_fixture(), seed=1, **RANSAC)
         a, b, c, d = model.plane
         assert (a, b) == pytest.approx((0.0, 0.0), abs=1e-6)
         assert c == pytest.approx(1.0, abs=1e-6)
@@ -68,39 +68,40 @@ class TestRansac:
         assert not model.inlier_mask[100:].any()
 
     def test_unit_normal_upward(self):
-        model = fit_ground_ransac(self._ground_fixture(seed=4), seed=9)
+        model = fit_ground_ransac(self._ground_fixture(seed=4), seed=9, **RANSAC)
         a, b, c, _ = model.plane
         assert a * a + b * b + c * c == pytest.approx(1.0, abs=1e-6)
         assert c >= 0
 
     def test_three_points_exact(self):
         pc = cloud_from_xyz([[0, 0, 0], [1, 0, 0], [0, 1, 1]])
-        model = fit_ground_ransac(pc, seed=0)
+        model = fit_ground_ransac(pc, seed=0, **RANSAC)
         assert model.inlier_mask.all()
         assert model.distances(pc.xyz).max() < 1e-9
 
     def test_two_points_rejected(self):
         with pytest.raises(NoPlaneError):
-            fit_ground_ransac(cloud_from_xyz([[0, 0, 0], [1, 1, 1]]), seed=0)
+            fit_ground_ransac(cloud_from_xyz([[0, 0, 0], [1, 1, 1]]), seed=0, **RANSAC)
 
     def test_collinear_rejected(self):
         pc = cloud_from_xyz([[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3]])
         with pytest.raises(NoPlaneError):
-            fit_ground_ransac(pc, seed=0)
+            fit_ground_ransac(pc, seed=0, **RANSAC)
 
     def test_same_seed_same_plane(self):
         pc = self._ground_fixture(seed=2)
-        m1 = fit_ground_ransac(pc, seed=42)
-        m2 = fit_ground_ransac(pc, seed=42)
+        m1 = fit_ground_ransac(pc, seed=42, **RANSAC)
+        m2 = fit_ground_ransac(pc, seed=42, **RANSAC)
         assert m1.plane == m2.plane
         assert np.array_equal(m1.inlier_mask, m2.inlier_mask)
 
     def test_inliers_satisfy_threshold(self):
         pc = self._ground_fixture(seed=3)
-        model = fit_ground_ransac(pc, inlier_threshold=0.15, seed=5)
+        model = fit_ground_ransac(pc, seed=5, **RANSAC)
         dist = model.distances(pc.xyz)
-        assert (dist[model.inlier_mask] <= 0.15).all()
-        assert (dist[~model.inlier_mask] > 0.15).all()
+        threshold = RANSAC["inlier_threshold"]
+        assert (dist[model.inlier_mask] <= threshold).all()
+        assert (dist[~model.inlier_mask] > threshold).all()
 
 
 
@@ -225,22 +226,23 @@ class TestGroundMaskFromLabels:
 class TestPartitionBeams:
     def test_ring_passthrough(self):
         cloud, true_beam = make_beam_cloud(with_ring=True)
-        part = partition_beams(cloud, load_profile("semantickitti").beam_count)
+        beam_count = load_profile("semantickitti").beam_count
+        part = partition_beams(cloud, beam_count, point_ranges(cloud.xyz))
         assert np.array_equal(part.beam_of, true_beam)
 
     def test_elevation_recovers_generating_beam(self):
         cloud, true_beam = make_beam_cloud(with_ring=False)
-        part = partition_beams(cloud, 64)
+        part = partition_beams(cloud, 64, point_ranges(cloud.xyz))
         assert np.array_equal(part.beam_of, true_beam)
 
     def test_single_point_assigned(self):
         pc = cloud_from_xyz([[5.0, 0.0, 1.0]])
-        part = partition_beams(pc, 64)
+        part = partition_beams(pc, 64, point_ranges(pc.xyz))
         assert 0 <= part.beam_of[0] < 64
 
     def test_monotone_in_elevation(self):
         cloud, _ = make_beam_cloud(beams=16, points_per_beam=7, with_ring=False)
-        part = partition_beams(cloud, 16)
+        part = partition_beams(cloud, 16, point_ranges(cloud.xyz))
         xyz = cloud.xyz.astype(np.float64)
         elev = np.arcsin(xyz[:, 2] / np.linalg.norm(xyz, axis=1))
         order = np.argsort(elev)
@@ -248,7 +250,7 @@ class TestPartitionBeams:
 
     def test_every_point_assigned(self):
         cloud, _ = make_beam_cloud(beams=32, points_per_beam=3, with_ring=False)
-        part = partition_beams(cloud, 32)
+        part = partition_beams(cloud, 32, point_ranges(cloud.xyz))
         assert ((part.beam_of >= 0) & (part.beam_of < 32)).all()
 
 

@@ -6,10 +6,13 @@ for any input. `point_ranges` is held to `np.linalg.norm(axis=1)` bit for
 bit, so that a faster form of it must sum in the same order.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lidarcorrupt import corruptions
 from lidarcorrupt.corruptions import (
     CorruptedFrame,
     Provenance,
@@ -22,6 +25,8 @@ from lidarcorrupt.geometry import lstsq_plane, partition_beams, point_ranges
 from lidarcorrupt.rng import make_rng
 from lidarcorrupt.scan_io import _pack, write_semkitti_labels
 from lidarcorrupt.types import LabelArray, PointCloud
+
+from conftest import FOG, SNOW
 
 # --- the replaced code, verbatim ----------------------------------------------
 
@@ -237,7 +242,7 @@ def test_partition_on_sorted_elevation(xyz, beam_count, signed_zero_z):
     if len(pc) == 0:  # returned before the quantile, then as now
         return
     beam_of, elevation, quantiles = partition_reference(pc, beam_count)
-    assert_same_bits(partition_beams(pc, beam_count).beam_of, beam_of)
+    assert_same_bits(partition_beams(pc, beam_count, point_ranges(xyz)).beam_of, beam_of)
     sorted_q = np.quantile(np.sort(elevation), quantiles)
     unsorted_q = np.quantile(elevation, quantiles)
     # Equal as values; only a zero boundary may differ in its sign, which
@@ -286,8 +291,9 @@ def test_lstsq_gathers_same_rows(xyz, share, as_float64, seed):
 def test_fog_by_index(frame, alpha, beta_bs, seed, fog_class):
     if len(frame.cloud) == 0:
         return
-    out = apply_fog(frame, alpha, beta_bs, seed, fog_class=fog_class)
-    assert_same_frame(out, fog_reference(frame, alpha, beta_bs, seed, fog_class=fog_class))
+    out = apply_fog(frame, alpha, beta_bs, seed, fog_class=fog_class, **FOG)
+    assert_same_frame(out, fog_reference(frame, alpha, beta_bs, seed, fog_class=fog_class,
+                                         **FOG))
 
 
 @settings(max_examples=150, deadline=None)
@@ -305,15 +311,17 @@ def test_particle_sampler_by_index(frame, r_s, seed, min_range):
 def test_snow_by_index(frame, r_s, seed, snow_class, override):
     if len(frame.cloud) == 0:
         return
-    distances = None
+    distances, sampler = None, corruptions.sample_particle_distances
     if override:  # a field with zeros, infs and distances past the returns
         rng = np.random.default_rng(seed % 2**32)
         distances = rng.uniform(0, 80, len(frame.cloud))
         distances[rng.uniform(size=len(distances)) < 0.3] = np.inf
         distances[rng.uniform(size=len(distances)) < 0.05] = 0.0
-    out = apply_snow(frame, r_s, seed, snow_class=snow_class, particle_distances=distances)
+        sampler = lambda *args: distances  # noqa: E731
+    with mock.patch.object(corruptions, "sample_particle_distances", sampler):
+        out = apply_snow(frame, r_s, seed, snow_class=snow_class, **SNOW)
     assert_same_frame(out, snow_reference(frame, r_s, seed, snow_class=snow_class,
-                                          particle_distances=distances))
+                                          particle_distances=distances, **SNOW))
 
 
 @settings(max_examples=100, deadline=None)

@@ -27,7 +27,7 @@ from lidarcorrupt.corruptions import (
 )
 from lidarcorrupt.geometry import GroundModel
 
-from conftest import BOXES
+from conftest import BOXES, FOG, SNOW, WET
 
 BEAMS = 4
 INJECTED = 99  # the class id injected points take; no input label has it
@@ -71,15 +71,15 @@ def run(kind, case, strength, seed, class_id=INJECTED):
     frame, ground, vehicles = case
     if kind == "fog":
         return apply_fog(frame, alpha=0.05 * strength, beta_bs=strength, seed=seed,
-                         fog_class=class_id)
+                         fog_class=class_id, **FOG)
     if kind == "wet_ground":
         return apply_wet_ground(frame, GroundModel.from_mask(frame.cloud.xyz, ground),
-                                d_w=3.0 * strength)
+                                d_w=3.0 * strength, **WET)
     if kind == "snow":
-        return apply_snow(frame, r_s=20.0 * strength, seed=seed, snow_class=class_id)
+        return apply_snow(frame, r_s=20.0 * strength, seed=seed, snow_class=class_id, **SNOW)
     if kind == "motion_blur":
         return apply_motion_blur(frame, sigma_t=0.5 * strength, seed=seed)
-    partition = partition_beams(frame.cloud, BEAMS)
+    partition = partition_beams(frame.cloud, BEAMS, frame.ranges)
     if kind == "beam_missing":
         return apply_beam_missing(frame, partition, m=round(strength * BEAMS), seed=seed)
     if kind == "crosstalk":
@@ -139,7 +139,7 @@ def test_outputs_stay_aligned_finite_and_reproducible(kind, case, strength, seed
     if kind == "crosstalk":
         assert moved.sum() == round(strength * n)
     if kind in ("beam_missing", "cross_sensor"):
-        beam_of = partition_beams(frame.cloud, BEAMS).beam_of
+        beam_of = partition_beams(frame.cloud, BEAMS, frame.ranges).beam_of
         kept_beams, counts = np.unique(beam_of[source], return_counts=True)
         if kind == "beam_missing":  # whole beams are dropped: m of them, some maybe empty
             m, empty = round(strength * BEAMS), BEAMS - len(np.unique(beam_of))

@@ -20,13 +20,15 @@ def python_blocks(text):
 def test_readme_python_blocks_run(tmp_path):
     root = write_dataset(tmp_path / "08", "semantickitti", n_frames=2)
     blocks = python_blocks(README.read_text())
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     namespace = {}
     for block in blocks:  # later blocks use names the earlier ones define
         exec(block.replace("/data/sequences/08", str(root)), namespace)
     assert namespace["frame"].cloud.frame_id == "000000"
     assert len(namespace["outs"]) == 24
     assert namespace["cloud"].frame_id == "000001"
+    assert not namespace["snowed"].cloud.equals(namespace["frame"].cloud)
+    assert 0 < len(namespace["thinned"].cloud) < len(namespace["frame"].cloud)
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(lidarcorrupt.__path__)])

@@ -29,6 +29,8 @@ from lidarcorrupt import (
 )
 from lidarcorrupt.cli import RunConfig, run_corrupt
 
+from conftest import NUSCENES_BEAMS
+
 
 def random_cloud(rng, n, with_ring=False, beam_count=32):
     return PointCloud(
@@ -81,29 +83,29 @@ class TestKittiScan:
 
 class TestNuscenesScan:
     def test_single_zero_point(self):
-        pc = read_nuscenes_scan(bytes(20))
+        pc = read_nuscenes_scan(bytes(20), beam_count=NUSCENES_BEAMS)
         assert len(pc) == 1
         assert pc.ring.tolist() == [0]
 
     def test_ring_boundary(self):
         raw = struct.pack("<5f", 0, 0, 0, 0, 31.0)
-        assert read_nuscenes_scan(raw).ring.tolist() == [31]
+        assert read_nuscenes_scan(raw, beam_count=NUSCENES_BEAMS).ring.tolist() == [31]
 
     def test_ring_out_of_range(self):
         raw = struct.pack("<5f", 0, 0, 0, 0, 32.0)
         with pytest.raises(CorruptScanError, match="ring"):
-            read_nuscenes_scan(raw)
+            read_nuscenes_scan(raw, beam_count=NUSCENES_BEAMS)
 
     def test_bad_length(self):
         with pytest.raises(MalformedScanError):
-            read_nuscenes_scan(bytes(19))
+            read_nuscenes_scan(bytes(19), beam_count=NUSCENES_BEAMS)
 
     def test_random_roundtrip(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             pc = random_cloud(rng, int(rng.integers(0, 500)), with_ring=True)
             raw = write_nuscenes_scan(pc)
-            back = read_nuscenes_scan(raw)
+            back = read_nuscenes_scan(raw, beam_count=NUSCENES_BEAMS)
             assert back.equals(pc)
             assert write_nuscenes_scan(back) == raw
 
