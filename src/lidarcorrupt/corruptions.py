@@ -27,7 +27,7 @@ from .geometry import (
     partition_beams,
     point_ranges,
 )
-from .profiles import CorruptionKind, DatasetProfile, Severity
+from .profiles import KINDS, CorruptionKind, DatasetProfile, Severity
 from .rng import derive_seed, make_rng
 from .types import INTENSITY_TOLERANCE, BoxSet, LabelArray, PointCloud, row_indices
 
@@ -465,7 +465,9 @@ class FrameContext:
 
     @cached_property
     def partition(self) -> BeamPartition:
-        return partition_beams(self.frame.cloud, int(self.profile.beam_count), self.frame.ranges)
+        cloud = self.frame.cloud  # the ranges go unread with a ring channel
+        return partition_beams(cloud, int(self.profile.beam_count),
+                               None if cloud.ring is not None else self.frame.ranges)
 
     @cached_property
     def ground(self) -> GroundModel:
@@ -502,6 +504,18 @@ class FrameContext:
         )
 
 
+# What each operator takes besides `frame` and its `KINDS` keywords: the
+# output's seed, a FrameContext structure or the profile's injected class id.
+_EXTRAS = {
+    CorruptionKind.FOG: ("seed", "fog_class"), CorruptionKind.WET_GROUND: ("ground",),
+    CorruptionKind.SNOW: ("seed", "snow_class"), CorruptionKind.MOTION_BLUR: ("seed",),
+    CorruptionKind.BEAM_MISSING: ("partition", "seed"),
+    CorruptionKind.CROSSTALK: ("seed", "crosstalk_class"),
+    CorruptionKind.INCOMPLETE_ECHO: ("vehicle_mask", "seed"),
+    CorruptionKind.CROSS_SENSOR: ("partition",),
+}
+
+
 def apply(
     spec: CorruptionSpec,
     frame: CorruptedFrame,
@@ -511,11 +525,12 @@ def apply(
     """Apply one corruption at one severity, resolving parameters from the profile.
 
     Derives the operator seed from (spec.seed, frame id, kind, severity), so
-    any single corrupted frame is reproducible in isolation. Prerequisite
-    structures (ground, beam partition, vehicle mask) come from `ctx`, which
-    callers corrupting one frame many times build once with
-    `FrameContext(frame, profile, spec.seed)`. Without one, a throwaway
-    context is built, with the same result.
+    any single corrupted frame is reproducible in isolation. `apply_<kind>`
+    gets the profile values `profiles.KINDS` names, an ``_axis`` one drawn
+    with that seed. Prerequisite structures (ground, beam partition, vehicle
+    mask) come from `ctx`, which callers corrupting one frame many times
+    build once with `FrameContext(frame, profile, spec.seed)`. Without one,
+    a throwaway context is built, with the same result.
 
     Raises:
         ValueError: `ctx` was built for another frame, profile or seed.
@@ -524,73 +539,17 @@ def apply(
         ctx = FrameContext(frame, profile, spec.seed)
     elif ctx.frame is not frame or ctx.profile is not profile or ctx.seed != spec.seed:
         raise ValueError("frame context was built for another frame, profile or seed")
-    seed = derive_seed(spec.seed, frame.cloud.frame_id, spec.kind, spec.severity)
-    kind, params = spec.kind, profile.params
+    kind = spec.kind
+    seed = derive_seed(spec.seed, frame.cloud.frame_id, kind, spec.severity)
     entry = profile.severity_params(kind, spec.severity)
-
-    if kind is CorruptionKind.FOG:
-        return apply_fog(
-            frame,
-            alpha=float(make_rng("fog-alpha", seed).choice(entry["alpha_axis"])),
-            beta_bs=float(entry["beta_bs"]),
-            seed=seed,
-            beta_0=float(params["fog_beta_0"]),
-            response_distance=float(params["fog_response_distance"]),
-            scatter_fraction=tuple(params["fog_scatter_fraction"]),
-            fog_class=profile.fog_class,
-        )
-    if kind is CorruptionKind.WET_GROUND:
-        return apply_wet_ground(
-            frame,
-            ground=ctx.ground,
-            d_w=float(entry["water_height_mm"]),
-            i_n=float(params["wet_noise_floor"]),
-            kappa_per_mm=float(params["wet_kappa_per_mm"]),
-        )
-    if kind is CorruptionKind.SNOW:
-        return apply_snow(
-            frame,
-            r_s=float(entry["snowfall_rate"]),
-            seed=seed,
-            snow_class=profile.snow_class,
-            particles_per_meter_per_rate=float(params["snow_particles_per_meter_per_rate"]),
-            extinction_per_rate=float(params["snow_extinction_per_rate"]),
-            reflectivity=float(params["snow_reflectivity"]),
-            min_particle_range=float(params["snow_min_particle_range"]),
-        )
-    if kind is CorruptionKind.MOTION_BLUR:
-        return apply_motion_blur(
-            frame,
-            sigma_t=float(entry["sigma_t"]),
-            seed=seed,
-        )
-    if kind is CorruptionKind.BEAM_MISSING:
-        return apply_beam_missing(
-            frame,
-            ctx.partition,
-            m=int(entry["beams_dropped"]),
-            seed=seed,
-        )
-    if kind is CorruptionKind.CROSSTALK:
-        return apply_crosstalk(
-            frame,
-            k_t=float(entry["fraction"]),
-            sigma_c=float(params["crosstalk_sigma"]),
-            seed=seed,
-            crosstalk_class=profile.crosstalk_class,
-        )
-    if kind is CorruptionKind.INCOMPLETE_ECHO:
-        return apply_incomplete_echo(
-            frame,
-            ctx.vehicle_mask,
-            k_e=float(entry["fraction"]),
-            seed=seed,
-        )
-    if kind is CorruptionKind.CROSS_SENSOR:
-        return apply_cross_sensor(
-            frame,
-            ctx.partition,
-            beams_kept=int(entry["beams_kept"]),
-            subsample_keep=float(params["subsample_keep"]),
-        )
-    raise ValueError(f"unknown corruption kind {kind!r}")
+    kwargs = {}
+    for keyword, (key, cast) in KINDS[kind].items():
+        name = key.partition(".")[2]
+        value = entry[name] if name else profile.params[key]
+        if key.endswith("_axis"):
+            value = make_rng(f"{kind}-{keyword}", seed).choice(value)
+        kwargs[keyword] = cast(value)
+    for name in _EXTRAS[kind]:  # ctx builds only the structures named here
+        kwargs[name] = seed if name == "seed" else getattr(
+            profile if name.endswith("_class") else ctx, name)
+    return globals()[f"apply_{kind}"](frame, **kwargs)  # a wrapper set on the module runs

@@ -191,16 +191,17 @@ class BeamPartition:
         return ranks
 
 
-def partition_beams(pc: PointCloud, beam_count: int, ranges: np.ndarray) -> BeamPartition:
+def partition_beams(pc: PointCloud, beam_count: int,
+                    ranges: Optional[np.ndarray]) -> BeamPartition:
     """Assign every point to one of `beam_count` beams.
 
     Uses the ring channel verbatim when present. Otherwise points are bucketed
     into `beam_count` equal-count bins of elevation angle asin(z / range),
     with beam ids ordered by descending elevation; `ranges` are the points'
-    `point_ranges` (a frame caches them as `CorruptedFrame.ranges`). The
-    quantiles are taken of the sorted angles: a quantile reads only order
-    statistics, so it is the same value, and the selection runs faster on
-    sorted input.
+    `point_ranges` (a frame caches them as `CorruptedFrame.ranges`), and go
+    unread, so may be None, with a ring channel. The quantiles are taken of
+    the sorted angles: a quantile reads only order statistics, so it is the
+    same value, and the selection runs faster on sorted input.
     """
     if pc.ring is not None:
         return BeamPartition(beam_of=pc.ring.astype(np.int64), beam_count=beam_count)

@@ -7,9 +7,10 @@ vehicle queries, and the synthetic class ids assigned to injected fog, snow,
 and crosstalk points. `load_profile` can read another directory's tables.
 
 A profile is checked whole when it is built, from a table (values as
-written) or by `with_overrides`: its keys must be those of `_ENTRIES`, with
-values of their shape there, `requires_labels` true or false, and each value
-in its range (`_RANGES`). ProfileError reads
+written) or by `with_overrides`: its keys must be those of `_ENTRIES` (from
+`KINDS`, the one list of what each corruption reads), with values of their
+shape there, `requires_labels` true or false, and each value in its range
+(`_RANGES`). ProfileError reads
 ``PROFILE: KEY must be ...``, or names a missing or unknown key.
 """
 
@@ -29,6 +30,7 @@ __all__ = [
     "CorruptionKind",
     "Severity",
     "DatasetProfile",
+    "KINDS",
     "load_profile",
     "available_profiles",
 ]
@@ -67,9 +69,10 @@ class Severity(str, enum.Enum):
 class DatasetProfile:
     """All per-dataset constants needed to corrupt and score one dataset.
 
-    `severity` maps corruption name -> parameter name -> value. Parameter
-    names ending in ``_axis`` are frame-level sampling axes; every other
-    entry is a [light, moderate, heavy] triple. `params` holds dataset-wide
+    `severity` maps corruption name -> parameter name -> value. An ``_axis``
+    entry is a list that `corruptions.apply` draws from once per output, so
+    each severity of a frame draws its own value; every other entry is a
+    [light, moderate, heavy] triple. `params` holds dataset-wide
     engineering constants (noise floors, sigma defaults, RANSAC settings).
     Class ids are whole numbers in [0, 65535] (semantic ids are 16-bit),
     box classes whole numbers. The three class-id sets are given as lists
@@ -188,20 +191,40 @@ _PAIR = "a list of 2 numbers"
 _TRIPLE = "a 3-entry severity triple of numbers"
 _AXIS = "a nonempty list of numbers"
 
-# Every `params` key and severity-table entry ("kind.name") a profile has,
-# no more and no fewer, with the shape of its value.
+# What each corruption reads: operator keyword -> (profile key, cast). A
+# dotted key ("kind.name") is a severity-table entry, one ending in "_axis" a
+# list that `corruptions.apply` draws from, any other a `params` constant.
+KINDS = {
+    CorruptionKind.FOG: {
+        "alpha": ("fog.alpha_axis", float), "beta_bs": ("fog.beta_bs", float),
+        "beta_0": ("fog_beta_0", float), "response_distance": ("fog_response_distance", float),
+        "scatter_fraction": ("fog_scatter_fraction", tuple)},
+    CorruptionKind.WET_GROUND: {
+        "d_w": ("wet_ground.water_height_mm", float), "i_n": ("wet_noise_floor", float),
+        "kappa_per_mm": ("wet_kappa_per_mm", float)},
+    CorruptionKind.SNOW: {
+        "r_s": ("snow.snowfall_rate", float), "reflectivity": ("snow_reflectivity", float),
+        "particles_per_meter_per_rate": ("snow_particles_per_meter_per_rate", float),
+        "extinction_per_rate": ("snow_extinction_per_rate", float),
+        "min_particle_range": ("snow_min_particle_range", float)},
+    CorruptionKind.MOTION_BLUR: {"sigma_t": ("motion_blur.sigma_t", float)},
+    CorruptionKind.BEAM_MISSING: {"m": ("beam_missing.beams_dropped", int)},
+    CorruptionKind.CROSSTALK: {
+        "k_t": ("crosstalk.fraction", float), "sigma_c": ("crosstalk_sigma", float)},
+    CorruptionKind.INCOMPLETE_ECHO: {"k_e": ("incomplete_echo.fraction", float)},
+    CorruptionKind.CROSS_SENSOR: {
+        "beams_kept": ("cross_sensor.beams_kept", int),
+        "subsample_keep": ("subsample_keep", float)},
+}
+
+# Every `params` key and severity-table entry a profile has, no more and no
+# fewer, with the shape of its value: those of `KINDS` (a tuple is a pair),
+# then the RANSAC settings that `corruptions.FrameContext.ground` reads.
 _ENTRIES = {
-    **dict.fromkeys((
-        "fog_beta_0", "fog_response_distance", "wet_kappa_per_mm", "wet_noise_floor",
-        "snow_particles_per_meter_per_rate", "snow_extinction_per_rate", "snow_reflectivity",
-        "snow_min_particle_range", "crosstalk_sigma", "ransac_iterations", "ransac_threshold",
-        "subsample_keep"), _NUMBER),
-    "fog_scatter_fraction": _PAIR,
-    "fog.alpha_axis": _AXIS,
-    **dict.fromkeys((
-        "fog.beta_bs", "wet_ground.water_height_mm", "snow.snowfall_rate", "motion_blur.sigma_t",
-        "beam_missing.beams_dropped", "crosstalk.fraction", "incomplete_echo.fraction",
-        "cross_sensor.beams_kept"), _TRIPLE),
+    **{key: _AXIS if key.endswith("_axis") else _TRIPLE if "." in key
+       else _PAIR if cast is tuple else _NUMBER
+       for table in KINDS.values() for key, cast in table.values()},
+    "ransac_iterations": _NUMBER, "ransac_threshold": _NUMBER,
 }
 
 

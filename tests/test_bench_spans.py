@@ -55,6 +55,24 @@ def test_traced_corrupt_maps_every_span(spans, tmp_path):
     assert summary["counts"]["cli.files_written"] == 6
 
 
+def test_traced_corrupt_times_each_operator_once_per_output(spans, tmp_path):
+    """`apply` finds `apply_<kind>` in the module at call time, so the
+    tracer's wrapper times every operator call, inside its dispatch span."""
+    src = write_dataset(tmp_path / "in", "semantickitti", n_frames=1, points_per_beam=2)
+    cfg = RunConfig(profile_name="semantickitti", input_root=src,
+                    output_root=tmp_path / "out")
+    tracer = spans.Tracer()
+    with spans.batch(tracer):
+        manifest = run_corrupt(cfg)
+    assert manifest["failures"] == []
+    outputs = {(e["kind"], e["severity"]) for e in manifest["entries"]}
+    assert len(outputs) == 8 * 3
+    for kind in spans.KINDS:
+        calls = [sp for sp in tracer.spans if sp.name == f"corruptions.{kind}"]
+        assert len(calls) == sum(k == kind for k, _ in outputs) == 3
+        assert all(tracer.spans[sp.parent].name == "corruptions.apply" for sp in calls)
+
+
 def test_traced_nuscenes_corrupt_spans_stay_on_main_thread(spans, tmp_path):
     """The output stage's helper thread calls nothing the tracer wraps: every
     span opens on the main thread, nests, and each written file is counted."""

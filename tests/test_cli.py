@@ -132,15 +132,15 @@ TABLE_EDITS = {
     "intensity_scale '255'": ((*SK, "intensity_scale"), "255"),
     "intensity_scale 10**400": ((*SK, "intensity_scale"), HUGE),
 }
-# Every profile key, in the order a key error lists them.
+# Every profile key, in the order a key error lists them: by corruption kind,
+# as `profiles.KINDS` lists them, then the RANSAC settings.
 VALID_KEYS = (
-    "fog_beta_0, fog_response_distance, wet_kappa_per_mm, wet_noise_floor, "
-    "snow_particles_per_meter_per_rate, snow_extinction_per_rate, snow_reflectivity, "
-    "snow_min_particle_range, crosstalk_sigma, ransac_iterations, ransac_threshold, "
-    "subsample_keep, fog_scatter_fraction, fog.alpha_axis, fog.beta_bs, "
-    "wet_ground.water_height_mm, snow.snowfall_rate, motion_blur.sigma_t, "
-    "beam_missing.beams_dropped, crosstalk.fraction, incomplete_echo.fraction, "
-    "cross_sensor.beams_kept"
+    "fog.alpha_axis, fog.beta_bs, fog_beta_0, fog_response_distance, fog_scatter_fraction, "
+    "wet_ground.water_height_mm, wet_noise_floor, wet_kappa_per_mm, snow.snowfall_rate, "
+    "snow_reflectivity, snow_particles_per_meter_per_rate, snow_extinction_per_rate, "
+    "snow_min_particle_range, motion_blur.sigma_t, beam_missing.beams_dropped, "
+    "crosstalk.fraction, crosstalk_sigma, incomplete_echo.fraction, "
+    "cross_sensor.beams_kept, subsample_keep, ransac_iterations, ransac_threshold"
 )
 
 

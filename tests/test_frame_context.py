@@ -1,6 +1,7 @@
 """Per-frame context: derived structures built once and shared by all outputs."""
 
 import dataclasses
+import inspect
 from functools import cached_property
 
 import numpy as np
@@ -16,7 +17,7 @@ from lidarcorrupt import (
     write_scan,
     write_semkitti_labels,
 )
-from lidarcorrupt import cli, corruptions, geometry
+from lidarcorrupt import cli, corruptions, geometry, profiles
 from lidarcorrupt.geometry import BeamPartition, GroundModel, lstsq_plane
 from lidarcorrupt.corruptions import (
     CorruptedFrame,
@@ -70,8 +71,10 @@ def test_apply_with_and_without_context_bitwise_equal(profile_name):
 
 
 def test_whole_float_beam_count_corrupts_as_its_int():
-    # A table may write beam_count as 64.0; the profile keeps the value as
-    # written and every beam operator reads it as 64.
+    # A table may write beam_count as 64.0, a whole-number key as 16.0 (the
+    # CLI parses `--set KEY=16,32,48` as floats) and a float key as 1. The
+    # profile keeps each value as written, and `apply` casts it as
+    # `profiles.KINDS` says, so each output is bitwise the same.
     profile = load_profile("kitti")
     as_float = dataclasses.replace(profile, beam_count=64.0)
     frame = boxed_frame(seed=3)
@@ -79,6 +82,26 @@ def test_whole_float_beam_count_corrupts_as_its_int():
         for severity in Severity:
             spec = CorruptionSpec(kind, severity, seed=5)
             assert_same(apply(spec, frame, as_float), apply(spec, frame, profile))
+    for key, written, cast in (
+        ("beam_missing.beams_dropped", [16.0, 32.0, 48.0], [16, 32, 48]),
+        ("cross_sensor.beams_kept", [48.0, 32.0, 16.0], [48, 32, 16]),
+        ("ransac_iterations", 200.0, 200),
+        ("motion_blur.sigma_t", [0, 1, 2], [0.0, 1.0, 2.0]),
+        ("wet_ground.water_height_mm", [0, 1, 2], [0.0, 1.0, 2.0]),
+        ("fog_scatter_fraction", [0, 1], [0.0, 1.0]),
+        ("subsample_keep", 1, 1.0),
+    ):
+        pairs = zip(outputs(frame, profile.with_overrides({key: written})),
+                    outputs(frame, profile.with_overrides({key: cast})))
+        for out_written, out_cast in pairs:
+            assert_same(out_written, out_cast)
+
+
+def outputs(frame, profile):
+    """Every kind and severity of `frame` under `profile`, from one context."""
+    ctx = FrameContext(frame, profile, seed=3)
+    return [apply(CorruptionSpec(kind, severity, seed=3), frame, profile, ctx)
+            for kind in CorruptionKind for severity in Severity]
 
 
 def test_context_for_another_frame_rejected():
@@ -212,8 +235,32 @@ def test_ringless_partition_reads_the_frame_ranges(calls):
     assert (calls["ranges"], calls["partition"]) == (1, 1)
 
 
-# Another in-range value for each plain `params` key. The `ransac_*` keys
-# are read only where RANSAC finds the ground: on an unlabelled kitti frame.
+def test_ring_partition_reads_no_ranges(calls):
+    # A ring channel gives the beams, so the beam operators alone compute no ranges.
+    profile = load_profile("nuscenes")
+    frame = FRAMES["nuscenes"](seed=1)
+    ctx = FrameContext(frame, profile, seed=4)
+    for kind in (CorruptionKind.BEAM_MISSING, CorruptionKind.CROSS_SENSOR):
+        apply(CorruptionSpec(kind, Severity.HEAVY, seed=4), frame, profile, ctx)
+    assert (calls["ranges"], calls["partition"]) == (0, 1)
+
+
+def test_kinds_cover_every_corruption():
+    assert list(profiles.KINDS) == list(corruptions._EXTRAS) == list(CorruptionKind)
+
+
+@pytest.mark.parametrize("kind", list(CorruptionKind))
+def test_operator_takes_its_table_keywords_and_extras(kind):
+    # `apply` passes `frame`, the keywords `profiles.KINDS` lists and the
+    # kind's extras by name to `apply_<kind>`, which takes no others.
+    operator = getattr(corruptions, f"apply_{kind}")
+    params = set(inspect.signature(operator).parameters)
+    assert params == {"frame", *profiles.KINDS[kind], *corruptions._EXTRAS[kind]}
+
+
+# Another in-range value for each profile key: every `params` key and
+# severity-table entry. The `ransac_*` keys are read only where RANSAC finds
+# the ground: on an unlabelled kitti frame.
 PARAM_CHANGES = {
     "fog_beta_0": 20.0, "fog_response_distance": 80.0, "fog_scatter_fraction": [0.2, 0.9],
     "wet_kappa_per_mm": 0.5, "wet_noise_floor": 0.3,
@@ -221,23 +268,28 @@ PARAM_CHANGES = {
     "snow_reflectivity": 0.9, "snow_min_particle_range": 5.0,
     "crosstalk_sigma": 1.0, "ransac_iterations": 3, "ransac_threshold": 0.5,
     "subsample_keep": 0.25,
+    "fog.alpha_axis": [0.1, 0.2], "fog.beta_bs": [0.02, 0.1, 0.4],
+    "wet_ground.water_height_mm": [0.5, 2.0, 3.0], "snow.snowfall_rate": [1.0, 2.0, 4.0],
+    "motion_blur.sigma_t": [0.1, 0.15, 0.5], "beam_missing.beams_dropped": [8, 24, 40],
+    "crosstalk.fraction": [0.02, 0.05, 0.1], "incomplete_echo.fraction": [0.5, 0.6, 0.7],
+    "cross_sensor.beams_kept": [40, 24, 8],
 }
+
+
+def profile_value(profile, key):
+    kind, dot, name = key.partition(".")
+    return profile.severity[kind][name] if dot else profile.params[key]
 
 
 def output_bytes(frame, profile):
     """Every output of `frame` under `profile`, encoded as `corrupt` writes it."""
-    ctx = FrameContext(frame, profile, seed=3)
-    outputs = []
-    for kind in CorruptionKind:
-        for severity in Severity:
-            out = apply(CorruptionSpec(kind, severity, seed=3), frame, profile, ctx)
-            labels = b"" if out.labels is None else write_semkitti_labels(out.labels)
-            outputs.append(bytes(write_scan(out.cloud, profile)) + labels)
-    return outputs
+    return [bytes(write_scan(out.cloud, profile))
+            + (b"" if out.labels is None else write_semkitti_labels(out.labels))
+            for out in outputs(frame, profile)]
 
 
 def test_param_changes_cover_every_param():
-    assert sorted(PARAM_CHANGES) == sorted(load_profile("semantickitti").params)
+    assert sorted(PARAM_CHANGES) == sorted(profiles._ENTRIES)
 
 
 @pytest.mark.parametrize("key", sorted(PARAM_CHANGES))
@@ -246,7 +298,7 @@ def test_every_param_reaches_an_output(key):
     profile = load_profile("kitti" if ransac else "semantickitti")
     frame = boxed_frame(seed=2) if ransac else labelled_frame(seed=2)
     changed = profile.with_overrides({key: PARAM_CHANGES[key]})
-    assert changed.params[key] != profile.params[key]
+    assert profile_value(changed, key) != profile_value(profile, key)
     assert output_bytes(frame, changed) != output_bytes(frame, profile)
 
 

@@ -218,7 +218,7 @@ class TestOverridesAndValidation:
         p = load_profile("kitti")
         params = {k: v for k, v in p.params.items() if k != "crosstalk_sigma"}
         with pytest.raises(ProfileError, match=r"^kitti: missing key 'crosstalk_sigma'; "
-                                               r"valid keys: fog_beta_0, .*crosstalk_sigma"):
+                                               r"valid keys: fog\.alpha_axis, .*crosstalk_sigma"):
             replace(p, params=params)
         severity = {**p.severity, "fog": {"beta_bs": [0.0, 0.0, 0.0]}}
         with pytest.raises(ProfileError, match="^kitti: missing key 'fog.alpha_axis'; "):
