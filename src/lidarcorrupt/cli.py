@@ -149,9 +149,10 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
 
     `args` is (stem, cfg, profile), with the profile loaded once per run.
     The frame's derived structures are built once and shared by all of its
-    outputs. Output k's scan encode and hashes run on one helper thread
-    while this thread computes output k+1, then writes output k: at most
-    two payloads are alive, and no output byte depends on the overlap.
+    outputs, and kind by kind, so each corruption draws once. Output k's
+    scan encode and hashes run on one helper thread while this thread
+    computes output k+1, then writes output k: at most two payloads are
+    alive, and no output byte depends on the overlap.
 
     Returns (manifest entries, failures); never raises, so one bad frame
     cannot abort the batch.
@@ -191,7 +192,7 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
                     out_dir = cfg.output_root / kind.value / severity.value
                     out_dir.mkdir(parents=True, exist_ok=True)
                     output = {"frame": stem, "kind": kind.value, "severity": severity.value,
-                              "seed": derive_seed(cfg.seed, stem, kind, severity),
+                              "seed": derive_seed(cfg.seed, stem, kind),
                               "params": profile.severity_params(kind, severity)}
                     paths = [out_dir / f"{stem}.bin"]
                     labels = None

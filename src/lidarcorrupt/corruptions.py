@@ -1,12 +1,12 @@
 """The eight corruption operators and their severity-resolving dispatcher.
 
 Every operator is a pure function: given the same frame, parameters, and
-seed it returns a bitwise-identical result, independent of thread count or
-call order. Operators never mutate their input frame, keep labels aligned
-with the cloud through drops and injections, and never touch box
-annotations. Points that an operator invents or relocates are tagged in the
-output's provenance array and, when the dataset profile defines one,
-relabeled with the matching injected class id.
+draw (its randomness, from `FrameContext.draw`) it returns a bitwise-identical
+result, independent of thread count or call order. Operators never mutate
+their input frame, keep labels aligned with the cloud through drops and
+injections, and never touch box annotations. Points that an operator invents
+or relocates are tagged in the output's provenance array and, when the
+dataset profile defines one, relabeled with the matching injected class id.
 """
 
 from __future__ import annotations
@@ -77,18 +77,14 @@ class CorruptedFrame:
 
     def __post_init__(self) -> None:
         if self.labels is not None and len(self.labels) != len(self.cloud):
-            raise ValueError(
-                f"{len(self.labels)} labels for {len(self.cloud)} points"
-            )
+            raise ValueError(f"{len(self.labels)} labels for {len(self.cloud)} points")
         prov = self.provenance
         if prov is None:
             prov = np.zeros(len(self.cloud), dtype=np.uint8)
         else:
             prov = np.ascontiguousarray(prov, dtype=np.uint8)
             if len(prov) != len(self.cloud):
-                raise ValueError(
-                    f"{len(prov)} provenance tags for {len(self.cloud)} points"
-                )
+                raise ValueError(f"{len(prov)} provenance tags for {len(self.cloud)} points")
         object.__setattr__(self, "provenance", prov)
 
     @cached_property
@@ -133,11 +129,18 @@ def _check_strength(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
+def _checked(draw: np.ndarray, rows: int) -> np.ndarray:
+    """`draw`, or ValueError unless it has `rows` rows."""
+    if len(draw) != rows:
+        raise ValueError(f"draw has {len(draw)} rows, expected {rows}")
+    return draw
+
+
 def apply_fog(
     frame: CorruptedFrame,
     alpha: float,
     beta_bs: float,
-    seed: int,
+    draw: np.ndarray,
     beta_0: float,
     response_distance: float,
     scatter_fraction: tuple[float, float],
@@ -149,15 +152,15 @@ def apply_fog(
     The competing fog (soft-target) response is
     i * range^2 / beta_0 * beta_bs * clip(1 - range / response_distance, 0, 1):
     a fixed linear response that falls to 0 at `response_distance`. A point
-    whose soft response wins is relocated to a fraction of its range
-    (uniform in `scatter_fraction`) along the same ray, takes the soft
-    intensity (clamped to [0, 1]), and is relabeled `fog_class`. Only the
-    scattered rows are gathered and rewritten, by index, with the same
-    arithmetic per row as a full-length pass.
+    whose soft response wins is relocated to low + (high - low) * u of its
+    range along the same ray, for its uniform u in [0, 1) in `draw` and the
+    pair `scatter_fraction`, takes the soft intensity (clamped to [0, 1]),
+    and is relabeled `fog_class`. Only the scattered rows are gathered and
+    rewritten, by index, with the same arithmetic per row as a full pass.
 
     Raises:
-        ValueError: alpha or beta_bs not finite and >= 0, or intensities
-            not normalized to [0, 1].
+        ValueError: alpha or beta_bs not finite and >= 0, intensities not
+            normalized to [0, 1], or a draw of another length.
     """
     _check_strength("alpha", alpha)
     _check_strength("beta_bs", beta_bs)
@@ -177,14 +180,11 @@ def apply_fog(
     response = np.clip(1.0 - r / response_distance, 0.0, 1.0)
     i_soft = i64 * (r * r / beta_0) * beta_bs * response
     idx = np.flatnonzero(i_soft > i_hard)
-
-    rng = make_rng("fog", seed)
-    fraction = rng.uniform(scatter_fraction[0], scatter_fraction[1], size=n)
+    low, high = scatter_fraction
+    fraction = low + (high - low) * _checked(draw, n).take(idx)
 
     xyz = frame.cloud.xyz.copy()
-    xyz[idx] = (
-        xyz.take(idx, axis=0).astype(np.float64) * fraction.take(idx)[:, None]
-    ).astype(np.float32)
+    xyz[idx] = (xyz.take(idx, axis=0).astype(np.float64) * fraction[:, None]).astype(np.float32)
     out_i = i_hard.astype(np.float32)
     out_i[idx] = np.clip(i_soft.take(idx), 0.0, 1.0)
 
@@ -195,18 +195,19 @@ def apply_fog(
 def apply_wet_ground(
     frame: CorruptedFrame,
     ground: GroundModel,
+    incidence: np.ndarray,
     d_w: float,
     i_n: float,
     kappa_per_mm: float,
 ) -> CorruptedFrame:
     """Wet ground: attenuate ground returns, drop those below the noise floor.
 
-    Ground-point intensity is scaled by exp(-kappa * d_w / cos(theta)) where
-    theta is the beam's incidence angle against the ground plane (normal
-    incidence when `ground.plane` is None); grazing beams lose the most
-    energy. Attenuated returns below `i_n` are deleted together with their
-    labels. Non-ground points pass through bitwise. `d_w` is in millimeters
-    of water; `d_w` = 0 is a dry road and an exact identity.
+    Ground-point intensity is scaled by exp(-kappa * d_w / cos(theta)), for
+    each point's cosine of incidence on the ground plane in `incidence`
+    (`GroundModel.cos_incidence`); grazing beams lose the most energy.
+    Attenuated returns below `i_n` are deleted together with their labels.
+    Non-ground points pass through bitwise. `d_w` is in millimeters of
+    water; `d_w` = 0 is a dry road and an exact identity.
 
     Raises:
         ValueError: d_w not finite and >= 0, or ground mask misaligned.
@@ -219,15 +220,7 @@ def apply_wet_ground(
     if d_w == 0 or n == 0 or not mask.any():
         return frame
 
-    if ground.plane is None:
-        cos_inc = np.ones(n)
-    else:
-        r = frame.ranges
-        xyz = frame.cloud.xyz.astype(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cos_inc = np.abs(xyz @ ground.normal) / np.maximum(r, 1e-12)
-        cos_inc = np.where(r > 0, cos_inc, 1.0)
-    attenuation = np.exp(-kappa_per_mm * d_w / np.maximum(cos_inc, 1e-6))
+    attenuation = np.exp(-kappa_per_mm * d_w / _checked(incidence, n))
 
     i64 = frame.cloud.intensity.astype(np.float64)
     wet_i = np.where(mask, i64 * attenuation, i64)
@@ -240,36 +233,10 @@ def apply_wet_ground(
     return updated.select(survivors)
 
 
-def sample_particle_distances(
-    ranges: np.ndarray,
-    r_s: float,
-    rng: np.random.Generator,
-    particles_per_meter_per_rate: float,
-    min_particle_range: float,
-) -> np.ndarray:
-    """Distance to the nearest airborne particle along each ray (inf if none).
-
-    Particle count per ray is Poisson with mean proportional to the snowfall
-    rate and the ray length; given k particles uniformly placed between
-    `min_particle_range` and the return range, the nearest sits at the
-    minimum of k uniforms, drawn here in closed form. Only the rays with a
-    particle are gathered, by index, each with the arithmetic of a full pass.
-    """
-    n = len(ranges)
-    span = np.maximum(ranges - min_particle_range, 0.0)
-    counts = rng.poisson(particles_per_meter_per_rate * r_s * span)
-    u = rng.uniform(size=n)
-    distances = np.full(n, np.inf)
-    hit = np.flatnonzero(counts)
-    nearest = 1.0 - np.power(1.0 - u.take(hit), 1.0 / counts.take(hit).astype(np.float64))
-    distances[hit] = min_particle_range + span.take(hit) * nearest
-    return distances
-
-
 def apply_snow(
     frame: CorruptedFrame,
     r_s: float,
-    seed: int,
+    draw: np.ndarray,
     snow_class: Optional[int] = None,
     *,
     particles_per_meter_per_rate: float,
@@ -279,23 +246,24 @@ def apply_snow(
 ) -> CorruptedFrame:
     """Snow: re-terminate rays on sampled particles, attenuate the rest.
 
-    Particles are sampled per ray with density proportional to the snowfall
-    rate `r_s` (mm/h) and the ray length. A ray whose nearest particle lies
-    closer than its original return is cut short at the particle with
-    `reflectivity`-scaled intensity and relabeled `snow_class`. All other
-    returns lose intensity to extinction: exp(-2 * k * range) with
-    k = `extinction_per_rate` * r_s. `r_s` = 0 is an exact identity.
-    Only the rays cut short are gathered and rewritten, by index, each with
-    the arithmetic of a full-length pass.
+    Particles lie on each ray past `min_particle_range` at a Poisson rate of
+    `particles_per_meter_per_rate` * `r_s` (mm/h) per meter, so the nearest
+    is at `min_particle_range` + E / rate for the ray's standard exponential
+    E in `draw`. A ray whose nearest particle lies closer than its return is
+    cut short at the particle with `reflectivity`-scaled intensity and
+    relabeled `snow_class`. All other returns lose intensity to extinction:
+    exp(-2 * k * range) with k = `extinction_per_rate` * r_s. `r_s` = 0 is
+    an exact identity. Only the rays cut short are gathered and rewritten,
+    by index, each with the arithmetic of a full-length pass.
     """
     _check_strength("r_s", r_s)
     if r_s == 0 or len(frame.cloud) == 0:
         return frame
 
     r = frame.ranges
-    particle_distances = sample_particle_distances(
-        r, r_s, make_rng("snow", seed), particles_per_meter_per_rate, min_particle_range
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # no particles at a rate of 0
+        particle_distances = min_particle_range + _checked(draw, len(r)) / (
+            particles_per_meter_per_rate * r_s)
     idx = np.flatnonzero(particle_distances < r)
 
     k = extinction_per_rate * r_s
@@ -312,35 +280,33 @@ def apply_snow(
                              class_id=snow_class)
 
 
-def apply_motion_blur(frame: CorruptedFrame, sigma_t: float, seed: int) -> CorruptedFrame:
+def apply_motion_blur(frame: CorruptedFrame, sigma_t: float, draw: np.ndarray) -> CorruptedFrame:
     """Motion blur: independent Gaussian jitter on each coordinate axis.
 
-    Intensity, labels, and point count are untouched. sigma_t = 0 is an
-    exact identity. The coordinates are added into the float64 offsets in
-    place; addition commutes, so the sums are those of xyz + offsets.
+    Each point moves by sigma_t times its row of `draw`, (N, 3) standard
+    normals. Intensity, labels, and point count are untouched. sigma_t = 0 is
+    an exact identity. xyz + offsets is summed in float64 and rounded to
+    float32 in blocks of rows, so the float64 temporary is one block's.
     """
     _check_strength("sigma_t", sigma_t)
     if sigma_t == 0 or len(frame.cloud) == 0:
         return frame
-    rng = make_rng("motion-blur", seed)
-    offsets = rng.normal(0.0, sigma_t, size=(len(frame.cloud), 3))
-    offsets += frame.cloud.xyz
-    return frame.with_fields(offsets.astype(np.float32))
+    xyz, draw = np.empty_like(frame.cloud.xyz), _checked(draw, len(frame.cloud))
+    for rows in (slice(i, i + 8192) for i in range(0, len(xyz), 8192)):
+        xyz[rows] = draw[rows] * sigma_t + frame.cloud.xyz[rows]
+    return frame.with_fields(xyz)
 
 
 def apply_beam_missing(
-    frame: CorruptedFrame, partition: BeamPartition, m: int, seed: int
+    frame: CorruptedFrame, partition: BeamPartition, m: int, draw: np.ndarray
 ) -> CorruptedFrame:
-    """Beam missing: drop all points of m uniformly chosen beams."""
+    """Beam missing: drop all points of the first m beams of `draw`, a
+    permutation of the partition's beam ids."""
     if not 0 <= m <= partition.beam_count:
-        raise ValueError(
-            f"m must be in [0, {partition.beam_count}], got {m}"
-        )
+        raise ValueError(f"m must be in [0, {partition.beam_count}], got {m}")
     if m == 0:
         return frame
-    rng = make_rng("beam-missing", seed)
-    dropped = rng.choice(partition.beam_count, size=m, replace=False)
-    keep = ~np.isin(partition.beam_of, dropped)
+    keep = ~np.isin(partition.beam_of, _checked(draw, partition.beam_count)[:m])
     return frame.select(keep)
 
 
@@ -348,14 +314,15 @@ def apply_crosstalk(
     frame: CorruptedFrame,
     k_t: float,
     sigma_c: float,
-    seed: int,
+    draw: tuple[np.ndarray, np.ndarray],
     crosstalk_class: Optional[int] = None,
 ) -> CorruptedFrame:
     """Crosstalk: jitter a random k_t fraction of points on all four channels.
 
-    Exactly round(k_t * N) points are selected uniformly; each has Gaussian
-    noise (std `sigma_c`) added to x, y, z, and intensity, with intensity
-    clamped back to [0, 1]. Selected points are relabeled `crosstalk_class`.
+    `draw` is (order, noise), a permutation of the N points and rows of 4
+    standard normals: the first round(k_t * N) points of `order` get sigma_c
+    times the first noise rows added to x, y, z, and intensity, with
+    intensity clamped back to [0, 1], and are relabeled `crosstalk_class`.
     """
     if not 0 <= k_t <= 1:
         raise ValueError(f"k_t must be in [0, 1], got {k_t}")
@@ -364,9 +331,8 @@ def apply_crosstalk(
     n_sel = int(np.rint(k_t * n))
     if n_sel == 0:
         return frame
-    rng = make_rng("crosstalk", seed)
-    selected = rng.choice(n, size=n_sel, replace=False)
-    noise = rng.normal(0.0, sigma_c, size=(n_sel, 4))
+    order, noise = draw
+    selected, noise = _checked(order, n)[:n_sel], noise[:n_sel] * sigma_c
 
     xyz = frame.cloud.xyz.copy()
     xyz[selected] = (
@@ -382,13 +348,13 @@ def apply_crosstalk(
 
 
 def apply_incomplete_echo(
-    frame: CorruptedFrame, vehicle_mask: np.ndarray, k_e: float, seed: int
+    frame: CorruptedFrame, vehicle_mask: np.ndarray, k_e: float, draw: np.ndarray
 ) -> CorruptedFrame:
     """Incomplete echo: delete a k_e fraction of the vehicle points.
 
-    `vehicle_mask` marks the vehicle points (`FrameContext.vehicle_mask`
-    finds them from labels or boxes). Exactly round(k_e * |V|) points are
-    removed with their labels; boxes are returned untouched.
+    `vehicle_mask` marks the V vehicle points (`FrameContext.vehicle_mask`
+    finds them from labels or boxes); those at the first round(k_e * V) of
+    `draw`, a permutation of range(V), are removed with their labels.
 
     Raises:
         ValueError: `vehicle_mask` misaligned with the cloud.
@@ -404,8 +370,7 @@ def apply_incomplete_echo(
     n_del = int(np.rint(k_e * len(candidates)))
     if n_del == 0:
         return frame
-    rng = make_rng("incomplete-echo", seed)
-    doomed = rng.choice(candidates, size=n_del, replace=False)
+    doomed = candidates.take(_checked(draw, len(candidates))[:n_del])
     keep = np.ones(len(frame.cloud), dtype=bool)
     keep[doomed] = False
     return frame.select(keep)
@@ -424,9 +389,7 @@ def apply_cross_sensor(
     beam every round(1/subsample_keep)-th point survives in original order.
     """
     if not 1 <= beams_kept <= partition.beam_count:
-        raise ValueError(
-            f"beams_kept must be in [1, {partition.beam_count}], got {beams_kept}"
-        )
+        raise ValueError(f"beams_kept must be in [1, {partition.beam_count}], got {beams_kept}")
     if not 0 < subsample_keep <= 1:
         raise ValueError(f"subsample_keep must be in (0, 1], got {subsample_keep}")
     stride = max(1, int(round(1.0 / subsample_keep)))
@@ -443,12 +406,12 @@ def apply_cross_sensor(
 class FrameContext:
     """Derived structures of one frame, computed on first use and cached.
 
-    The beam partition, the ground and the vehicle mask depend on the frame
-    but not on the corruption or severity, so one context serves all of a
-    frame's outputs. A structure whose computation raises is not cached: each
-    output that needs it fails with the same error, and the others are
-    unaffected. Point ranges are cached on the frame (`CorruptedFrame.ranges`)
-    and beam ranks on the partition (`BeamPartition.ranks`).
+    The beam partition, the ground (and its incidence) and the vehicle mask
+    depend on the frame but not on the corruption or severity, so one
+    context serves all of a frame's outputs. A structure whose computation
+    raises is not cached: each output that needs it fails with the same
+    error, and the others are unaffected. Point ranges are cached on the
+    frame (`CorruptedFrame.ranges`) and beam ranks on the partition.
 
     The ground is the ground-labelled points and their plane
     (`GroundModel.from_mask`), or, when the frame has no labels or the
@@ -462,6 +425,16 @@ class FrameContext:
         self.frame = frame
         self.profile = profile
         self.seed = seed
+        self._draw: tuple = (None, None)
+
+    def draw(self, kind: CorruptionKind):
+        """`kind`'s randomness for this frame (`_DRAWS`), seeded by (run seed,
+        frame id, kind) and shared by its severities; only the last is kept."""
+        if self._draw[0] != kind:
+            self._draw = (None, None)  # free the last kind's arrays before drawing
+            rng = make_rng(kind, derive_seed(self.seed, self.frame.cloud.frame_id, kind))
+            self._draw = (kind, _DRAWS[kind](rng, self, len(self.frame.cloud)))
+        return self._draw[1]
 
     @cached_property
     def partition(self) -> BeamPartition:
@@ -480,10 +453,13 @@ class FrameContext:
             frame.cloud,
             iterations=int(profile.params["ransac_iterations"]),
             inlier_threshold=float(profile.params["ransac_threshold"]),
-            seed=derive_seed(
-                self.seed, frame.cloud.frame_id, CorruptionKind.WET_GROUND
-            ),
+            seed=derive_seed(self.seed, frame.cloud.frame_id, CorruptionKind.WET_GROUND),
         )
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """`GroundModel.cos_incidence` of the ground, for wet ground."""
+        return self.ground.cos_incidence(self.frame.cloud.xyz, self.frame.ranges)
 
     @cached_property
     def vehicle_mask(self) -> np.ndarray:
@@ -496,22 +472,35 @@ class FrameContext:
                 np.array(sorted(profile.vehicle_classes), dtype=np.int64),
             )
         if frame.boxes is not None:
-            return frame.boxes.contains(
-                frame.cloud.xyz, profile.vehicle_box_classes or None
-            )
+            return frame.boxes.contains(frame.cloud.xyz, profile.vehicle_box_classes or None)
         raise ValueError(
             "incomplete echo needs semantic labels or boxes to find vehicle points"
         )
 
 
-# What each operator takes besides `frame` and its `KINDS` keywords: the
-# output's seed, a FrameContext structure or the profile's injected class id.
+# Each random kind's `draw` from (generator, context, point count). Its
+# severities read a prefix or a scaling of it, so a heavier one corrupts a
+# superset. Crosstalk's noise rows cover its heaviest severity.
+_DRAWS = {
+    CorruptionKind.FOG: lambda rng, ctx, n: rng.random(n),
+    CorruptionKind.SNOW: lambda rng, ctx, n: rng.standard_exponential(n),
+    CorruptionKind.MOTION_BLUR: lambda rng, ctx, n: rng.standard_normal((n, 3)),
+    CorruptionKind.BEAM_MISSING: lambda rng, ctx, n: rng.permutation(ctx.partition.beam_count),
+    CorruptionKind.CROSSTALK: lambda rng, ctx, n: (rng.permutation(n), rng.standard_normal(
+        (int(np.rint(float(max(ctx.profile.severity["crosstalk"]["fraction"])) * n)), 4))),
+    CorruptionKind.INCOMPLETE_ECHO:
+        lambda rng, ctx, n: rng.permutation(np.count_nonzero(ctx.vehicle_mask)),
+}
+
+# What each operator takes besides `frame` and its `KINDS` keywords: its
+# kind's draw, a FrameContext structure or the profile's injected class id.
 _EXTRAS = {
-    CorruptionKind.FOG: ("seed", "fog_class"), CorruptionKind.WET_GROUND: ("ground",),
-    CorruptionKind.SNOW: ("seed", "snow_class"), CorruptionKind.MOTION_BLUR: ("seed",),
-    CorruptionKind.BEAM_MISSING: ("partition", "seed"),
-    CorruptionKind.CROSSTALK: ("seed", "crosstalk_class"),
-    CorruptionKind.INCOMPLETE_ECHO: ("vehicle_mask", "seed"),
+    CorruptionKind.FOG: ("draw", "fog_class"),
+    CorruptionKind.WET_GROUND: ("ground", "incidence"),
+    CorruptionKind.SNOW: ("draw", "snow_class"), CorruptionKind.MOTION_BLUR: ("draw",),
+    CorruptionKind.BEAM_MISSING: ("partition", "draw"),
+    CorruptionKind.CROSSTALK: ("draw", "crosstalk_class"),
+    CorruptionKind.INCOMPLETE_ECHO: ("vehicle_mask", "draw"),
     CorruptionKind.CROSS_SENSOR: ("partition",),
 }
 
@@ -524,13 +513,13 @@ def apply(
 ) -> CorruptedFrame:
     """Apply one corruption at one severity, resolving parameters from the profile.
 
-    Derives the operator seed from (spec.seed, frame id, kind, severity), so
-    any single corrupted frame is reproducible in isolation. `apply_<kind>`
-    gets the profile values `profiles.KINDS` names, an ``_axis`` one drawn
-    with that seed. Prerequisite structures (ground, beam partition, vehicle
-    mask) come from `ctx`, which callers corrupting one frame many times
-    build once with `FrameContext(frame, profile, spec.seed)`. Without one,
-    a throwaway context is built, with the same result.
+    `apply_<kind>` gets the profile values `profiles.KINDS` names, an
+    ``_axis`` one drawn with the seed of (spec.seed, frame id, kind), and
+    its `_EXTRAS` from `ctx`: the kind's draw and the prerequisite structures
+    (ground, beam partition, vehicle mask). Callers corrupting one frame
+    many times build `ctx` once with `FrameContext(frame, profile,
+    spec.seed)`, and loop kind by kind, so each kind is drawn once. Without
+    one, a throwaway context is built, with the same result.
 
     Raises:
         ValueError: `ctx` was built for another frame, profile or seed.
@@ -540,16 +529,16 @@ def apply(
     elif ctx.frame is not frame or ctx.profile is not profile or ctx.seed != spec.seed:
         raise ValueError("frame context was built for another frame, profile or seed")
     kind = spec.kind
-    seed = derive_seed(spec.seed, frame.cloud.frame_id, kind, spec.severity)
     entry = profile.severity_params(kind, spec.severity)
     kwargs = {}
     for keyword, (key, cast) in KINDS[kind].items():
         name = key.partition(".")[2]
         value = entry[name] if name else profile.params[key]
         if key.endswith("_axis"):
+            seed = derive_seed(spec.seed, frame.cloud.frame_id, kind)
             value = make_rng(f"{kind}-{keyword}", seed).choice(value)
         kwargs[keyword] = cast(value)
     for name in _EXTRAS[kind]:  # ctx builds only the structures named here
-        kwargs[name] = seed if name == "seed" else getattr(
+        kwargs[name] = ctx.draw(kind) if name == "draw" else getattr(
             profile if name.endswith("_class") else ctx, name)
     return globals()[f"apply_{kind}"](frame, **kwargs)  # a wrapper set on the module runs

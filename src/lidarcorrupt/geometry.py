@@ -60,6 +60,14 @@ class GroundModel:
             raise ValueError("ground model has no plane (fewer than 3 ground points)")
         return np.asarray(self.plane[:3], dtype=np.float64)
 
+    def cos_incidence(self, xyz: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+        """Each point's cosine of incidence against the plane, at least 1e-6,
+        from its `ranges`; 1 (normal incidence) at the origin or without a plane."""
+        if self.plane is None:
+            return np.ones(len(xyz))
+        cos_inc = np.abs(np.asarray(xyz, dtype=np.float64) @ self.normal) / np.maximum(ranges, 1e-12)
+        return np.maximum(np.where(ranges > 0, cos_inc, 1.0), 1e-6)
+
     def distances(self, xyz: np.ndarray) -> np.ndarray:
         """Unsigned point-to-plane distances; ValueError when there is no plane."""
         pts = np.asarray(xyz, dtype=np.float64)

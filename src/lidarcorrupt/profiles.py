@@ -70,9 +70,9 @@ class DatasetProfile:
     """All per-dataset constants needed to corrupt and score one dataset.
 
     `severity` maps corruption name -> parameter name -> value. An ``_axis``
-    entry is a list that `corruptions.apply` draws from once per output, so
-    each severity of a frame draws its own value; every other entry is a
-    [light, moderate, heavy] triple. `params` holds dataset-wide
+    entry is a list that `corruptions.apply` draws one value from per frame
+    and corruption, so a frame's three severities share it; every other
+    entry is a [light, moderate, heavy] triple. `params` holds dataset-wide
     engineering constants (noise floors, sigma defaults, RANSAC settings).
     Class ids are whole numbers in [0, 65535] (semantic ids are 16-bit),
     box classes whole numbers. The three class-id sets are given as lists
@@ -140,8 +140,10 @@ class DatasetProfile:
                 )
 
     def severity_params(self, kind: CorruptionKind, severity: Severity) -> dict:
-        """`kind`'s table at `severity`: each triple's entry, each ``_axis`` whole."""
-        return {pname: list(value) if pname.endswith("_axis") else value[severity.index]
+        """`kind`'s table at `severity`, cast as its operator reads it; each ``_axis`` whole."""
+        casts = {key.partition(".")[2]: cast for key, cast in KINDS[kind].values()}
+        return {pname: [casts[pname](v) for v in value] if pname.endswith("_axis")
+                else casts[pname](value[severity.index])
                 for pname, value in self.severity[kind.value].items()}
 
     def injected_classes(self) -> frozenset[int]:

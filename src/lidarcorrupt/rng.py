@@ -2,10 +2,9 @@
 
 Every randomized operation in the package draws from a Philox counter-based
 generator keyed by a 64-bit seed derived from stable string parts (global
-seed, frame id, corruption name, severity name). Seeds are derived with
-SHA-256 rather than Python's salted `hash`, so a given (seed, frame,
-corruption, severity) tuple produces the same bytes on every run, platform,
-and worker layout.
+seed, frame id, corruption name, then a stream name). Seeds are derived with
+SHA-256 rather than Python's salted `hash`, so given parts produce the same
+bytes on every run, platform, and worker layout.
 """
 
 from __future__ import annotations

@@ -31,6 +31,18 @@ RANSAC = {"iterations": PARAMS["ransac_iterations"],
 NUSCENES_BEAMS = load_profile("nuscenes").beam_count
 
 
+def draw(kind, n, seed=0):
+    """A draw of the form `FrameContext.draw` gives `kind`, for an operator
+    called directly: `n` is the point count, or the beam count for
+    beam_missing and the vehicle point count for incomplete_echo. Crosstalk
+    gets noise rows for every point, so any k_t in [0, 1] can read it."""
+    rng = np.random.default_rng(seed)
+    if kind == "crosstalk":
+        return rng.permutation(n), rng.standard_normal((n, 4))
+    return {"fog": rng.random, "snow": rng.standard_exponential,
+            "motion_blur": lambda n: rng.standard_normal((n, 3))}.get(kind, rng.permutation)(n)
+
+
 def partition(cloud, beam_count):
     """`partition_beams` from the cloud's own point ranges."""
     return partition_beams(cloud, beam_count, point_ranges(cloud.xyz))

@@ -54,7 +54,8 @@ from lidarcorrupt.corruptions import (
 )
 from lidarcorrupt.metrics import AccuracyRecord, aggregate
 
-from conftest import FOG, NUSCENES_BEAMS, SNOW, WET, make_beam_cloud, make_labeled_frame
+from conftest import (FOG, NUSCENES_BEAMS, SNOW, WET, draw, make_beam_cloud,
+                      make_labeled_frame)
 from test_cli import build_dataset, entry_checksums
 
 # Published severity-averaged IoU (%) per corruption: fog, wet, snow,
@@ -147,7 +148,7 @@ def test_criterion_03_count_exactness_and_determinism(tmp_path):
             LabelArray(np.full(640, 40, np.uint16), np.zeros(640, np.uint16)),
         )
         part = partition_beams(cloud, profile.beam_count, frame.ranges)
-        beam_out = apply_beam_missing(frame, part, m=48, seed=11)
+        beam_out = apply_beam_missing(frame, part, m=48, draw=draw("beam_missing", 64, 11))
         sensor_out = apply_cross_sensor(frame, part, beams_kept=48, subsample_keep=0.5)
 
         rng = np.random.default_rng(9)
@@ -162,8 +163,10 @@ def test_criterion_03_count_exactness_and_determinism(tmp_path):
                 np.zeros(1000, np.uint16),
             ),
         )
-        cross_out = apply_crosstalk(big, k_t=0.01, sigma_c=3.0, seed=13, crosstalk_class=23)
-        echo_out = apply_incomplete_echo(big, big.labels.semantic == 10, k_e=0.75, seed=17)
+        cross_out = apply_crosstalk(big, k_t=0.01, sigma_c=3.0, draw=draw("crosstalk", 1000, 13),
+                                    crosstalk_class=23)
+        echo_out = apply_incomplete_echo(big, big.labels.semantic == 10, k_e=0.75,
+                                         draw=draw("incomplete_echo", 100, 17))
 
         counts = (
             len(beam_out.cloud),
@@ -205,7 +208,7 @@ def test_criterion_04_motion_blur_statistics():
         xyz=np.zeros((n, 3), np.float32), intensity=np.zeros(n, np.float32),
         frame_id="stats",
     )
-    out = apply_motion_blur(CorruptedFrame(cloud), sigma_t=0.25, seed=29)
+    out = apply_motion_blur(CorruptedFrame(cloud), sigma_t=0.25, draw=draw("motion_blur", n, 29))
     offsets = out.cloud.xyz.astype(np.float64)
     for axis in range(3):
         std = offsets[:, axis].std(ddof=1)
@@ -229,7 +232,7 @@ def test_criterion_05_fog_attenuation_exact_and_monotone():
 
     previous = None
     for alpha in (0.005, 0.01, 0.02, 0.03, 0.06):
-        out = apply_fog(frame, alpha=alpha, beta_bs=0.0, seed=1, **FOG)
+        out = apply_fog(frame, alpha=alpha, beta_bs=0.0, draw=draw("fog", n, 1), **FOG)
         expected64 = cloud.intensity.astype(np.float64) * np.exp(-2 * alpha * r)
         expected32 = expected64.astype(np.float32)
         diff = np.abs(out.cloud.intensity.astype(np.float64) - expected64)
@@ -247,16 +250,18 @@ def test_criterion_05_fog_attenuation_exact_and_monotone():
 def test_criterion_06_zero_parameter_identities():
     frame = make_labeled_frame(seed=37)
     part = partition_beams(frame.cloud, 64, frame.ranges)
-    ground = GroundModel.from_mask(frame.cloud.xyz, np.ones(len(frame.cloud), bool))
+    n = len(frame.cloud)
+    ground = GroundModel.from_mask(frame.cloud.xyz, np.ones(n, bool))
+    incidence = ground.cos_incidence(frame.cloud.xyz, frame.ranges)
     cases = {
-        "fog": apply_fog(frame, alpha=0.0, beta_bs=0.0, seed=5, **FOG),
-        "wet_ground": apply_wet_ground(frame, ground, d_w=0.0, **WET),
-        "snow": apply_snow(frame, r_s=0.0, seed=5, **SNOW),
-        "motion_blur": apply_motion_blur(frame, sigma_t=0.0, seed=5),
-        "beam_missing": apply_beam_missing(frame, part, m=0, seed=5),
-        "crosstalk": apply_crosstalk(frame, k_t=0.0, sigma_c=3.0, seed=5),
+        "fog": apply_fog(frame, alpha=0.0, beta_bs=0.0, draw=draw("fog", n, 5), **FOG),
+        "wet_ground": apply_wet_ground(frame, ground, incidence, d_w=0.0, **WET),
+        "snow": apply_snow(frame, r_s=0.0, draw=draw("snow", n, 5), **SNOW),
+        "motion_blur": apply_motion_blur(frame, sigma_t=0.0, draw=draw("motion_blur", n, 5)),
+        "beam_missing": apply_beam_missing(frame, part, m=0, draw=draw("beam_missing", 64, 5)),
+        "crosstalk": apply_crosstalk(frame, k_t=0.0, sigma_c=3.0, draw=draw("crosstalk", n, 5)),
         "incomplete_echo": apply_incomplete_echo(frame, frame.labels.semantic == 10,
-                                                 k_e=0.0, seed=5),
+                                                 k_e=0.0, draw=draw("incomplete_echo", 0)),
         "cross_sensor": apply_cross_sensor(frame, part, beams_kept=64,
                                            subsample_keep=1.0),
     }

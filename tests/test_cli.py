@@ -347,6 +347,42 @@ class TestCorrupt:
         assert result.exit_code == 0, result.output
         assert len(list(out.rglob("*.bin"))) == 2
 
+    def test_subset_writes_the_bytes_of_a_full_run(self, runner, tmp_path):
+        # A severity reads its kind's draw for the frame, whichever severities
+        # and corruptions the run selects, so its files are those of a full run.
+        src = build_dataset(tmp_path / "in", n_frames=2)
+        manifests = {}
+        for name, selection in (("full", []), ("subset", [
+                "--corruptions", "snow,motion_blur,crosstalk", "--severities", "heavy"])):
+            result = runner.invoke(main, ["corrupt", "--dataset", "semantickitti", "--in",
+                                          str(src), "--out", str(tmp_path / name), *selection])
+            assert result.exit_code == 0, result.output
+            manifests[name] = json.loads((tmp_path / name / "manifest.json").read_text())
+        full = {e["file"]: e for e in manifests["full"]["entries"]}
+        subset = manifests["subset"]["entries"]
+        assert len(subset) == 2 * 3 * 2  # 2 frames, 3 corruptions, a scan and labels
+        for entry in subset:
+            assert entry == full[entry["file"]]
+            assert ((tmp_path / "subset" / entry["file"]).read_bytes()
+                    == (tmp_path / "full" / entry["file"]).read_bytes())
+
+    def test_entries_record_params_as_the_operator_reads_them(self, runner, tmp_path):
+        # `--set KEY=16,32,48` parses as floats; the entries record the ints
+        # the operator reads, as a run without the --set does.
+        src = build_dataset(tmp_path / "in", n_frames=1)
+        entries = []
+        for name, overrides in (("plain", []), ("set", [
+                "--set", "beam_missing.beams_dropped=16,32,48",
+                "--set", "cross_sensor.beams_kept=48,32,16"])):
+            result = runner.invoke(main, ["corrupt", "--dataset", "semantickitti", "--in",
+                                          str(src), "--out", str(tmp_path / name), *overrides])
+            assert result.exit_code == 0, result.output
+            entries.append(json.loads((tmp_path / name / "manifest.json").read_text())["entries"])
+        assert json.dumps(entries[0]) == json.dumps(entries[1])  # 48 and 48.0 differ here
+        params = {e["kind"]: e["params"] for e in entries[1] if e["severity"] == "heavy"}
+        assert json.dumps(params["beam_missing"]) == '{"beams_dropped": 48}'
+        assert params["fog"]["alpha_axis"] == [0.0, 0.005, 0.01, 0.02, 0.03, 0.06]
+
     def test_override_recorded_and_applied(self, runner, tmp_path):
         src = build_dataset(tmp_path / "in", n_frames=1)
         out = tmp_path / "out"

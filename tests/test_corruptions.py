@@ -12,7 +12,6 @@ from lidarcorrupt import (
     PointCloud,
     load_profile,
 )
-from lidarcorrupt import corruptions
 from lidarcorrupt.corruptions import (
     CorruptedFrame,
     CorruptionSpec,
@@ -36,6 +35,7 @@ from conftest import (
     PARAMS,
     SNOW,
     WET,
+    draw,
     make_beam_cloud,
     make_labeled_frame,
     partition,
@@ -70,7 +70,7 @@ def assert_identity(frame_in, frame_out):
 class TestFog:
     def test_zero_parameters_identity(self):
         frame = simple_frame()
-        out = apply_fog(frame, alpha=0.0, beta_bs=0.0, seed=1, **FOG)
+        out = apply_fog(frame, alpha=0.0, beta_bs=0.0, draw=draw("fog", 50, 1), **FOG)
         assert_identity(frame, out)
         assert (out.provenance == Provenance.ORIGINAL).all()
 
@@ -80,13 +80,14 @@ class TestFog:
             xyz=np.array([[10.0, 0.0, 0.0]], np.float32),
             intensity=np.array([1.0], np.float32),
         )
-        out = apply_fog(CorruptedFrame(cloud), alpha=0.06, beta_bs=0.0, seed=0, **FOG)
+        out = apply_fog(CorruptedFrame(cloud), alpha=0.06, beta_bs=0.0, draw=draw("fog", 1),
+                        **FOG)
         assert out.cloud.intensity[0] == pytest.approx(math.exp(-1.2), rel=1e-6)
 
     def test_attenuation_formula_exact(self):
         frame = simple_frame(n=500, seed=2)
         alpha = 0.02
-        out = apply_fog(frame, alpha=alpha, beta_bs=0.0, seed=3, **FOG)
+        out = apply_fog(frame, alpha=alpha, beta_bs=0.0, draw=draw("fog", 500, 3), **FOG)
         r = np.linalg.norm(frame.cloud.xyz.astype(np.float64), axis=1)
         expected = (
             frame.cloud.intensity.astype(np.float64) * np.exp(-2 * alpha * r)
@@ -103,7 +104,8 @@ class TestFog:
             cloud, LabelArray(np.array([40], np.uint16), np.array([0], np.uint16))
         )
         # at 11.2 m the linear soft response (~1.55) outshines the hard one (~0.21)
-        out = apply_fog(frame, alpha=0.06, beta_bs=1.0, seed=5, fog_class=21, **FOG)
+        out = apply_fog(frame, alpha=0.06, beta_bs=1.0, draw=draw("fog", 1, 5), fog_class=21,
+                        **FOG)
         assert out.provenance[0] == Provenance.INJECTED_FOG
         assert out.labels.semantic[0] == 21
         ratio = np.linalg.norm(out.cloud.xyz[0]) / np.linalg.norm(cloud.xyz[0])
@@ -120,21 +122,28 @@ class TestFog:
             xyz=np.zeros((1, 3), np.float32), intensity=np.array([3.0], np.float32)
         )
         with pytest.raises(ValueError, match="normalized"):
-            apply_fog(CorruptedFrame(cloud), alpha=0.0, beta_bs=0.0, seed=0, **FOG)
+            apply_fog(CorruptedFrame(cloud), alpha=0.0, beta_bs=0.0, draw=draw("fog", 1),
+                      **FOG)
 
     def test_alpha_monotonicity(self):
         frame = simple_frame(n=300, seed=4)
-        low = apply_fog(frame, alpha=0.01, beta_bs=0.0, seed=0, **FOG)
-        high = apply_fog(frame, alpha=0.03, beta_bs=0.0, seed=0, **FOG)
+        low = apply_fog(frame, alpha=0.01, beta_bs=0.0, draw=draw("fog", 300), **FOG)
+        high = apply_fog(frame, alpha=0.03, beta_bs=0.0, draw=draw("fog", 300), **FOG)
         assert (high.cloud.intensity <= low.cloud.intensity).all()
         positive = frame.cloud.intensity > 0
         assert (high.cloud.intensity[positive] < low.cloud.intensity[positive]).all()
 
     def test_deterministic(self):
         frame = simple_frame(n=200, seed=6)
-        a = apply_fog(frame, alpha=0.03, beta_bs=0.2, seed=9, **FOG)
-        b = apply_fog(frame, alpha=0.03, beta_bs=0.2, seed=9, **FOG)
+        a = apply_fog(frame, alpha=0.03, beta_bs=0.2, draw=draw("fog", 200, 9), **FOG)
+        b = apply_fog(frame, alpha=0.03, beta_bs=0.2, draw=draw("fog", 200, 9), **FOG)
         assert a.cloud.equals(b.cloud)
+
+
+def wet(frame, ground, **params):
+    """Wet ground at the incidence angles `FrameContext.incidence` gives."""
+    incidence = ground.cos_incidence(frame.cloud.xyz, frame.ranges)
+    return apply_wet_ground(frame, ground, incidence, **{**WET, **params})
 
 
 class TestWetGround:
@@ -155,12 +164,12 @@ class TestWetGround:
 
     def test_dry_ground_identity(self):
         frame = self._flat_frame()
-        out = apply_wet_ground(frame, self._ground(frame, np.ones(200, bool)), d_w=0.0, **WET)
+        out = wet(frame, self._ground(frame, np.ones(200, bool)), d_w=0.0)
         assert_identity(frame, out)
 
     def test_no_ground_identity(self):
         frame = self._flat_frame()
-        out = apply_wet_ground(frame, self._ground(frame, np.zeros(200, bool)), d_w=1.2, **WET)
+        out = wet(frame, self._ground(frame, np.zeros(200, bool)), d_w=1.2)
         assert_identity(frame, out)
 
     def test_attenuation_oracle_on_known_plane(self):
@@ -168,7 +177,7 @@ class TestWetGround:
         mask = np.ones(100, bool)
         model = GroundModel(plane=(0.0, 0.0, 1.0, 2.0), inlier_mask=mask)
         d_w, kappa, i_n = 1.0, 0.1, 0.02
-        out = apply_wet_ground(frame, model, d_w=d_w, i_n=i_n, kappa_per_mm=kappa)
+        out = wet(frame, model, d_w=d_w, i_n=i_n, kappa_per_mm=kappa)
 
         xyz = frame.cloud.xyz.astype(np.float64)
         r = np.linalg.norm(xyz, axis=1)
@@ -188,7 +197,7 @@ class TestWetGround:
         frame = self._flat_frame(n=80, seed=2)
         mask = np.zeros(80, bool)
         mask[:40] = True
-        out = apply_wet_ground(frame, self._ground(frame, mask), d_w=1.2, **WET)
+        out = wet(frame, self._ground(frame, mask), d_w=1.2)
         # last 40 points are non-ground: values preserved exactly
         kept_tail = out.cloud.xyz[len(out.cloud) - 40 :]
         assert np.array_equal(kept_tail, frame.cloud.xyz[40:])
@@ -200,13 +209,13 @@ class TestWetGround:
         frame = self._flat_frame()
         ground = GroundModel.from_mask(frame.cloud.xyz[:3], np.ones(3, bool))
         with pytest.raises(ValueError, match="mask"):
-            apply_wet_ground(frame, ground, d_w=1.0, **WET)
+            apply_wet_ground(frame, ground, np.ones(200), d_w=1.0, **WET)
 
     def test_deeper_water_deletes_more(self):
         frame = self._flat_frame(n=400, seed=3)
         ground = self._ground(frame, np.ones(400, bool))
-        light = apply_wet_ground(frame, ground, d_w=0.2, **WET)
-        heavy = apply_wet_ground(frame, ground, d_w=1.2, **WET)
+        light = wet(frame, ground, d_w=0.2)
+        heavy = wet(frame, ground, d_w=1.2)
         assert len(heavy.cloud) <= len(light.cloud) <= 400
         assert len(heavy.cloud) < 400  # heavy rain visibly deletes returns
 
@@ -214,22 +223,23 @@ class TestWetGround:
 class TestSnow:
     def test_zero_rate_identity(self):
         frame = simple_frame(seed=7)
-        assert_identity(frame, apply_snow(frame, r_s=0.0, seed=0, **SNOW))
+        assert_identity(frame, apply_snow(frame, r_s=0.0, draw=draw("snow", 50), **SNOW))
 
-    def test_forced_particle_field_oracle(self, monkeypatch):
+    def test_forced_particle_field_oracle(self):
         cloud, _ = make_beam_cloud(beams=4, points_per_beam=5, seed=8)
         labels = LabelArray(
             np.full(len(cloud), 40, np.uint16), np.zeros(len(cloud), np.uint16)
         )
         frame = CorruptedFrame(cloud, labels)
         r = np.linalg.norm(cloud.xyz.astype(np.float64), axis=1)
-        distances = np.full(len(cloud), np.inf)
-        distances[7] = r[7] / 2  # exactly one ray hits a particle at half range
-        monkeypatch.setattr(corruptions, "sample_particle_distances",
-                            lambda *args: distances)
         r_s = 2.5
         k = SNOW["extinction_per_rate"] * r_s
-        out = apply_snow(frame, r_s=r_s, seed=0, snow_class=22, **SNOW)
+        # Exactly one ray meets a particle, at half its range: the exponential
+        # draw that puts it there, and none (an infinite one) on the others.
+        exponentials = np.full(len(cloud), np.inf)
+        exponentials[7] = (r[7] / 2 - SNOW["min_particle_range"]) * (
+            SNOW["particles_per_meter_per_rate"] * r_s)
+        out = apply_snow(frame, r_s=r_s, draw=exponentials, snow_class=22, **SNOW)
 
         assert np.linalg.norm(out.cloud.xyz[7].astype(np.float64)) == pytest.approx(
             r[7] / 2, rel=1e-5
@@ -246,15 +256,15 @@ class TestSnow:
 
     def test_sampled_snow_deterministic(self):
         frame = simple_frame(n=400, seed=9)
-        a = apply_snow(frame, r_s=2.5, seed=11, snow_class=22, **SNOW)
-        b = apply_snow(frame, r_s=2.5, seed=11, snow_class=22, **SNOW)
+        a = apply_snow(frame, r_s=2.5, draw=draw("snow", 400, 11), snow_class=22, **SNOW)
+        b = apply_snow(frame, r_s=2.5, draw=draw("snow", 400, 11), snow_class=22, **SNOW)
         assert a.cloud.equals(b.cloud)
         assert np.array_equal(a.provenance, b.provenance)
 
     def test_rate_monotone_in_hits(self):
         frame = simple_frame(n=2000, seed=10)
-        light = apply_snow(frame, r_s=0.5, seed=3, snow_class=22, **SNOW)
-        heavy = apply_snow(frame, r_s=2.5, seed=3, snow_class=22, **SNOW)
+        light = apply_snow(frame, r_s=0.5, draw=draw("snow", 2000, 3), snow_class=22, **SNOW)
+        heavy = apply_snow(frame, r_s=2.5, draw=draw("snow", 2000, 3), snow_class=22, **SNOW)
         n_light = (light.provenance == Provenance.INJECTED_SNOW).sum()
         n_heavy = (heavy.provenance == Provenance.INJECTED_SNOW).sum()
         assert n_heavy > n_light > 0
@@ -263,11 +273,11 @@ class TestSnow:
 class TestMotionBlur:
     def test_zero_sigma_identity(self):
         frame = simple_frame(seed=12)
-        assert_identity(frame, apply_motion_blur(frame, sigma_t=0.0, seed=0))
+        assert_identity(frame, apply_motion_blur(frame, sigma_t=0.0, draw=draw("motion_blur", 50)))
 
     def test_preserves_count_intensity_labels(self):
         frame = simple_frame(n=300, seed=13)
-        out = apply_motion_blur(frame, sigma_t=0.25, seed=1)
+        out = apply_motion_blur(frame, sigma_t=0.25, draw=draw("motion_blur", 300, 1))
         assert len(out.cloud) == 300
         assert np.array_equal(out.cloud.intensity, frame.cloud.intensity)
         assert out.labels.equals(frame.labels)
@@ -278,7 +288,8 @@ class TestMotionBlur:
         cloud = PointCloud(
             xyz=np.zeros((n, 3), np.float32), intensity=np.zeros(n, np.float32)
         )
-        out = apply_motion_blur(CorruptedFrame(cloud), sigma_t=0.25, seed=2)
+        out = apply_motion_blur(CorruptedFrame(cloud), sigma_t=0.25,
+                                draw=draw("motion_blur", n, 2))
         offsets = out.cloud.xyz.astype(np.float64)
         assert abs(offsets.std() - 0.25) < 0.005
         assert abs(offsets.mean()) < 0.005
@@ -289,18 +300,20 @@ class TestBeamMissing:
         cloud, _ = beam_cloud_64x10
         frame = CorruptedFrame(cloud)
         part = partition(cloud, 64)
-        assert_identity(frame, apply_beam_missing(frame, part, m=0, seed=0))
+        assert_identity(frame, apply_beam_missing(frame, part, m=0, draw=draw("beam_missing", 64)))
 
     def test_all_beams_empty_cloud(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10
         part = partition(cloud, 64)
-        out = apply_beam_missing(CorruptedFrame(cloud), part, m=64, seed=0)
+        out = apply_beam_missing(CorruptedFrame(cloud), part, m=64,
+                                 draw=draw("beam_missing", 64))
         assert len(out.cloud) == 0
 
     def test_count_oracle(self, beam_cloud_64x10):
         cloud, _ = beam_cloud_64x10
         part = partition(cloud, 64)
-        out = apply_beam_missing(CorruptedFrame(cloud), part, m=16, seed=5)
+        out = apply_beam_missing(CorruptedFrame(cloud), part, m=16,
+                                 draw=draw("beam_missing", 64, 5))
         assert len(out.cloud) == 480
         out_part = partition(out.cloud, 64)
         assert len(set(out_part.beam_of.tolist())) == 48
@@ -313,7 +326,7 @@ class TestBeamMissing:
         )
         frame = CorruptedFrame(cloud, labels)
         part = partition(cloud, 64)
-        out = apply_beam_missing(frame, part, m=32, seed=6)
+        out = apply_beam_missing(frame, part, m=32, draw=draw("beam_missing", 64, 6))
         # reconstruct the surviving index set from instance... use xyz match
         survivor_rows = {tuple(row) for row in out.cloud.xyz.tolist()}
         idx = [i for i, row in enumerate(cloud.xyz.tolist()) if tuple(row) in survivor_rows]
@@ -326,17 +339,20 @@ class TestBeamMissing:
         cloud, _ = beam_cloud_64x10
         part = partition(cloud, 64)
         with pytest.raises(ValueError):
-            apply_beam_missing(CorruptedFrame(cloud), part, m=65, seed=0)
+            apply_beam_missing(CorruptedFrame(cloud), part, m=65,
+                               draw=draw("beam_missing", 64))
 
 
 class TestCrosstalk:
     def test_zero_identity(self):
         frame = simple_frame(seed=14)
-        assert_identity(frame, apply_crosstalk(frame, k_t=0.0, sigma_c=3.0, seed=0))
+        out = apply_crosstalk(frame, k_t=0.0, sigma_c=3.0, draw=draw("crosstalk", 50))
+        assert_identity(frame, out)
 
     def test_exact_selection_count(self):
         frame = simple_frame(n=1000, seed=15)
-        out = apply_crosstalk(frame, k_t=0.01, sigma_c=3.0, seed=1, crosstalk_class=23)
+        out = apply_crosstalk(frame, k_t=0.01, sigma_c=3.0, draw=draw("crosstalk", 1000, 1),
+                              crosstalk_class=23)
         jittered = out.provenance == Provenance.JITTERED_CROSSTALK
         assert jittered.sum() == 10
         assert (out.labels.semantic[jittered] == 23).all()
@@ -350,13 +366,13 @@ class TestCrosstalk:
 
     def test_intensity_clamped(self):
         frame = simple_frame(n=500, seed=16)
-        out = apply_crosstalk(frame, k_t=0.5, sigma_c=5.0, seed=2)
+        out = apply_crosstalk(frame, k_t=0.5, sigma_c=5.0, draw=draw("crosstalk", 500, 2))
         assert (out.cloud.intensity >= 0).all() and (out.cloud.intensity <= 1).all()
 
     def test_invalid_fraction(self):
         frame = simple_frame()
         with pytest.raises(ValueError):
-            apply_crosstalk(frame, k_t=1.5, sigma_c=3.0, seed=0)
+            apply_crosstalk(frame, k_t=1.5, sigma_c=3.0, draw=draw("crosstalk", 50))
 
 
 class TestIncompleteEcho:
@@ -375,17 +391,20 @@ class TestIncompleteEcho:
 
     def test_zero_fraction_identity(self):
         frame = self._vehicle_frame()
-        out = apply_incomplete_echo(frame, frame.labels.semantic == 10, k_e=0.0, seed=0)
+        out = apply_incomplete_echo(frame, frame.labels.semantic == 10, k_e=0.0,
+                                    draw=draw("incomplete_echo", 100))
         assert_identity(frame, out)
 
     def test_no_vehicles_identity(self):
         frame = simple_frame(semantic=40)
-        out = apply_incomplete_echo(frame, frame.labels.semantic == 10, k_e=0.75, seed=0)
+        out = apply_incomplete_echo(frame, frame.labels.semantic == 10, k_e=0.75,
+                                    draw=draw("incomplete_echo", 0))
         assert_identity(frame, out)
 
     def test_count_and_membership_oracle(self):
         frame = self._vehicle_frame()
-        out = apply_incomplete_echo(frame, frame.labels.semantic == 10, k_e=0.75, seed=3)
+        out = apply_incomplete_echo(frame, frame.labels.semantic == 10, k_e=0.75,
+                                    draw=draw("incomplete_echo", 100, 3))
         assert len(out.cloud) == 925
         # every deleted point was vehicle-labeled: survivors include all 900 others
         assert (out.labels.semantic == 40).sum() == 900
@@ -405,7 +424,7 @@ class TestIncompleteEcho:
         frame = CorruptedFrame(cloud, labels=None, boxes=boxes)
         mask = FrameContext(frame, load_profile("kitti"), seed=0).vehicle_mask
         assert mask.tolist() == [True] * 40 + [False] * 60
-        out = apply_incomplete_echo(frame, mask, k_e=0.75, seed=4)
+        out = apply_incomplete_echo(frame, mask, k_e=0.75, draw=draw("incomplete_echo", 40, 4))
         assert len(out.cloud) == 100 - 30  # round(0.75 * 40) of the inside points
         # all surviving far points untouched
         survivors = {tuple(r) for r in out.cloud.xyz.tolist()}
@@ -437,7 +456,8 @@ class TestIncompleteEcho:
     def test_misaligned_mask_rejected(self):
         frame = self._vehicle_frame()
         with pytest.raises(ValueError, match="vehicle mask length 999 != point count 1000"):
-            apply_incomplete_echo(frame, np.ones(999, bool), k_e=0.5, seed=0)
+            apply_incomplete_echo(frame, np.ones(999, bool), k_e=0.5,
+                                  draw=draw("incomplete_echo", 999))
 
 
 class TestCrossSensor:
@@ -639,12 +659,12 @@ def _nan_or_negative_cases():
     cases = []
     for bad in (nan, -1.0, math.inf):
         cases += [
-            (lambda f, v=bad: apply_fog(f, alpha=v, beta_bs=0.008, seed=0, **FOG), "alpha"),
-            (lambda f, v=bad: apply_fog(f, alpha=0.01, beta_bs=v, seed=0, **FOG), "beta_bs"),
-            (lambda f, v=bad: apply_snow(f, r_s=v, seed=0, **SNOW), "r_s"),
-            (lambda f, v=bad: apply_motion_blur(f, sigma_t=v, seed=0), "sigma_t"),
-            (lambda f, v=bad: apply_crosstalk(f, k_t=0.5, sigma_c=v, seed=0), "sigma_c"),
-            (lambda f, v=bad: apply_wet_ground(f, ground, d_w=v, **WET), "d_w"),
+            (lambda f, v=bad: apply_fog(f, v, 0.008, draw("fog", 50), **FOG), "alpha"),
+            (lambda f, v=bad: apply_fog(f, 0.01, v, draw("fog", 50), **FOG), "beta_bs"),
+            (lambda f, v=bad: apply_snow(f, v, draw("snow", 50), **SNOW), "r_s"),
+            (lambda f, v=bad: apply_motion_blur(f, v, draw("motion_blur", 50)), "sigma_t"),
+            (lambda f, v=bad: apply_crosstalk(f, 0.5, v, draw("crosstalk", 50)), "sigma_c"),
+            (lambda f, v=bad: wet(f, ground, d_w=v), "d_w"),
         ]
     return cases
 
@@ -657,3 +677,22 @@ class TestBadStrengths:
     def test_rejected_by_name(self, call, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             call(simple_frame())
+
+
+class TestDrawLength:
+    """A draw made for another point, beam or vehicle count is rejected."""
+
+    @pytest.mark.parametrize("call", [
+        lambda f: apply_fog(f, 0.06, 1.0, draw("fog", 49), **FOG),
+        lambda f: apply_snow(f, 2.5, draw("snow", 51), **SNOW),
+        lambda f: apply_motion_blur(f, 0.25, draw("motion_blur", 49)),
+        lambda f: apply_beam_missing(f, partition(f.cloud, 4), 2, draw("beam_missing", 3)),
+        lambda f: apply_crosstalk(f, 0.5, 3.0, draw("crosstalk", 51)),
+        lambda f: apply_incomplete_echo(f, np.arange(50) < 10, 0.5, draw("incomplete_echo", 9)),
+        lambda f: apply_wet_ground(f, GroundModel(None, np.ones(50, bool)), np.ones(5), 1.0,
+                                   **WET),
+    ])
+    def test_rejected(self, call):
+        with pytest.raises(ValueError, match="^draw has .* rows, expected "):
+            call(simple_frame(n=50))
+

@@ -104,6 +104,60 @@ def outputs(frame, profile):
             for kind in CorruptionKind for severity in Severity]
 
 
+def test_severity_major_loop_equals_kind_major():
+    # One context serves any order of outputs: a severity-major loop redraws
+    # each kind at each switch, and gets the bytes of the kind-major loop.
+    profile = load_profile("semantickitti")
+    frame = labelled_frame(seed=5)
+    kind_major = outputs(frame, profile)
+    ctx = FrameContext(frame, profile, seed=3)
+    severity_major = {(kind, severity): apply(CorruptionSpec(kind, severity, seed=3),
+                                              frame, profile, ctx)
+                      for severity in Severity for kind in CorruptionKind}
+    pairs = zip(kind_major, [(k, s) for k in CorruptionKind for s in Severity])
+    for out, key in pairs:
+        assert_same(out, severity_major[key])
+
+
+def test_each_kind_drawn_once_and_only_the_last_kept(monkeypatch):
+    drawn = []
+    original = corruptions.make_rng
+    monkeypatch.setattr(corruptions, "make_rng",
+                        lambda *parts: drawn.append(parts[0]) or original(*parts))
+    profile = load_profile("semantickitti")
+    frame = labelled_frame(seed=6)
+    ctx = FrameContext(frame, profile, seed=8)
+    for kind in CorruptionKind:
+        for severity in Severity:
+            apply(CorruptionSpec(kind, severity, seed=8), frame, profile, ctx)
+        if kind in corruptions._DRAWS:
+            assert ctx._draw[0] is kind  # the earlier kinds' arrays are gone
+    # fog's alpha is drawn per output from its own stream, seeded per kind
+    assert drawn.count("fog-alpha") == 3
+    assert [p for p in drawn if p != "fog-alpha"] == list(corruptions._DRAWS)
+
+
+def test_frames_of_different_sizes_sharing_a_seed_share_no_draw():
+    # Same frame id and run seed, different point counts: each output must
+    # be that of its own frame corrupted alone, whatever was drawn before.
+    profile = load_profile("semantickitti")
+    small, large = labelled_frame(seed=1), labelled_frame(seed=2)
+    small = small.select(np.arange(len(small.cloud) // 2))
+    for kind in corruptions._DRAWS:
+        fresh = {}
+        for frame in (small, large, small):
+            ctx = FrameContext(frame, profile, seed=4)
+            out = apply(CorruptionSpec(kind, Severity.HEAVY, seed=4), frame, profile, ctx)
+            assert len(ctx.draw(kind)[0] if kind is CorruptionKind.CROSSTALK
+                       else ctx.draw(kind)) == {
+                CorruptionKind.BEAM_MISSING: 64,
+                CorruptionKind.INCOMPLETE_ECHO: int(ctx.vehicle_mask.sum()),
+            }.get(kind, len(frame.cloud))
+            alone = apply(CorruptionSpec(kind, Severity.HEAVY, seed=4), frame, profile)
+            assert_same(out, alone)
+            assert_same(fresh.setdefault(len(frame.cloud), out), out)
+
+
 def test_context_for_another_frame_rejected():
     profile = load_profile("kitti")
     frame = boxed_frame()
@@ -131,6 +185,7 @@ def test_unlabelled_wet_ground_severities_share_one_ground_model():
         expected = apply_wet_ground(
             frame,
             model,
+            model.cos_incidence(frame.cloud.xyz, frame.ranges),
             d_w=float(profile.severity_params(
                 CorruptionKind.WET_GROUND, severity)["water_height_mm"]),
             i_n=float(profile.params["wet_noise_floor"]),

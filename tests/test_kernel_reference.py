@@ -4,29 +4,35 @@ The kernels gather by index, add in place, sort before a quantile and pack a
 column at a time. Each must give the same bits as the reference kept here,
 for any input. `point_ranges` is held to `np.linalg.norm(axis=1)` bit for
 bit, so that a faster form of it must sum in the same order.
+
+Fog, snow and motion blur read one draw per frame and corruption, shared by
+the three severities. Their references are the mask-based forms of the
+same arithmetic on that draw. The samplers that each output drew for itself
+before are kept too: each severity's statistics must be theirs.
 """
 
-from unittest import mock
-
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from lidarcorrupt import corruptions
+from lidarcorrupt import load_profile
 from lidarcorrupt.corruptions import (
     CorruptedFrame,
     Provenance,
+    apply_crosstalk,
     apply_fog,
+    apply_incomplete_echo,
     apply_motion_blur,
     apply_snow,
-    sample_particle_distances,
 )
 from lidarcorrupt.geometry import lstsq_plane, partition_beams, point_ranges
 from lidarcorrupt.rng import make_rng
 from lidarcorrupt.scan_io import _pack, write_semkitti_labels
 from lidarcorrupt.types import LabelArray, PointCloud
 
-from conftest import FOG, SNOW
+from conftest import FOG, SNOW, draw
 
 # --- the replaced code, verbatim ----------------------------------------------
 
@@ -91,9 +97,8 @@ def with_fields_reference(frame, xyz=None, intensity=None, *, changed=None, tag=
     return frame.cloud.with_fields(xyz, intensity), labels, provenance
 
 
-def fog_reference(frame, alpha, beta_bs, seed, beta_0=50.0, response_distance=50.0,
+def fog_reference(frame, alpha, beta_bs, draw, beta_0=50.0, response_distance=50.0,
                   scatter_fraction=(0.05, 0.5), fog_class=None):
-    n = len(frame.cloud)
     i64 = frame.cloud.intensity.astype(np.float64)
     r = frame.ranges
     i_hard = i64 * np.exp(-2.0 * alpha * r)
@@ -101,8 +106,8 @@ def fog_reference(frame, alpha, beta_bs, seed, beta_0=50.0, response_distance=50
     i_soft = i64 * (r * r / beta_0) * beta_bs * response
     scattered = i_soft > i_hard
 
-    rng = make_rng("fog", seed)
-    fraction = rng.uniform(scatter_fraction[0], scatter_fraction[1], size=n)
+    low, high = scatter_fraction
+    fraction = low + (high - low) * draw
 
     xyz = frame.cloud.xyz.copy()
     if scattered.any():
@@ -118,6 +123,7 @@ def fog_reference(frame, alpha, beta_bs, seed, beta_0=50.0, response_distance=50
 
 def sample_reference(ranges, r_s, rng, particles_per_meter_per_rate=0.004,
                      min_particle_range=1.0):
+    """The particle sampler each snow output drew for itself before."""
     n = len(ranges)
     span = np.maximum(ranges - min_particle_range, 0.0)
     counts = rng.poisson(particles_per_meter_per_rate * r_s * span)
@@ -131,15 +137,13 @@ def sample_reference(ranges, r_s, rng, particles_per_meter_per_rate=0.004,
     return distances
 
 
-def snow_reference(frame, r_s, seed, snow_class=None, particles_per_meter_per_rate=0.004,
+def snow_reference(frame, r_s, draw, snow_class=None, particles_per_meter_per_rate=0.004,
                    extinction_per_rate=0.005, reflectivity=0.3, min_particle_range=1.0,
                    particle_distances=None):
     r = frame.ranges
     if particle_distances is None:
-        rng = make_rng("snow", seed)
-        particle_distances = sample_reference(
-            r, r_s, rng, particles_per_meter_per_rate, min_particle_range
-        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            particle_distances = min_particle_range + draw / (particles_per_meter_per_rate * r_s)
     hit = particle_distances < r
 
     k = extinction_per_rate * r_s
@@ -159,10 +163,8 @@ def snow_reference(frame, r_s, seed, snow_class=None, particles_per_meter_per_ra
                                  tag=Provenance.INJECTED_SNOW, class_id=snow_class)
 
 
-def motion_blur_reference(frame, sigma_t, seed):
-    rng = make_rng("motion-blur", seed)
-    offsets = rng.normal(0.0, sigma_t, size=(len(frame.cloud), 3))
-    return (frame.cloud.xyz.astype(np.float64) + offsets).astype(np.float32)
+def motion_blur_reference(frame, sigma_t, draw):
+    return (frame.cloud.xyz.astype(np.float64) + draw * sigma_t).astype(np.float32)
 
 
 # --- inputs -------------------------------------------------------------------
@@ -291,37 +293,27 @@ def test_lstsq_gathers_same_rows(xyz, share, as_float64, seed):
 def test_fog_by_index(frame, alpha, beta_bs, seed, fog_class):
     if len(frame.cloud) == 0:
         return
-    out = apply_fog(frame, alpha, beta_bs, seed, fog_class=fog_class, **FOG)
-    assert_same_frame(out, fog_reference(frame, alpha, beta_bs, seed, fog_class=fog_class,
+    u = draw("fog", len(frame.cloud), seed)
+    out = apply_fog(frame, alpha, beta_bs, u, fog_class=fog_class, **FOG)
+    assert_same_frame(out, fog_reference(frame, alpha, beta_bs, u, fog_class=fog_class,
                                          **FOG))
-
-
-@settings(max_examples=150, deadline=None)
-@given(frames(), st.floats(0.001, 200), seeds, st.floats(0, 5))
-def test_particle_sampler_by_index(frame, r_s, seed, min_range):
-    r = frame.ranges
-    got = sample_particle_distances(r, r_s, make_rng("snow", seed), 0.004, min_range)
-    ref = sample_reference(r, r_s, make_rng("snow", seed), 0.004, min_range)
-    assert_same_bits(got, ref)
 
 
 @settings(max_examples=150, deadline=None)
 @given(frames(), st.floats(0.001, 200), seeds, st.sampled_from([None, 21]),
        st.booleans())
-def test_snow_by_index(frame, r_s, seed, snow_class, override):
+def test_snow_by_index(frame, r_s, seed, snow_class, forced):
     if len(frame.cloud) == 0:
         return
-    distances, sampler = None, corruptions.sample_particle_distances
-    if override:  # a field with zeros, infs and distances past the returns
+    exponentials = draw("snow", len(frame.cloud), seed)
+    if forced:  # particles at the minimum range, none at all, and past the returns
         rng = np.random.default_rng(seed % 2**32)
-        distances = rng.uniform(0, 80, len(frame.cloud))
-        distances[rng.uniform(size=len(distances)) < 0.3] = np.inf
-        distances[rng.uniform(size=len(distances)) < 0.05] = 0.0
-        sampler = lambda *args: distances  # noqa: E731
-    with mock.patch.object(corruptions, "sample_particle_distances", sampler):
-        out = apply_snow(frame, r_s, seed, snow_class=snow_class, **SNOW)
-    assert_same_frame(out, snow_reference(frame, r_s, seed, snow_class=snow_class,
-                                          particle_distances=distances, **SNOW))
+        exponentials = rng.uniform(0, 80, len(exponentials))
+        exponentials[rng.uniform(size=len(exponentials)) < 0.3] = np.inf
+        exponentials[rng.uniform(size=len(exponentials)) < 0.05] = 0.0
+    out = apply_snow(frame, r_s, exponentials, snow_class=snow_class, **SNOW)
+    assert_same_frame(out, snow_reference(frame, r_s, exponentials, snow_class=snow_class,
+                                          **SNOW))
 
 
 @settings(max_examples=100, deadline=None)
@@ -329,8 +321,9 @@ def test_snow_by_index(frame, r_s, seed, snow_class, override):
 def test_motion_blur_in_place(frame, sigma_t, seed):
     if len(frame.cloud) == 0:
         return
-    out = apply_motion_blur(frame, sigma_t, seed)
-    assert_same_bits(out.cloud.xyz, motion_blur_reference(frame, sigma_t, seed))
+    normals = draw("motion_blur", len(frame.cloud), seed)
+    out = apply_motion_blur(frame, sigma_t, normals)
+    assert_same_bits(out.cloud.xyz, motion_blur_reference(frame, sigma_t, normals))
 
 
 @settings(max_examples=100, deadline=None)
@@ -343,3 +336,99 @@ def test_with_fields_by_index(frame, seed, tag, class_id):
     for changed in (mask, np.flatnonzero(mask)):
         out = frame.with_fields(changed=changed, tag=tag, class_id=class_id)
         assert_same_frame(out, ref)
+
+
+# --- each severity's statistics against the samplers drawn per output before ---
+
+SEVERITIES = load_profile("semantickitti").severity
+
+
+def ray_frame(ranges):
+    """A frame of one ray per range, along x, all of intensity 0.5."""
+    n = len(ranges)
+    xyz = np.zeros((n, 3), np.float32)
+    xyz[:, 0] = ranges
+    return CorruptedFrame(PointCloud(xyz, np.full(n, 0.5, np.float32)))
+
+
+def snow_hits(frame, r_s, seed, shared):
+    """Ranges of the rays snow cuts short: from the shared exponential draw,
+    or from the sampler each output drew for itself before."""
+    if shared:
+        out = apply_snow(frame, r_s, draw("snow", len(frame.cloud), seed), **SNOW)
+        xyz, provenance = out.cloud.xyz, out.provenance
+    else:
+        distances = sample_reference(frame.ranges, r_s, make_rng("snow", seed),
+                                     SNOW["particles_per_meter_per_rate"],
+                                     SNOW["min_particle_range"])
+        cloud, _, provenance = snow_reference(frame, r_s, None, particle_distances=distances,
+                                              **SNOW)
+        xyz = cloud.xyz
+    hit = provenance == Provenance.INJECTED_SNOW
+    return np.linalg.norm(xyz[hit].astype(np.float64), axis=1), hit
+
+
+@pytest.mark.parametrize("r_s", SEVERITIES["snow"]["snowfall_rate"])
+@pytest.mark.parametrize("shared", [True, False])
+def test_snow_hit_rate_is_the_poisson_closed_form(r_s, shared):
+    # Rays of 60 m: a particle within the 59 m past the minimum range with
+    # probability 1 - exp(-rate * span); within 5 binomial sigmas.
+    n, r = 200_000, 60.0
+    _, hit = snow_hits(ray_frame(np.full(n, r)), r_s, seed=17, shared=shared)
+    p = 1 - np.exp(-SNOW["particles_per_meter_per_rate"] * r_s
+                   * (r - SNOW["min_particle_range"]))
+    assert abs(hit.mean() - p) < 5 * np.sqrt(p * (1 - p) / n)
+
+
+@pytest.mark.parametrize("r_s", SEVERITIES["snow"]["snowfall_rate"])
+def test_snow_hit_distances_match_the_old_sampler(r_s):
+    frame = ray_frame(np.random.default_rng(5).uniform(0.5, 80, 100_000))
+    shared, _ = snow_hits(frame, r_s, seed=23, shared=True)
+    old, _ = snow_hits(frame, r_s, seed=29, shared=False)
+    assert stats.ks_2samp(shared, old).pvalue > 0.01
+    assert abs(len(shared) - len(old)) < 5 * np.sqrt(len(old))
+
+
+@pytest.mark.parametrize("sigma_t", SEVERITIES["motion_blur"]["sigma_t"])
+def test_motion_blur_axis_std_matches_the_old_sampler(sigma_t):
+    n = 50_000
+    frame = ray_frame(np.zeros(n))
+    shared = apply_motion_blur(frame, sigma_t, draw("motion_blur", n, 31)).cloud.xyz
+    old = make_rng("motion-blur", 37).normal(0.0, sigma_t, size=(n, 3))  # drawn per output
+    for offsets in (shared.astype(np.float64), old):
+        # the std of a normal sample's std is sigma / sqrt(2n)
+        assert np.all(np.abs(offsets.std(axis=0) - sigma_t) < 5 * sigma_t / np.sqrt(2 * n))
+        assert np.all(np.abs(offsets.mean(axis=0)) < 5 * sigma_t / np.sqrt(n))
+
+
+def inclusion_frequency(pick, n, runs=3000):
+    """How often each of `n` points is picked, over `runs` seeds."""
+    counts = np.zeros(n)
+    for seed in range(runs):
+        counts[pick(seed)] += 1
+    return counts / runs
+
+
+@pytest.mark.parametrize("kind", ["crosstalk", "incomplete_echo"])
+def test_each_point_picked_as_often_as_by_the_old_sampler(kind):
+    n, share, runs = 40, 0.25, 3000
+    frame = ray_frame(np.linspace(1, 40, n))
+    vehicles = np.arange(n) < 30
+    if kind == "crosstalk":
+        k = int(np.rint(share * n))
+        picked = lambda out: out.provenance == Provenance.JITTERED_CROSSTALK  # noqa: E731
+        shared = lambda seed: picked(apply_crosstalk(  # noqa: E731
+            frame, share, 1.0, draw(kind, n, seed)))
+        old = lambda seed: make_rng(kind, seed).choice(n, size=k, replace=False)  # noqa: E731
+        p = np.full(n, k / n)
+    else:
+        k = int(np.rint(share * 30))
+        candidates = np.flatnonzero(vehicles)
+        shared = lambda seed: ~np.isin(frame.cloud.xyz[:, 0], apply_incomplete_echo(  # noqa: E731
+            frame, vehicles, share, draw(kind, 30, seed)).cloud.xyz[:, 0])
+        old = lambda seed: make_rng(kind, seed).choice(  # noqa: E731
+            candidates, size=k, replace=False)
+        p = np.where(vehicles, k / 30, 0.0)
+    tolerance = 5 * np.sqrt(p * (1 - p) / runs)
+    for pick in (shared, old):
+        assert np.all(np.abs(inclusion_frequency(pick, n, runs) - p) <= tolerance)

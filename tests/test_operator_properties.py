@@ -27,7 +27,7 @@ from lidarcorrupt.corruptions import (
 )
 from lidarcorrupt.geometry import GroundModel
 
-from conftest import BOXES, FOG, SNOW, WET
+from conftest import BOXES, FOG, SNOW, WET, draw
 
 BEAMS = 4
 INJECTED = 99  # the class id injected points take; no input label has it
@@ -69,24 +69,29 @@ def cases(draw):
 def run(kind, case, strength, seed, class_id=INJECTED):
     """`kind` at `strength` (0 is its identity setting) on the frame of `case`."""
     frame, ground, vehicles = case
+    n = len(frame.cloud)
     if kind == "fog":
-        return apply_fog(frame, alpha=0.05 * strength, beta_bs=strength, seed=seed,
-                         fog_class=class_id, **FOG)
+        return apply_fog(frame, alpha=0.05 * strength, beta_bs=strength,
+                         draw=draw("fog", n, seed), fog_class=class_id, **FOG)
     if kind == "wet_ground":
-        return apply_wet_ground(frame, GroundModel.from_mask(frame.cloud.xyz, ground),
+        model = GroundModel.from_mask(frame.cloud.xyz, ground)
+        return apply_wet_ground(frame, model, model.cos_incidence(frame.cloud.xyz, frame.ranges),
                                 d_w=3.0 * strength, **WET)
     if kind == "snow":
-        return apply_snow(frame, r_s=20.0 * strength, seed=seed, snow_class=class_id, **SNOW)
+        return apply_snow(frame, r_s=20.0 * strength, draw=draw("snow", n, seed),
+                          snow_class=class_id, **SNOW)
     if kind == "motion_blur":
-        return apply_motion_blur(frame, sigma_t=0.5 * strength, seed=seed)
+        return apply_motion_blur(frame, sigma_t=0.5 * strength, draw=draw(kind, n, seed))
     partition = partition_beams(frame.cloud, BEAMS, frame.ranges)
     if kind == "beam_missing":
-        return apply_beam_missing(frame, partition, m=round(strength * BEAMS), seed=seed)
+        return apply_beam_missing(frame, partition, m=round(strength * BEAMS),
+                                  draw=draw(kind, BEAMS, seed))
     if kind == "crosstalk":
-        return apply_crosstalk(frame, k_t=strength, sigma_c=0.5, seed=seed,
+        return apply_crosstalk(frame, k_t=strength, sigma_c=0.5, draw=draw(kind, n, seed),
                                crosstalk_class=class_id)
     if kind == "incomplete_echo":
-        return apply_incomplete_echo(frame, vehicles, k_e=strength, seed=seed)
+        return apply_incomplete_echo(frame, vehicles, k_e=strength,
+                                     draw=draw(kind, int(vehicles.sum()), seed))
     return apply_cross_sensor(frame, partition, beams_kept=BEAMS - round(strength * (BEAMS - 1)),
                               subsample_keep=1.0 / (1 + round(3 * strength)))
 
