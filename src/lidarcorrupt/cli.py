@@ -41,12 +41,12 @@ from .metrics import (
     write_accuracy_record,
 )
 from .profiles import CorruptionKind, DatasetProfile, Severity, load_profile
-from .rng import derive_seed
 from .types import PointCloud
-# bench/spans.py wraps the scan and box codecs below, and the metrics
-# functions above, by their names in this module, and a traced run fails if
-# one is missing, so they stay imported: the codecs unused, and
-# `confusion_matrix` called only to name a bad label.
+# bench/spans.py wraps the scan and box codecs and `derive_seed` below, and
+# the metrics functions above, by their names in this module, and a traced
+# run fails if one is missing, so they stay imported: the codecs and
+# `derive_seed` unused, and `confusion_matrix` called only to name a bad label.
+from .rng import derive_seed  # noqa: F401
 from .scan_io import (  # noqa: F401
     frame_stems,
     load_frame,
@@ -192,7 +192,7 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
                     out_dir = cfg.output_root / kind.value / severity.value
                     out_dir.mkdir(parents=True, exist_ok=True)
                     output = {"frame": stem, "kind": kind.value, "severity": severity.value,
-                              "seed": derive_seed(cfg.seed, stem, kind),
+                              "seed": ctx.seed_of(kind),
                               "params": profile.severity_params(kind, severity)}
                     paths = [out_dir / f"{stem}.bin"]
                     labels = None

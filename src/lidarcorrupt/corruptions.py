@@ -12,6 +12,7 @@ dataset profile defines one, relabeled with the matching injected class id.
 from __future__ import annotations
 
 import enum
+import inspect
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -129,10 +130,10 @@ def _check_strength(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-def _checked(draw: np.ndarray, rows: int) -> np.ndarray:
-    """`draw`, or ValueError unless it has `rows` rows."""
-    if len(draw) != rows:
-        raise ValueError(f"draw has {len(draw)} rows, expected {rows}")
+def _checked(draw: np.ndarray, *shape: int) -> np.ndarray:
+    """`draw`, or ValueError unless its shape is `shape`."""
+    if draw.shape != shape:
+        raise ValueError(f"draw has shape {draw.shape}, expected {shape}")
     return draw
 
 
@@ -160,7 +161,7 @@ def apply_fog(
 
     Raises:
         ValueError: alpha or beta_bs not finite and >= 0, intensities not
-            normalized to [0, 1], or a draw of another length.
+            normalized to [0, 1], or a draw of another shape.
     """
     _check_strength("alpha", alpha)
     _check_strength("beta_bs", beta_bs)
@@ -291,7 +292,7 @@ def apply_motion_blur(frame: CorruptedFrame, sigma_t: float, draw: np.ndarray) -
     _check_strength("sigma_t", sigma_t)
     if sigma_t == 0 or len(frame.cloud) == 0:
         return frame
-    xyz, draw = np.empty_like(frame.cloud.xyz), _checked(draw, len(frame.cloud))
+    xyz, draw = np.empty_like(frame.cloud.xyz), _checked(draw, len(frame.cloud), 3)
     for rows in (slice(i, i + 8192) for i in range(0, len(xyz), 8192)):
         xyz[rows] = draw[rows] * sigma_t + frame.cloud.xyz[rows]
     return frame.with_fields(xyz)
@@ -332,7 +333,7 @@ def apply_crosstalk(
     if n_sel == 0:
         return frame
     order, noise = draw
-    selected, noise = _checked(order, n)[:n_sel], noise[:n_sel] * sigma_c
+    selected, noise = _checked(order, n)[:n_sel], _checked(noise[:n_sel], n_sel, 4) * sigma_c
 
     xyz = frame.cloud.xyz.copy()
     xyz[selected] = (
@@ -415,8 +416,7 @@ class FrameContext:
 
     The ground is the ground-labelled points and their plane
     (`GroundModel.from_mask`), or, when the frame has no labels or the
-    profile no ground classes, a RANSAC fit seeded by (run seed, frame id,
-    wet_ground).
+    profile no ground classes, a RANSAC fit seeded by `seed_of(wet_ground)`.
     """
 
     def __init__(
@@ -427,14 +427,26 @@ class FrameContext:
         self.seed = seed
         self._draw: tuple = (None, None)
 
+    def seed_of(self, kind: CorruptionKind) -> int:
+        """The seed of `kind`'s randomness in this frame: (run seed, frame id, kind)."""
+        return derive_seed(self.seed, self.frame.cloud.frame_id, kind)
+
     def draw(self, kind: CorruptionKind):
-        """`kind`'s randomness for this frame (`_DRAWS`), seeded by (run seed,
-        frame id, kind) and shared by its severities; only the last is kept."""
+        """`kind`'s randomness for this frame (`_DRAWS`), seeded by `seed_of`
+        and shared by its severities; only the last kind's is kept."""
         if self._draw[0] != kind:
-            self._draw = (None, None)  # free the last kind's arrays before drawing
-            rng = make_rng(kind, derive_seed(self.seed, self.frame.cloud.frame_id, kind))
+            self.keep_only(kind)  # free the last kind's arrays before drawing
+            rng = make_rng(kind, self.seed_of(kind))
             self._draw = (kind, _DRAWS[kind](rng, self, len(self.frame.cloud)))
         return self._draw[1]
+
+    def keep_only(self, kind: CorruptionKind) -> None:
+        """Free the per-kind arrays that `kind` does not read: another
+        kind's draw, and the incidence outside wet ground."""
+        if self._draw[0] != kind:
+            self._draw = (None, None)
+        if kind != CorruptionKind.WET_GROUND:
+            self.__dict__.pop("incidence", None)
 
     @cached_property
     def partition(self) -> BeamPartition:
@@ -453,7 +465,7 @@ class FrameContext:
             frame.cloud,
             iterations=int(profile.params["ransac_iterations"]),
             inlier_threshold=float(profile.params["ransac_threshold"]),
-            seed=derive_seed(self.seed, frame.cloud.frame_id, CorruptionKind.WET_GROUND),
+            seed=self.seed_of(CorruptionKind.WET_GROUND),
         )
 
     @cached_property
@@ -492,18 +504,6 @@ _DRAWS = {
         lambda rng, ctx, n: rng.permutation(np.count_nonzero(ctx.vehicle_mask)),
 }
 
-# What each operator takes besides `frame` and its `KINDS` keywords: its
-# kind's draw, a FrameContext structure or the profile's injected class id.
-_EXTRAS = {
-    CorruptionKind.FOG: ("draw", "fog_class"),
-    CorruptionKind.WET_GROUND: ("ground", "incidence"),
-    CorruptionKind.SNOW: ("draw", "snow_class"), CorruptionKind.MOTION_BLUR: ("draw",),
-    CorruptionKind.BEAM_MISSING: ("partition", "draw"),
-    CorruptionKind.CROSSTALK: ("draw", "crosstalk_class"),
-    CorruptionKind.INCOMPLETE_ECHO: ("vehicle_mask", "draw"),
-    CorruptionKind.CROSS_SENSOR: ("partition",),
-}
-
 
 def apply(
     spec: CorruptionSpec,
@@ -513,13 +513,15 @@ def apply(
 ) -> CorruptedFrame:
     """Apply one corruption at one severity, resolving parameters from the profile.
 
-    `apply_<kind>` gets the profile values `profiles.KINDS` names, an
-    ``_axis`` one drawn with the seed of (spec.seed, frame id, kind), and
-    its `_EXTRAS` from `ctx`: the kind's draw and the prerequisite structures
-    (ground, beam partition, vehicle mask). Callers corrupting one frame
-    many times build `ctx` once with `FrameContext(frame, profile,
-    spec.seed)`, and loop kind by kind, so each kind is drawn once. Without
-    one, a throwaway context is built, with the same result.
+    `apply_<kind>` gets each parameter after `frame` by its name: a
+    `profiles.KINDS` keyword is the profile value it names, cast, with an
+    ``_axis`` one drawn with the seed `ctx.seed_of(kind)`; `draw` is
+    `ctx.draw(kind)`; a name ending in ``_class`` is the profile's injected
+    class id; any other is that `FrameContext` structure (ground, incidence,
+    beam partition, vehicle mask). Callers corrupting one frame many times
+    build `ctx` once with `FrameContext(frame, profile, spec.seed)`, and
+    loop kind by kind, so each kind is drawn once. Without one, a throwaway
+    context is built, with the same result.
 
     Raises:
         ValueError: `ctx` was built for another frame, profile or seed.
@@ -529,16 +531,19 @@ def apply(
     elif ctx.frame is not frame or ctx.profile is not profile or ctx.seed != spec.seed:
         raise ValueError("frame context was built for another frame, profile or seed")
     kind = spec.kind
+    ctx.keep_only(kind)
     entry = profile.severity_params(kind, spec.severity)
+    operator = globals()[f"apply_{kind}"]  # a wrapper set on the module runs
     kwargs = {}
-    for keyword, (key, cast) in KINDS[kind].items():
-        name = key.partition(".")[2]
-        value = entry[name] if name else profile.params[key]
-        if key.endswith("_axis"):
-            seed = derive_seed(spec.seed, frame.cloud.frame_id, kind)
-            value = make_rng(f"{kind}-{keyword}", seed).choice(value)
-        kwargs[keyword] = cast(value)
-    for name in _EXTRAS[kind]:  # ctx builds only the structures named here
-        kwargs[name] = ctx.draw(kind) if name == "draw" else getattr(
-            profile if name.endswith("_class") else ctx, name)
-    return globals()[f"apply_{kind}"](frame, **kwargs)  # a wrapper set on the module runs
+    for name in list(inspect.signature(operator).parameters)[1:]:  # ctx builds only these
+        if name in KINDS[kind]:
+            key, cast = KINDS[kind][name]
+            pname = key.partition(".")[2]
+            value = entry[pname] if pname else profile.params[key]
+            if key.endswith("_axis"):
+                value = make_rng(f"{kind}-{name}", ctx.seed_of(kind)).choice(value)
+            kwargs[name] = cast(value)
+        else:
+            kwargs[name] = ctx.draw(kind) if name == "draw" else getattr(
+                profile if name.endswith("_class") else ctx, name)
+    return operator(frame, **kwargs)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Optional
@@ -59,10 +59,6 @@ class Severity(str, enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-    @property
-    def index(self) -> int:
-        return ("light", "moderate", "heavy").index(self.value)
 
 
 @dataclass(frozen=True)
@@ -111,15 +107,14 @@ class DatasetProfile:
         if not isinstance(self.requires_labels, bool):
             raise ProfileError(f"{self.name}: requires_labels must be true or false, "
                                f"got {self.requires_labels!r}")
-        nullable = ("fog_class", "snow_class", "crosstalk_class")
-        fields = {name: value for name, value in vars(self).items()
-                  if name in _RANGES and not (name in nullable and value is None)}
-        for key, value in {**fields, **entries}.items():
+        checked = {name: value for name, value in vars(self).items()
+                   if name in _RANGES and not (name in _INJECTED and value is None)}
+        for key, value in {**checked, **entries}.items():
             rule, allowed = _RANGES.get(key, (">= 0", lambda v, profile: True))
             listed = isinstance(value, (list, tuple, frozenset))
             values = value if listed else [value]
             # A field is one number, or for a class-id list a list of them.
-            if (key in fields and listed != (key in _CLASS_LISTS)) or not all(
+            if (key in checked and listed != (key in _CLASS_LISTS)) or not all(
                     _is_number(v) and v >= 0 and allowed(v, self) for v in values):
                 rule = rule.format(beam_count=self.beam_count)
                 raise ProfileError(f"{self.name}: {key} must be {rule}, got {value!r}")
@@ -143,14 +138,11 @@ class DatasetProfile:
         """`kind`'s table at `severity`, cast as its operator reads it; each ``_axis`` whole."""
         casts = {key.partition(".")[2]: cast for key, cast in KINDS[kind].values()}
         return {pname: [casts[pname](v) for v in value] if pname.endswith("_axis")
-                else casts[pname](value[severity.index])
+                else casts[pname](value[list(Severity).index(severity)])
                 for pname, value in self.severity[kind.value].items()}
 
     def injected_classes(self) -> frozenset[int]:
-        return frozenset(
-            c for c in (self.fog_class, self.snow_class, self.crosstalk_class)
-            if c is not None
-        )
+        return frozenset(getattr(self, name) for name in _INJECTED) - {None}
 
     def with_overrides(self, overrides: Mapping[str, Any]) -> "DatasetProfile":
         """Copy with parameters replaced.
@@ -243,6 +235,8 @@ def _is_class_id(value: Any, profile: DatasetProfile) -> bool:
 
 
 _CLASS_LISTS = ("ground_classes", "vehicle_classes", "vehicle_box_classes")
+# The fields of the class ids given to injected points; each may be null.
+_INJECTED = ("fog_class", "snow_class", "crosstalk_class")
 
 # The range of a profile value beyond the rule that it is no negative number:
 # key -> (the range in words, whether each number `v` of `profile` is in it).
@@ -250,9 +244,7 @@ _RANGES = {
     "beam_count": ("a whole number >= 1", lambda v, profile: _whole(v) and v >= 1),
     "intensity_scale": ("> 0", lambda v, profile: v > 0),
     "ignore_label": ("a whole number in [0, 65535]", _is_class_id),
-    "fog_class": ("a whole number in [0, 65535] or null", _is_class_id),
-    "snow_class": ("a whole number in [0, 65535] or null", _is_class_id),
-    "crosstalk_class": ("a whole number in [0, 65535] or null", _is_class_id),
+    **dict.fromkeys(_INJECTED, ("a whole number in [0, 65535] or null", _is_class_id)),
     "ground_classes": ("whole numbers in [0, 65535]", _is_class_id),
     "vehicle_classes": ("whole numbers in [0, 65535]", _is_class_id),
     "vehicle_box_classes": ("whole numbers >= 0", lambda v, profile: _whole(v)),
@@ -312,21 +304,9 @@ def load_profile(
     try:
         params = dict(source.get("defaults", {}))
         params.update(raw.get("params", {}))
-        return DatasetProfile(
-            name=name.lower(),
-            beam_count=raw["beam_count"],
-            intensity_scale=raw["intensity_scale"],
-            ignore_label=raw["ignore_label"],
-            fog_class=raw["fog_class"],
-            snow_class=raw["snow_class"],
-            crosstalk_class=raw["crosstalk_class"],
-            ground_classes=raw["ground_classes"],
-            vehicle_classes=raw["vehicle_classes"],
-            vehicle_box_classes=raw["vehicle_box_classes"],
-            requires_labels=raw["requires_labels"],
-            severity=raw["severity"],
-            params=params,
-        )
+        return DatasetProfile(name=name.lower(), params=params, **{
+            f.name: raw[f.name] for f in fields(DatasetProfile)
+            if f.name not in ("name", "params")})
     except KeyError as exc:
         raise ProfileError(f"profile {name!r} has no {exc.args[0]!r} field") from exc
     except (AttributeError, TypeError, ValueError) as exc:

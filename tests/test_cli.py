@@ -23,10 +23,14 @@ from lidarcorrupt import (
     write_nuscenes_scan,
     write_semkitti_labels,
 )
-from lidarcorrupt import cli
+from lidarcorrupt import cli, corruptions
 from lidarcorrupt.cli import RunConfig, main
+from lidarcorrupt.corruptions import FrameContext
+from lidarcorrupt.profiles import CorruptionKind
+from lidarcorrupt.rng import derive_seed, make_rng
+from lidarcorrupt.scan_io import load_frame
 
-from conftest import NUSCENES_BEAMS, make_beam_cloud
+from conftest import NUSCENES_BEAMS, make_beam_cloud, write_dataset
 
 _REAL_CORRUPT_ONE_FRAME = cli._corrupt_one_frame
 DYING_STEM = "000002"
@@ -321,19 +325,45 @@ class TestCorrupt:
             checksums.append(entry_checksums(manifest))
         assert checksums[0] == checksums[1]
 
-    def test_worker_count_invariance(self, runner, tmp_path):
-        src = build_dataset(tmp_path / "in", n_frames=2)
-        checksums = []
-        for name, workers in (("w1", "1"), ("w8", "8")):
+    @pytest.mark.parametrize("profile_name", ["kitti", "nuscenes", "semantickitti", "wod"])
+    def test_worker_count_invariance(self, runner, tmp_path, profile_name):
+        # Two frames, so two workers run them in the process pool: the golden
+        # pins use one frame and never reach it. The manifest bytes must match.
+        src = write_dataset(tmp_path / "in", profile_name, n_frames=2)
+        manifests = []
+        for workers in ("1", "2"):
             result = runner.invoke(
                 main,
-                ["corrupt", "--dataset", "semantickitti", "--in", str(src),
-                 "--out", str(tmp_path / name), "--seed", "5", "--workers", workers],
+                ["corrupt", "--dataset", profile_name, "--in", str(src),
+                 "--out", str(tmp_path / workers), "--seed", "3", "--workers", workers],
             )
             assert result.exit_code == 0, result.output
-            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
-            checksums.append(entry_checksums(manifest))
-        assert checksums[0] == checksums[1]
+            manifests.append((tmp_path / workers / "manifest.json").read_bytes())
+        assert json.loads(manifests[0])["failures"] == []
+        assert manifests[0] == manifests[1]
+
+    def test_manifest_seed_reproduces_each_draw(self, tmp_path):
+        # An entry's seed is its kind's in the frame, from (run seed, stem,
+        # kind); a generator keyed by it gives the draw its outputs read.
+        src = write_dataset(tmp_path / "in", "semantickitti", n_frames=2)
+        cfg = RunConfig(profile_name="semantickitti", input_root=src,
+                        output_root=tmp_path / "out", seed=3)
+        entries = cli.run_corrupt(cfg)["entries"]
+        profile = cfg.load()
+        assert {e["frame"] for e in entries} == {"000000", "000001"}
+        for stem in ("000000", "000001"):
+            ctx = FrameContext(load_frame(src, stem, profile), profile, cfg.seed)
+            for entry in (e for e in entries if e["frame"] == stem):
+                kind = CorruptionKind(entry["kind"])
+                assert entry["seed"] == derive_seed(cfg.seed, stem, kind)
+                if kind not in corruptions._DRAWS:
+                    continue
+                redrawn = corruptions._DRAWS[kind](
+                    make_rng(kind, entry["seed"]), ctx, len(ctx.frame.cloud))
+                drawn = ctx.draw(kind)
+                if kind is not CorruptionKind.CROSSTALK:
+                    redrawn, drawn = (redrawn,), (drawn,)
+                assert all(map(np.array_equal, redrawn, drawn))
 
     def test_subset_selection(self, runner, tmp_path):
         src = build_dataset(tmp_path / "in", n_frames=1)

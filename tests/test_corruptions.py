@@ -680,7 +680,7 @@ class TestBadStrengths:
 
 
 class TestDrawLength:
-    """A draw made for another point, beam or vehicle count is rejected."""
+    """A draw of another shape than its operator reads is rejected."""
 
     @pytest.mark.parametrize("call", [
         lambda f: apply_fog(f, 0.06, 1.0, draw("fog", 49), **FOG),
@@ -691,8 +691,15 @@ class TestDrawLength:
         lambda f: apply_incomplete_echo(f, np.arange(50) < 10, 0.5, draw("incomplete_echo", 9)),
         lambda f: apply_wet_ground(f, GroundModel(None, np.ones(50, bool)), np.ones(5), 1.0,
                                    **WET),
+        # the whole shape: one column would move every point alike on x, y and z
+        lambda f: apply_motion_blur(f, 0.25, draw("fog", 50)[:, None]),
+        # crosstalk's noise: 4 columns, a row for each of the round(k_t * N) points
+        lambda f: apply_crosstalk(f, 0.5, 3.0, (draw("crosstalk", 50)[0],
+                                                draw("crosstalk", 24)[1])),
+        lambda f: apply_crosstalk(f, 0.5, 3.0, (draw("crosstalk", 50)[0],
+                                                draw("crosstalk", 50)[1][:, :3])),
     ])
     def test_rejected(self, call):
-        with pytest.raises(ValueError, match="^draw has .* rows, expected "):
+        with pytest.raises(ValueError, match="^draw has shape .*, expected "):
             call(simple_frame(n=50))
 

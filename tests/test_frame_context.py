@@ -130,8 +130,9 @@ def test_each_kind_drawn_once_and_only_the_last_kept(monkeypatch):
     for kind in CorruptionKind:
         for severity in Severity:
             apply(CorruptionSpec(kind, severity, seed=8), frame, profile, ctx)
-        if kind in corruptions._DRAWS:
-            assert ctx._draw[0] is kind  # the earlier kinds' arrays are gone
+        # the earlier kinds' arrays are gone: a draw, and the incidence, live with their kind
+        assert ctx._draw[0] is (kind if kind in corruptions._DRAWS else None)
+        assert ("incidence" in vars(ctx)) == (kind is CorruptionKind.WET_GROUND)
     # fog's alpha is drawn per output from its own stream, seeded per kind
     assert drawn.count("fog-alpha") == 3
     assert [p for p in drawn if p != "fog-alpha"] == list(corruptions._DRAWS)
@@ -300,17 +301,21 @@ def test_ring_partition_reads_no_ranges(calls):
     assert (calls["ranges"], calls["partition"]) == (0, 1)
 
 
-def test_kinds_cover_every_corruption():
-    assert list(profiles.KINDS) == list(corruptions._EXTRAS) == list(CorruptionKind)
-
-
 @pytest.mark.parametrize("kind", list(CorruptionKind))
-def test_operator_takes_its_table_keywords_and_extras(kind):
-    # `apply` passes `frame`, the keywords `profiles.KINDS` lists and the
-    # kind's extras by name to `apply_<kind>`, which takes no others.
-    operator = getattr(corruptions, f"apply_{kind}")
-    params = set(inspect.signature(operator).parameters)
-    assert params == {"frame", *profiles.KINDS[kind], *corruptions._EXTRAS[kind]}
+def test_operator_parameters_resolve_under_the_dispatch_rule(kind):
+    # `apply` fills each parameter of `apply_<kind>` after `frame` by name: a
+    # `profiles.KINDS` keyword from the profile, `draw` from the context's
+    # draw, a `*_class` from the profile's fields, any other name from a
+    # `FrameContext` structure. Every keyword the table lists is taken.
+    params = list(inspect.signature(getattr(corruptions, f"apply_{kind}")).parameters)
+    assert params[0] == "frame"
+    profile_fields = {f.name for f in dataclasses.fields(profiles.DatasetProfile)}
+    for name in params[1:]:
+        assert (name in profiles.KINDS[kind] or name == "draw"
+                or (name.endswith("_class") and name in profile_fields)
+                or isinstance(getattr(FrameContext, name, None), cached_property)), name
+    assert ("draw" in params) == (kind in corruptions._DRAWS)
+    assert set(profiles.KINDS[kind]) <= set(params)
 
 
 # Another in-range value for each profile key: every `params` key and
