@@ -49,6 +49,7 @@ from .types import PointCloud
 from .rng import derive_seed  # noqa: F401
 from .scan_io import (  # noqa: F401
     frame_stems,
+    label_words,
     load_frame,
     read_kitti_boxes,
     read_kitti_scan,
@@ -144,6 +145,11 @@ def _encode_and_hash(cloud: PointCloud, profile: DatasetProfile,
     return payloads
 
 
+def _failure(stage: str, exc: BaseException, **where: str) -> dict:
+    """A manifest failure: where and at which stage, the exception's class and message."""
+    return {**where, "stage": stage, "type": type(exc).__name__, "error": str(exc)}
+
+
 def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
     """Worker: corrupt one frame for every selected (kind, severity).
 
@@ -163,11 +169,10 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
     try:
         frame = load_frame(cfg.input_root, stem, profile)
     except Exception as exc:  # reported per frame, batch continues
-        return [], [{"frame": stem, "error": str(exc)}]
+        return [], [_failure("load", exc, frame=stem)]
 
-    def record_failure(kind: str, severity: str, exc: Exception) -> None:
-        failures.append({"frame": stem, "kind": kind, "severity": severity,
-                         "error": str(exc)})
+    def record_failure(stage: str, kind: str, severity: str, exc: Exception) -> None:
+        failures.append(_failure(stage, exc, frame=stem, kind=kind, severity=severity))
 
     def settle(job: tuple) -> None:
         """Wait for one output's encode and hashes, then write its files."""
@@ -178,7 +183,7 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
                 entries.append({"file": str(path.relative_to(cfg.output_root)),
                                 **output, "sha256": digest.hexdigest()})
         except Exception as exc:  # reported per output, frame continues
-            record_failure(output["kind"], output["severity"], exc)
+            record_failure("write", output["kind"], output["severity"], exc)
 
     ctx = FrameContext(frame, profile, cfg.seed)
     pending = None
@@ -203,7 +208,7 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
                     job = (output, paths, hashes, helper.submit(
                         _encode_and_hash, result.cloud, profile, labels, hashes))
                 except Exception as exc:  # reported per output, frame continues
-                    record_failure(kind.value, severity.value, exc)
+                    record_failure("apply", kind.value, severity.value, exc)
                 if pending is not None:
                     settle(pending)
                 pending = job
@@ -235,8 +240,7 @@ def _pooled_results(job_args: list, workers: int) -> list:
                     stem, exc = running.pop(future), future.exception()
                     if isinstance(exc, BrokenProcessPool):
                         limit = 0
-                        failure = {"frame": stem, "error": f"{type(exc).__name__}: {exc}"}
-                        results.append(([], [failure]))
+                        results.append(([], [_failure("worker", exc, frame=stem)]))
                     else:
                         results.append(future.result())
     return results
@@ -358,22 +362,21 @@ def _miou_over_dir(
     skipped = sorted(profile.injected_classes() | {profile.ignore_label})
     keys, counts = [np.zeros(0, np.uint32)], [np.zeros(0, np.intp)]
     for stem in _matched_stems(pred_dir, gt_dir):
-        pred = read_semkitti_labels((pred_dir / f"{stem}.label").read_bytes())
-        gt = read_semkitti_labels((gt_dir / f"{stem}.label").read_bytes())
+        pred, gt = (label_words(path.read_bytes(), str(path))
+                    for path in (pred_dir / f"{stem}.label", gt_dir / f"{stem}.label"))
         if len(pred) != len(gt):
-            raise PairingError(
-                f"frame {stem}: {len(pred)} predictions for {len(gt)} labels"
-            )
-        key = np.left_shift(gt.semantic, 16, dtype=np.uint32)
-        key |= pred.semantic
-        key.sort()  # np.unique(key, return_counts=True) without its copy
+            raise PairingError(f"frame {stem}: {len(pred)} predictions for {len(gt)} labels")
+        key = np.left_shift(gt, 16)  # from whole words: the shift drops gt's instance half,
+        key |= pred.astype(np.uint16)  # and the cast pred's
+        del pred, gt  # the key holds both files' ids, so their bytes go before the next read
+        unsorted, key = key, np.sort(key)  # an error names labels in point order
         starts = np.flatnonzero(np.concatenate(([len(key) > 0], key[1:] != key[:-1])))
         file_keys, file_counts = key[starts], np.diff(starts, append=len(key))
         gt_ids = file_keys >> 16
         high = np.maximum(gt_ids, file_keys & 0xFFFF) >= num_classes
         if high.any() and not np.isin(gt_ids[high], skipped).all():
-            # Raises, naming the file's first counted label out of range.
-            confusion_matrix(pred.semantic, remap_injected(gt.semantic, profile),
+            confusion_matrix(unsorted.astype(np.uint16),  # raises, naming the first bad id
+                             remap_injected((unsorted >> 16).astype(np.uint16), profile),
                              num_classes, ignore_label=profile.ignore_label)
         keys.append(file_keys)
         counts.append(file_counts)

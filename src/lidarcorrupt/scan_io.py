@@ -112,14 +112,16 @@ def write_nuscenes_scan(pc: PointCloud) -> bytes:
     return _pack(pc, 5).tobytes()
 
 
+def label_words(data: bytes, what: str = "label stream") -> np.ndarray:
+    """`data` as 32-bit label words (a view); MalformedScanError names `what`."""
+    if len(data) % 4 != 0:
+        raise MalformedScanError(f"{what}: byte length {len(data)} is not a multiple of 4")
+    return np.frombuffer(data, dtype="<u4")
+
+
 def read_semkitti_labels(data: bytes) -> LabelArray:
     """Decode packed 32-bit label words (semantic low half, instance high half)."""
-    if len(data) % 4 != 0:
-        raise MalformedScanError(
-            f"label stream: byte length {len(data)} is not a multiple of 4"
-        )
-    # A little-endian word stores its low (semantic) half first.
-    halves = np.frombuffer(data, dtype="<u2").reshape(-1, 2)
+    halves = label_words(data).view("<u2").reshape(-1, 2)  # little-endian: semantic first
     return LabelArray(semantic=halves[:, 0], instance=halves[:, 1])
 
 

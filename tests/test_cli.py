@@ -598,7 +598,7 @@ class TestCorrupt:
         assert len(manifest["entries"]) == 2 * 3 * 2
         [failure] = manifest["failures"]
         assert failure["frame"] == DYING_STEM
-        assert failure["error"].startswith("BrokenProcessPool: ")
+        assert (failure["stage"], failure["type"]) == ("worker", "BrokenProcessPool")
 
     def test_dead_worker_fails_only_frames_in_flight(self, tmp_path, monkeypatch):
         src = build_dataset(tmp_path / "in", n_frames=8, beams=8)
@@ -613,7 +613,8 @@ class TestCorrupt:
         failed = {f["frame"] for f in manifest["failures"]}
         # Two frames run at a time; the other one in flight may fail with 000000.
         assert "000000" in failed and len(failed) <= 2
-        assert all(f["error"].startswith("BrokenProcessPool: ") for f in manifest["failures"])
+        assert all((f["stage"], f["type"]) == ("worker", "BrokenProcessPool")
+                   for f in manifest["failures"])
         assert manifest["entries"] == [e for e in clean["entries"] if e["frame"] not in failed]
         assert len(manifest["entries"]) == (8 - len(failed)) * 2 * 3 * 2
 
@@ -655,9 +656,9 @@ class TestCorrupt:
         assert sizes == [2, 2, 2]
         assert sorted({e["frame"] for e in manifest["entries"]}) == [
             "000001", "000002", "000003", "000004", "000006", "000007"]
-        assert [(f["frame"], f["error"]) for f in manifest["failures"]] == [
-            ("000000", "BrokenProcessPool: worker died"),
-            ("000005", "BrokenProcessPool: worker died")]
+        assert manifest["failures"] == [
+            {"frame": stem, "stage": "worker", "type": "BrokenProcessPool", "error": "worker died"}
+            for stem in ("000000", "000005")]
 
     @pytest.mark.parametrize("workers,pool_size", [(2, 2), (64, 3)])
     def test_pool_sized_to_frames(self, tmp_path, monkeypatch, workers, pool_size):
@@ -704,8 +705,9 @@ class TestCorrupt:
         manifest = cli.run_corrupt(RunConfig(
             profile_name="semantickitti", input_root=src, output_root=out,
             kinds=(cli.CorruptionKind.FOG, cli.CorruptionKind.MOTION_BLUR)))
-        assert manifest["failures"] == [{"frame": "000000", "kind": "fog",
-                                         "severity": "heavy", "error": "disk full"}]
+        assert manifest["failures"] == [{"frame": "000000", "kind": "fog", "severity": "heavy",
+                                         "stage": "write", "type": "OSError",
+                                         "error": "disk full"}]
         assert not doomed.exists()
         assert not list(out.rglob("*.tmp"))
         assert len(manifest["entries"]) == 2 * 3 * 2 - 2
@@ -749,7 +751,8 @@ class TestCorrupt:
             kinds=(cli.CorruptionKind.FOG, cli.CorruptionKind.MOTION_BLUR)))
         assert write_failed.is_set() and encodes == [False] * 6
         assert manifest["failures"] == [{"frame": "000000", "kind": "fog",
-                                         "severity": "moderate", "error": "disk full"}]
+                                         "severity": "moderate", "stage": "write",
+                                         "type": "OSError", "error": "disk full"}]
         assert not list(out.rglob("*.tmp"))
         assert not doomed.with_name("000000.label").exists()
         # the .bin of output k was written before its label failed, and stays
@@ -780,8 +783,8 @@ class TestCorrupt:
             kinds=(cli.CorruptionKind.FOG,)))
         assert calls == [False] * 3  # every encode ran off the main thread
         assert manifest["failures"] == [{
-            "frame": "000000", "kind": "fog", "severity": "moderate",
-            "error": "cloud has no ring channel; cannot encode nuScenes scan"}]
+            "frame": "000000", "kind": "fog", "severity": "moderate", "stage": "write",
+            "type": "ValueError", "error": "cloud has no ring channel; cannot encode nuScenes scan"}]
         assert sorted(entry_checksums(manifest)) == [
             f"fog/{s}/000000.{ext}" for s in ("heavy", "light") for ext in ("bin", "label")]
         assert not (out / "fog" / "moderate" / "000000.bin").exists()
@@ -1059,6 +1062,19 @@ class TestEvaluate:
         )
         assert result.exit_code == 1
         assert "000001" in result.output
+
+    def test_malformed_label_file_named(self, runner, tmp_path):
+        self._build_eval_tree(tmp_path, [1, 2, 3], [1, 2, 3])
+        bad = tmp_path / "pred" / "fog" / "moderate" / "000000.label"
+        bad.write_bytes(bad.read_bytes()[:11])
+        result = runner.invoke(
+            main,
+            ["evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+             "--dataset", "semantickitti", "--num-classes", "4"],
+        )
+        assert result.exit_code == 1
+        assert result.output == (
+            f"evaluation failed: {bad}: byte length 11 is not a multiple of 4\n")
 
     @pytest.mark.parametrize("fault,message", BAD_PROFILE_DIRS)
     def test_bad_profile_dir_is_configuration_error(self, runner, tmp_path, fault,

@@ -373,14 +373,14 @@ def test_failing_structure_fails_only_the_outputs_that_need_it(tmp_path):
     manifest = cli.run_corrupt(cli.RunConfig(
         profile_name="kitti", input_root=src, output_root=tmp_path / "out", seed=1))
     expected = []
-    for kind, error in (
-        ("incomplete_echo",
+    for kind, error_type, error in (
+        ("incomplete_echo", "ValueError",
          "incomplete echo needs semantic labels or boxes to find vehicle points"),
-        ("wet_ground", "need at least 3 points to fit a plane, got 2"),
+        ("wet_ground", "NoPlaneError", "need at least 3 points to fit a plane, got 2"),
     ):
         for severity in ("heavy", "light", "moderate"):
             expected.append({"frame": "000000", "kind": kind, "severity": severity,
-                             "error": error})
+                             "stage": "apply", "type": error_type, "error": error})
     assert manifest["failures"] == expected
     assert len(manifest["entries"]) == 18
     assert not {e["kind"] for e in manifest["entries"]} & {"incomplete_echo", "wet_ground"}

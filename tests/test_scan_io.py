@@ -203,7 +203,8 @@ class TestKittiBoxes:
                                          output_root=tmp_path / "out"))
         assert manifest["entries"] == []
         assert manifest["failures"] == [
-            {"frame": "000000", "error": "box label line 1: non-finite geometry"}]
+            {"frame": "000000", "stage": "load", "type": "MalformedScanError",
+             "error": "box label line 1: non-finite geometry"}]
 
     def test_roundtrip(self):
         boxes = read_kitti_boxes(self.LINE)
@@ -370,7 +371,8 @@ class TestScanCodec:
         manifest = run_corrupt(RunConfig(profile_name="semantickitti",
                                          input_root=tmp_path / "in",
                                          output_root=tmp_path / "out"))
-        assert manifest["failures"] == [{"frame": "000000", "error": expected}]
+        assert manifest["failures"] == [{"frame": "000000", "stage": "load",
+                                         "type": "PairingError", "error": expected}]
 
 
 class TestIntensityContract:

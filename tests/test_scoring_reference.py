@@ -50,10 +50,10 @@ def reference_remap_injected(semantic, profile):
     return out
 
 
-def reference_read_semkitti_labels(data):
+def reference_read_semkitti_labels(data, what="label stream"):
     if len(data) % 4 != 0:
         raise MalformedScanError(
-            f"label stream: byte length {len(data)} is not a multiple of 4"
+            f"{what}: byte length {len(data)} is not a multiple of 4"
         )
     words = np.frombuffer(data, dtype="<u4")
     return LabelArray(
@@ -206,8 +206,10 @@ def reference_miou_over_dir(pred_dir, gt_dir, profile, num_classes):
     size = min(num_classes, REFERENCE_MAX_CLASSES)
     cm = np.zeros((size, size), np.int64)
     for stem in cli._matched_stems(pred_dir, gt_dir):
-        pred = reference_read_semkitti_labels((pred_dir / f"{stem}.label").read_bytes())
-        gt = reference_read_semkitti_labels((gt_dir / f"{stem}.label").read_bytes())
+        # A malformed file is named by its path.
+        pred_path, gt_path = pred_dir / f"{stem}.label", gt_dir / f"{stem}.label"
+        pred = reference_read_semkitti_labels(pred_path.read_bytes(), str(pred_path))
+        gt = reference_read_semkitti_labels(gt_path.read_bytes(), str(gt_path))
         if size < num_classes:
             assert max(pred.semantic.max(initial=0), gt.semantic.max(initial=0)) < size
         if len(pred) != len(gt):
@@ -244,15 +246,17 @@ def assert_scores_as_reference(root, profile, num_classes):
     return got[0]
 
 
-def write_tree(root, dirs):
-    """dirs maps a relative directory to {stem: (pred ids, gt ids)}."""
+def write_tree(root, dirs, instances=None):
+    """dirs maps a relative directory to {stem: (pred ids, gt ids)}, and
+    `instances`, in the same shape, gives the instance ids (default 0)."""
     for rel, frames in dirs.items():
         for side in ("pred", "gt"):
             (root / side / rel).mkdir(parents=True)
-        for stem, (pred, gt) in frames.items():
-            for side, ids in (("pred", pred), ("gt", gt)):
+        for stem, pair in frames.items():
+            halves = instances[rel][stem] if instances else [[0] * len(ids) for ids in pair]
+            for side, ids, instance in zip(("pred", "gt"), pair, halves):
                 (root / side / rel / f"{stem}.label").write_bytes(write_semkitti_labels(
-                    LabelArray(np.asarray(ids, np.uint16), np.zeros(len(ids), np.uint16))))
+                    LabelArray(np.asarray(ids, np.uint16), np.asarray(instance, np.uint16))))
 
 
 FOG_DIRS = ("fog/light", "fog/moderate", "fog/heavy")
@@ -268,26 +272,36 @@ def label_tree(draw):
     num_classes = draw(st.sampled_from([1, 2, 4, 12, 260, 65536]))
     profile = draw(st.sampled_from(EVAL_PROFILES))
     ids = st.sampled_from(ID_POOL) | st.integers(0, 24)
-    dirs = {}
+    # Instance halves with the top bit set and clear: a key that kept any
+    # of their bits would count other pairs.
+    instance = st.sampled_from([1, 2**15, 2**16 - 1]) | st.integers(0, 2**16 - 1)
+    dirs, instances = {}, {}
     for rel in ("clean", *(FOG_DIRS if draw(st.booleans()) else ())):
-        frames = {}
+        frames, halves = {}, {}
         for i in range(draw(st.integers(0, 3))):
             n = draw(st.integers(0, 30))
             # One file in twelve has a prediction of another length.
             m = n if draw(st.integers(0, 11)) else draw(st.integers(0, 30))
             frames[f"{i:06d}"] = (draw(st.lists(ids, min_size=m, max_size=m)),
                                   draw(st.lists(ids, min_size=n, max_size=n)))
-        dirs[rel] = frames
-    return dirs, profile, num_classes
+            halves[f"{i:06d}"] = [draw(st.lists(instance, min_size=k, max_size=k))
+                                  for k in (m, n)]
+        dirs[rel], instances[rel] = frames, halves
+    return dirs, instances, profile, num_classes
 
 
 @settings(max_examples=80, deadline=None)
 @given(label_tree())
 def test_run_evaluate_matches_dense_reference(case):
-    dirs, profile, num_classes = case
+    dirs, instances, profile, num_classes = case
     with tempfile.TemporaryDirectory() as tmp:
-        write_tree(Path(tmp), dirs)
-        assert_scores_as_reference(Path(tmp), profile, num_classes)
+        zero, drawn = Path(tmp, "zero"), Path(tmp, "drawn")
+        write_tree(zero, dirs)
+        write_tree(drawn, dirs, instances)
+        # The instance halves change no outcome and no read.
+        assert (evaluate_outcome(drawn, profile, num_classes)
+                == evaluate_outcome(zero, profile, num_classes))
+        assert_scores_as_reference(drawn, profile, num_classes)
 
 
 def clean_and_fog(frames):
@@ -337,3 +351,25 @@ def test_nothing_counted_is_undefined(tmp_path, frames):
     result = assert_scores_as_reference(tmp_path, SEMANTICKITTI, 260)
     assert result == (UndefinedMetricError,
                       "mIoU undefined: no class present in pred or gt")
+
+
+@pytest.mark.parametrize("fault", ["malformed pred", "malformed gt", "length mismatch"])
+def test_bad_file_stops_the_score_where_the_reference_does(tmp_path, fault):
+    write_tree(tmp_path, clean_and_fog({
+        "000000": ([1, 2], [1, 2]), "000001": ([1, 2, 3], [1, 2, 3]), "000002": ([9], [9])}))
+    side = "gt" if fault == "malformed gt" else "pred"
+    bad = tmp_path / side / "clean" / "000001.label"
+    # 11 bytes are not whole words; 8 bytes are 2 predictions for 3 labels.
+    bad.write_bytes(bad.read_bytes()[:8 if fault == "length mismatch" else 11])
+    result, read = evaluate_outcome(tmp_path, SEMANTICKITTI, 4)
+    assert (result, read) == evaluate_outcome(tmp_path, SEMANTICKITTI, 4,
+                                              reference_miou_over_dir)
+    if fault == "length mismatch":
+        assert result == (PairingError, "frame 000001: 2 predictions for 3 labels")
+    else:
+        assert result == (MalformedScanError,
+                          f"{bad}: byte length 11 is not a multiple of 4")
+    # A malformed pred file stops the score before its gt file is read.
+    last = ["pred/clean/000001.label"] + ([] if fault == "malformed pred" else
+                                          ["gt/clean/000001.label"])
+    assert read[-len(last):] == last and read.count("pred/clean/000001.label") == 1
