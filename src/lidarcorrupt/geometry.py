@@ -95,6 +95,7 @@ def lstsq_plane(
 # scoring buffer at _RANSAC_BLOCK x iterations float64 values. At most 65535,
 # so a block's count per hypothesis fits the uint16 it is summed in.
 _RANSAC_BLOCK = 256
+_RANSAC_SCORED = 16384  # most points a hypothesis is scored on, evenly strided
 
 
 def _inlier_counts(
@@ -128,12 +129,13 @@ def fit_ground_ransac(
 ) -> GroundModel:
     """Fit the dominant plane by RANSAC over sampled point triples.
 
-    The best-supported sample (the first one on ties) is refined by a
-    least-squares fit on its inliers; the refit is kept only if it does not
-    lose support. The normal is oriented upward (c >= 0) and the returned
-    inlier mask is consistent with the final plane. The triples are drawn
-    one `choice` per iteration and crossed in one elementwise `np.cross`;
-    the norms and offsets stay per-row dot products, as in a loop per triple.
+    Each sample is scored on every ceil(n / 16384)-th point. The best (the
+    first on ties) is refined by a least-squares fit on its inliers among all
+    points; the refit is kept only if it does not lose support. The normal is
+    oriented upward (c >= 0) and the returned inlier mask is consistent with
+    the final plane. The triples are drawn one `choice` per iteration and
+    crossed in one elementwise `np.cross`; the norms and offsets stay per-row
+    dot products, as in a loop per triple.
 
     Raises:
         NoPlaneError: fewer than 3 points, or every sampled triple collinear.
@@ -154,16 +156,17 @@ def fit_ground_ransac(
     normals = normals[valid] / norms[valid, None]
     offsets = np.array([-float(normal @ p) for normal, p in zip(normals, p0[valid])])
 
-    counts = _inlier_counts(pts, normals.T, offsets, inlier_threshold)
+    stride = -(-n // _RANSAC_SCORED)
+    counts = _inlier_counts(pts[::stride], normals.T, offsets, inlier_threshold)
     best = int(np.argmax(counts))
-    best_normal, best_d, best_count = normals[best], offsets[best], int(counts[best])
+    best_normal, best_d = normals[best], offsets[best]
 
     mask = np.abs(pts @ best_normal + best_d) <= inlier_threshold
     refit = lstsq_plane(pts, mask)
     if refit is not None:
         refit_normal, refit_d = refit
         refit_mask = np.abs(pts @ refit_normal + refit_d) <= inlier_threshold
-        if refit_mask.sum() >= best_count:
+        if refit_mask.sum() >= mask.sum():
             best_normal, best_d, mask = refit_normal, refit_d, refit_mask
 
     if best_normal[2] < 0:

@@ -251,20 +251,21 @@ def load_frame(root: str | Path, stem: str, profile: DatasetProfile) -> Corrupte
 
     Raises:
         PairingError: missing or misaligned label/box file for the scan.
+        MalformedScanError, CorruptScanError: a scan or label that does not
+            decode; the message starts with its path under `root`.
     """
     root = Path(root)
-    cloud = read_scan((_scan_dir(root) / f"{stem}.bin").read_bytes(), profile, stem)
-
-    labels = None
-    label_path = root / "labels" / f"{stem}.label"
-    if label_path.is_file():
-        labels = read_semkitti_labels(label_path.read_bytes())
-        if len(labels) != len(cloud):
-            raise PairingError(
-                f"frame {stem}: {len(labels)} labels for {len(cloud)} points"
-            )
-    elif profile.requires_labels:
+    path = _scan_dir(root) / f"{stem}.bin"
+    try:
+        cloud = read_scan(path.read_bytes(), profile, stem)
+        path = root / "labels" / f"{stem}.label"
+        labels = read_semkitti_labels(path.read_bytes()) if path.is_file() else None
+    except (MalformedScanError, CorruptScanError) as exc:
+        raise type(exc)(f"{path.relative_to(root).as_posix()}: {exc}") from exc
+    if labels is None and profile.requires_labels:
         raise PairingError(f"frame {stem}: missing label file labels/{stem}.label")
+    if labels is not None and len(labels) != len(cloud):
+        raise PairingError(f"frame {stem}: {len(labels)} labels for {len(cloud)} points")
 
     boxes = None
     if (root / "boxes").is_dir():

@@ -105,13 +105,16 @@ class TestRansac:
 
 
 
-def ransac_reference(pts, iterations, threshold, seed):
+def ransac_reference(pts, iterations, threshold, seed, scored=None):
     """The per-hypothesis scoring loop that blocked scoring must reproduce.
 
-    Returns (normal, offset, count) of the first best-supported triple, or
-    None when every triple is degenerate.
+    The triples are drawn from all points. With `scored`, each is counted
+    over every ceil(n / scored)-th point only. Returns (normal, offset,
+    count) of the first best-supported triple, or None when every triple is
+    degenerate.
     """
     rng = make_rng("ransac", seed)
+    scored_pts = pts if scored is None else pts[::math.ceil(len(pts) / scored)]
     best = None
     for _ in range(iterations):
         idx = rng.choice(len(pts), size=3, replace=False)
@@ -122,7 +125,7 @@ def ransac_reference(pts, iterations, threshold, seed):
             continue
         normal = normal / norm
         d = -float(normal @ p0)
-        count = int((np.abs(pts @ normal + d) <= threshold).sum())
+        count = int((np.abs(scored_pts @ normal + d) <= threshold).sum())
         if best is None or count > best[2]:
             best = (normal, d, count)
     return best
@@ -184,6 +187,60 @@ class TestBlockedRansacScoring:
 
     def test_default_block_size(self):
         self._check_winner(self._scene(geometry._RANSAC_BLOCK * 2 + 5, seed=9), seed=9)
+
+
+class TestStridedRansacScoring:
+    """Hypotheses are scored on every ceil(n / _RANSAC_SCORED)-th point; the
+    winner's inliers and its refit use every point."""
+
+    @staticmethod
+    def _check_winner(pc, seed):
+        """The model equals the strided reference winner, refined and tested
+        against its full-point count; returns that count."""
+        pts = pc.xyz.astype(np.float64)
+        threshold = RANSAC["inlier_threshold"]
+        normal, d, _ = ransac_reference(pts, RANSAC["iterations"], threshold, seed, scored=64)
+        full_count = int((np.abs(pts @ normal + d) <= threshold).sum())
+        expected = refine_reference(pts, normal, d, full_count, threshold)
+        model = fit_ground_ransac(pc, seed=seed, **RANSAC)
+        assert model.plane == expected[0]
+        assert np.array_equal(model.inlier_mask, expected[1])
+        return full_count
+
+    @pytest.mark.parametrize("n", [64, 65, 1000])
+    def test_winner_matches_strided_reference(self, n, monkeypatch):
+        monkeypatch.setattr(geometry, "_RANSAC_SCORED", 64)
+        self._check_winner(TestBlockedRansacScoring._scene(n, seed=n), seed=n)
+
+    def test_refit_that_loses_full_support_is_dropped(self, monkeypatch):
+        """A ledge just inside the threshold tilts the refit, which keeps
+        more than the strided count but fewer than the full count."""
+        monkeypatch.setattr(geometry, "_RANSAC_SCORED", 64)
+        rng = np.random.default_rng(1)
+        ground = np.column_stack([rng.uniform(-10, 10, (750, 2)), rng.uniform(-0.15, 0.15, 750)])
+        ledge = np.column_stack([rng.uniform(8, 10, 250), rng.uniform(-10, 10, 250),
+                                 rng.uniform(0.1, 0.15, 250)])
+        pc = cloud_from_xyz(np.vstack([ground, ledge]))
+        full_count = self._check_winner(pc, seed=1)
+        assert fit_ground_ransac(pc, seed=1, **RANSAC).inlier_mask.sum() == full_count
+
+    def test_ground_fidelity_at_the_real_constant(self, monkeypatch):
+        """On a 40k-point scene (stride 3), the inliers' IoU with the true
+        ground is within 0.005 of scoring every point."""
+        n = 40_000
+        assert math.ceil(n / geometry._RANSAC_SCORED) == 3
+        truth = np.arange(n) < n // 2
+        for seed in (3, 17, 29):
+            pc = TestBlockedRansacScoring._scene(n, seed=seed)
+            strided = fit_ground_ransac(pc, seed=seed, **RANSAC).inlier_mask
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "_RANSAC_SCORED", n)
+                full = fit_ground_ransac(pc, seed=seed, **RANSAC).inlier_mask
+            assert iou(strided, truth) >= iou(full, truth) - 0.005
+
+
+def iou(a, b):
+    return (a & b).sum() / (a | b).sum()
 
 
 def refine_reference(pts, normal, d, count, threshold):

@@ -41,6 +41,19 @@ def fixture_checksums(profile_name: str, root: Path) -> dict:
     return {e["file"]: e["sha256"] for e in manifest["entries"]}
 
 
+def strided_ransac_checksums(root: Path) -> dict:
+    """wet_ground over 2 kitti frames of 64 beams x 300 = 19,200 points, above
+    the 16384 that RANSAC scores, so every 2nd point is scored. The manifest
+    must be the same at 1 and 2 workers."""
+    src = write_dataset(root / "in", "kitti", n_frames=2, points_per_beam=300)
+    manifests = [run_corrupt(RunConfig(
+        profile_name="kitti", input_root=src, output_root=root / f"out-w{workers}",
+        kinds=(CorruptionKind.WET_GROUND,), seed=11, workers=workers)) for workers in (1, 2)]
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["failures"] == []
+    return {e["file"]: e["sha256"] for e in manifests[0]["entries"]}
+
+
 def write_label_tree(root: Path, flip: float, seed: int) -> None:
     """`clean/` plus every `<kind>/<severity>/` of 2 frames of semantickitti ids.
 
@@ -79,6 +92,11 @@ def test_checksums_pinned(profile_name, tmp_path):
     assert fixture_checksums(profile_name, tmp_path) == pinned
 
 
+def test_strided_ransac_checksums_pinned(tmp_path):
+    pinned = json.loads(GOLDEN.read_text())["kitti_strided_ransac"]
+    assert strided_ransac_checksums(tmp_path) == pinned
+
+
 def test_evaluate_outputs_pinned(tmp_path):
     pinned = json.loads(GOLDEN.read_text())["evaluate"]
     assert evaluate_checksums(tmp_path) == pinned
@@ -87,5 +105,6 @@ def test_evaluate_outputs_pinned(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         pins = {p: fixture_checksums(p, Path(tmp) / p) for p in PROFILES}
+        pins["kitti_strided_ransac"] = strided_ransac_checksums(Path(tmp) / "strided")
         pins["evaluate"] = evaluate_checksums(Path(tmp) / "evaluate")
     GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

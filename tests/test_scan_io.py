@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lidarcorrupt import (
+    CorruptionKind,
     CorruptScanError,
     CorruptedFrame,
     LabelArray,
@@ -29,7 +30,7 @@ from lidarcorrupt import (
 )
 from lidarcorrupt.cli import RunConfig, run_corrupt
 
-from conftest import NUSCENES_BEAMS
+from conftest import NUSCENES_BEAMS, write_dataset
 
 
 def random_cloud(rng, n, with_ring=False, beam_count=32):
@@ -373,6 +374,27 @@ class TestScanCodec:
                                          output_root=tmp_path / "out"))
         assert manifest["failures"] == [{"frame": "000000", "stage": "load",
                                          "type": "PairingError", "error": expected}]
+
+    @pytest.mark.parametrize("path,error", [
+        ("velodyne/000000.bin",
+         "velodyne/000000.bin: kitti scan: byte length 11 is not a multiple of 16"),
+        ("labels/000000.label",
+         "labels/000000.label: label stream: byte length 11 is not a multiple of 4"),
+    ])
+    def test_truncated_file_named_at_load(self, tmp_path, path, error):
+        src = write_dataset(tmp_path / "in", "semantickitti", n_frames=2)
+        (src / path).write_bytes((src / path).read_bytes()[:11])
+        with pytest.raises(MalformedScanError) as info:
+            load_frame(src, "000000", load_profile("semantickitti"))
+        assert str(info.value) == error
+        out = tmp_path / "out"
+        manifest = run_corrupt(RunConfig(profile_name="semantickitti", input_root=src,
+                                         output_root=out, kinds=(CorruptionKind.FOG,)))
+        assert manifest["failures"] == [{"frame": "000000", "stage": "load",
+                                         "type": "MalformedScanError", "error": error}]
+        assert len(manifest["entries"]) == 6
+        for entry in manifest["entries"]:
+            assert entry["frame"] == "000001" and (out / entry["file"]).is_file()
 
 
 class TestIntensityContract:
