@@ -251,8 +251,8 @@ def load_frame(root: str | Path, stem: str, profile: DatasetProfile) -> Corrupte
 
     Raises:
         PairingError: missing or misaligned label/box file for the scan.
-        MalformedScanError, CorruptScanError: a scan or label that does not
-            decode; the message starts with its path under `root`.
+        MalformedScanError, CorruptScanError: a scan, label or box file that
+            does not decode; the message starts with its path under `root`.
     """
     root = Path(root)
     path = _scan_dir(root) / f"{stem}.bin"
@@ -260,18 +260,15 @@ def load_frame(root: str | Path, stem: str, profile: DatasetProfile) -> Corrupte
         cloud = read_scan(path.read_bytes(), profile, stem)
         path = root / "labels" / f"{stem}.label"
         labels = read_semkitti_labels(path.read_bytes()) if path.is_file() else None
+        if labels is None and profile.requires_labels:
+            raise PairingError(f"frame {stem}: missing label file labels/{stem}.label")
+        if labels is not None and len(labels) != len(cloud):
+            raise PairingError(f"frame {stem}: {len(labels)} labels for {len(cloud)} points")
+        path, boxes = root / "boxes" / f"{stem}.txt", None
+        if path.parent.is_dir():
+            if not path.is_file():
+                raise PairingError(f"frame {stem}: missing box file boxes/{stem}.txt")
+            boxes = read_kitti_boxes(path.read_text())
     except (MalformedScanError, CorruptScanError) as exc:
         raise type(exc)(f"{path.relative_to(root).as_posix()}: {exc}") from exc
-    if labels is None and profile.requires_labels:
-        raise PairingError(f"frame {stem}: missing label file labels/{stem}.label")
-    if labels is not None and len(labels) != len(cloud):
-        raise PairingError(f"frame {stem}: {len(labels)} labels for {len(cloud)} points")
-
-    boxes = None
-    if (root / "boxes").is_dir():
-        box_path = root / "boxes" / f"{stem}.txt"
-        if not box_path.is_file():
-            raise PairingError(f"frame {stem}: missing box file boxes/{stem}.txt")
-        boxes = read_kitti_boxes(box_path.read_text())
-
     return CorruptedFrame(cloud, labels, boxes)

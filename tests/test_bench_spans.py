@@ -73,6 +73,25 @@ def test_traced_corrupt_times_each_operator_once_per_output(spans, tmp_path):
         assert all(tracer.spans[sp.parent].name == "corruptions.apply" for sp in calls)
 
 
+def test_traced_apply_counts_points_in_and_out(spans, tmp_path):
+    """`points_in` and `points_out` come from `cli.apply`'s frame argument
+    and result: the frame's points once per severity, and the points of
+    the scans written."""
+    src = write_dataset(tmp_path / "in", "semantickitti", n_frames=1, points_per_beam=2)
+    n_points = len(scan_io.read_kitti_scan((src / "velodyne" / "000000.bin").read_bytes()))
+    cfg = RunConfig(profile_name="semantickitti", input_root=src, output_root=tmp_path / "out",
+                    kinds=(cli.CorruptionKind.BEAM_MISSING,))
+    tracer = spans.Tracer()
+    with spans.batch(tracer):
+        manifest = run_corrupt(cfg)
+    assert manifest["failures"] == [] and len(manifest["entries"]) == 3 * 2
+    written = sum(len(scan_io.read_kitti_scan(path.read_bytes()))
+                  for path in (tmp_path / "out").rglob("*.bin"))
+    counts = spans.summarize(tracer.spans)["counts"]
+    assert counts["corruptions.points_in"] == 3 * n_points
+    assert counts["corruptions.points_out"] == written < 3 * n_points
+
+
 def test_traced_nuscenes_corrupt_spans_stay_on_main_thread(spans, tmp_path):
     """The output stage's helper thread calls nothing the tracer wraps: every
     span opens on the main thread, nests, and each written file is counted."""

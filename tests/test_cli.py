@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -325,20 +326,31 @@ class TestCorrupt:
             checksums.append(entry_checksums(manifest))
         assert checksums[0] == checksums[1]
 
-    @pytest.mark.parametrize("profile_name", ["kitti", "nuscenes", "semantickitti", "wod"])
-    def test_worker_count_invariance(self, runner, tmp_path, profile_name):
-        # Two frames, so two workers run them in the process pool: the golden
-        # pins use one frame and never reach it. The manifest bytes must match.
-        src = write_dataset(tmp_path / "in", profile_name, n_frames=2)
+    @pytest.mark.parametrize("profile_name,points_per_beam,selection", [
+        *(pytest.param(name, 6, [], id=name)
+          for name in ("kitti", "nuscenes", "semantickitti", "wod")),
+        # 64 beams x 300 = 19,200 points a frame, so RANSAC scores every 2nd point.
+        pytest.param("kitti", 300, ["--corruptions", "wet_ground"], id="kitti-strided-ransac"),
+    ])
+    def test_worker_count_invariance(self, runner, tmp_path, profile_name, points_per_beam,
+                                     selection):
+        # Three frames, so two workers run them in the process pool and one
+        # runs two: the golden pins use one frame and never reach it. The
+        # manifest bytes must match, and each run's outputs verify.
+        src = write_dataset(tmp_path / "in", profile_name, n_frames=3,
+                            points_per_beam=points_per_beam)
         manifests = []
         for workers in ("1", "2"):
+            out = tmp_path / workers
             result = runner.invoke(
                 main,
-                ["corrupt", "--dataset", profile_name, "--in", str(src),
-                 "--out", str(tmp_path / workers), "--seed", "3", "--workers", workers],
+                ["corrupt", "--dataset", profile_name, "--in", str(src), "--out", str(out),
+                 "--seed", "3", "--workers", workers, *selection],
             )
             assert result.exit_code == 0, result.output
-            manifests.append((tmp_path / workers / "manifest.json").read_bytes())
+            result = runner.invoke(main, ["verify", str(out)])
+            assert result.exit_code == 0, result.output
+            manifests.append((out / "manifest.json").read_bytes())
         assert json.loads(manifests[0])["failures"] == []
         assert manifests[0] == manifests[1]
 
@@ -1235,3 +1247,40 @@ class TestReport:
         result = runner.invoke(main, ["report", "--baseline", str(base)])
         assert result.exit_code == 1
         assert "CE undefined" in result.output
+
+
+@pytest.mark.parametrize("case", ["truncated pred", "corrupt below a file",
+                                  "evaluate below a file"])
+def test_failed_run_names_its_cause_without_traceback(tmp_path, case):
+    # What a shell sees: the exit code, and one line on stderr that names
+    # the file, with no traceback on either stream.
+    src = build_dataset(tmp_path / "in", beams=8)
+    write_label_dir(tmp_path / "gt" / "clean", {"000000": [1, 2, 3]})
+    write_label_dir(tmp_path / "pred" / "clean", {"000000": [1, 2, 3]})
+    evaluate = ["evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                "--dataset", "semantickitti", "--num-classes", "4"]
+    blocked = unwritable(tmp_path)
+    if case == "truncated pred":
+        bad = tmp_path / "pred" / "clean" / "000000.label"
+        bad.write_bytes(bad.read_bytes()[:11])
+        args, code = evaluate, 1
+        message = f"evaluation failed: {bad}: byte length 11 is not a multiple of 4\n"
+    elif case == "corrupt below a file":
+        args, code = ["corrupt", "--dataset", "semantickitti", "--in", str(src),
+                      "--out", str(blocked)], 2
+        message = f"configuration error: cannot write {blocked}: "
+    else:
+        blocked = blocked / "record.json"
+        args, code = [*evaluate, "--out", str(blocked)], 2
+        message = f"configuration error: cannot write {blocked}: "
+    # `main` in a fresh interpreter, as the console script (which need not
+    # be installed) runs it, importing the package this suite imports.
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    result = subprocess.run(
+        [sys.executable, "-c", "from lidarcorrupt.cli import main; main()", *args],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    assert result.returncode == code, result.stderr
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr + result.stdout
+    assert (tmp_path / "blocker").read_text() == "kept"

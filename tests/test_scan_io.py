@@ -205,7 +205,7 @@ class TestKittiBoxes:
         assert manifest["entries"] == []
         assert manifest["failures"] == [
             {"frame": "000000", "stage": "load", "type": "MalformedScanError",
-             "error": "box label line 1: non-finite geometry"}]
+             "error": "boxes/000000.txt: box label line 1: non-finite geometry"}]
 
     def test_roundtrip(self):
         boxes = read_kitti_boxes(self.LINE)
