@@ -446,12 +446,15 @@ def run_evaluate(
 def run_report(
     record_paths: Sequence[Path], baseline_path: Path, fmt: str = "csv"
 ) -> str:
-    """Render the CE/RR report for the given records against the baseline."""
-    baseline = read_accuracy_record(Path(baseline_path).read_text())
-    records = [read_accuracy_record(Path(p).read_text()) for p in record_paths]
-    if not records:
-        records = [baseline]
-    return render_report(aggregate(records, baseline), fmt)
+    """Render the CE/RR report for the given records against the baseline;
+    a ValueError names the file that holds no accuracy record."""
+    records = []
+    for path in (baseline_path, *record_paths):
+        try:
+            records.append(read_accuracy_record(Path(path).read_text()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return render_report(aggregate(records[1:] or records, records[0]), fmt)
 
 
 def _parse_override(text: str) -> tuple[str, object]:

@@ -499,7 +499,7 @@ _DRAWS = {
     CorruptionKind.MOTION_BLUR: lambda rng, ctx, n: rng.standard_normal((n, 3)),
     CorruptionKind.BEAM_MISSING: lambda rng, ctx, n: rng.permutation(ctx.partition.beam_count),
     CorruptionKind.CROSSTALK: lambda rng, ctx, n: (rng.permutation(n), rng.standard_normal(
-        (int(np.rint(float(max(ctx.profile.severity["crosstalk"]["fraction"])) * n)), 4))),
+        (int(np.rint(float(max(ctx.profile.params["crosstalk.fraction"])) * n)), 4))),
     CorruptionKind.INCOMPLETE_ECHO:
         lambda rng, ctx, n: rng.permutation(np.count_nonzero(ctx.vehicle_mask)),
 }
@@ -514,8 +514,8 @@ def apply(
     """Apply one corruption at one severity, resolving parameters from the profile.
 
     `apply_<kind>` gets each parameter after `frame` by its name: a
-    `profiles.KINDS` keyword is the profile value it names, cast, with an
-    ``_axis`` one drawn with the seed `ctx.seed_of(kind)`; `draw` is
+    `profiles.KINDS` keyword is its profile value at the severity, cast, with
+    an ``_axis`` one drawn with the seed `ctx.seed_of(kind)`; `draw` is
     `ctx.draw(kind)`; a name ending in ``_class`` is the profile's injected
     class id; any other is that `FrameContext` structure (ground, incidence,
     beam partition, vehicle mask). Callers corrupting one frame many times
@@ -532,14 +532,12 @@ def apply(
         raise ValueError("frame context was built for another frame, profile or seed")
     kind = spec.kind
     ctx.keep_only(kind)
-    entry = profile.severity_params(kind, spec.severity)
     operator = globals()[f"apply_{kind}"]  # a wrapper set on the module runs
     kwargs = {}
     for name in list(inspect.signature(operator).parameters)[1:]:  # ctx builds only these
         if name in KINDS[kind]:
             key, cast = KINDS[kind][name]
-            pname = key.partition(".")[2]
-            value = entry[pname] if pname else profile.params[key]
+            value = profile.value_at(key, spec.severity)
             if key.endswith("_axis"):
                 value = make_rng(f"{kind}-{name}", ctx.seed_of(kind)).choice(value)
             kwargs[name] = cast(value)

@@ -290,9 +290,14 @@ def write_accuracy_record(record: AccuracyRecord) -> str:
 def read_accuracy_record(text: str) -> AccuracyRecord:
     """Parse the JSON accuracy-record format written by `write_accuracy_record`."""
     payload = json.loads(text)
-    return AccuracyRecord(
-        model=payload["model"],
-        clean_acc=float(payload["clean"]),
-        per_corruption={k: tuple(v) for k, v in payload["corruptions"].items()},
-        metric_kind=payload.get("metric", "mIoU"),
-    )
+    try:
+        return AccuracyRecord(
+            model=payload["model"],
+            clean_acc=float(payload["clean"]),
+            per_corruption={k: tuple(v) for k, v in payload["corruptions"].items()},
+            metric_kind=payload.get("metric", "mIoU"),
+        )
+    except KeyError as exc:
+        raise ValueError(f"accuracy record has no {exc.args[0]!r} field") from exc
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"accuracy record is malformed: {exc}") from exc

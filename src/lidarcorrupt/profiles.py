@@ -4,7 +4,8 @@ The built-in tables live in ``data/profiles.json`` (editable, versioned).
 Each profile carries the sensor beam count, the severity parameter triples
 for all eight corruptions, the semantic class-id sets used by ground and
 vehicle queries, and the synthetic class ids assigned to injected fog, snow,
-and crosstalk points. `load_profile` can read another directory's tables.
+and crosstalk points. `load_profile` can read another directory's tables,
+whose nested ``severity[kind][name]`` entries it keys ``kind.name``.
 
 A profile is checked whole when it is built, from a table (values as
 written) or by `with_overrides`: its keys must be those of `_ENTRIES` (from
@@ -65,16 +66,17 @@ class Severity(str, enum.Enum):
 class DatasetProfile:
     """All per-dataset constants needed to corrupt and score one dataset.
 
-    `severity` maps corruption name -> parameter name -> value. An ``_axis``
-    entry is a list that `corruptions.apply` draws one value from per frame
-    and corruption, so a frame's three severities share it; every other
-    entry is a [light, moderate, heavy] triple. `params` holds dataset-wide
-    engineering constants (noise floors, sigma defaults, RANSAC settings).
-    Class ids are whole numbers in [0, 65535] (semantic ids are 16-bit),
-    box classes whole numbers. The three class-id sets are given as lists
-    of distinct ids and kept as frozensets. Building a profile checks it
-    whole (see the module docstring) and raises ProfileError on the first
-    fault.
+    `params` maps every key of `_ENTRIES` to its value, by its ``--set``
+    name. A dotted key (``fog.beta_bs``) is a [light, moderate, heavy]
+    triple, or, ending in ``_axis``, a list that `corruptions.apply` draws
+    one value from per frame and corruption, so a frame's three severities
+    share it; any other is a dataset-wide constant. Class ids are whole
+    numbers in [0, 65535] (semantic ids are 16-bit), box classes whole
+    numbers. The three class-id sets are given as lists of distinct ids and
+    kept as frozensets. An empty `vehicle_classes` marks no point a vehicle,
+    but an empty `vehicle_box_classes` counts every box as one. Building a
+    profile checks it whole (see the module docstring) and raises
+    ProfileError on the first fault.
     """
 
     name: str
@@ -88,28 +90,23 @@ class DatasetProfile:
     vehicle_classes: frozenset[int]
     vehicle_box_classes: frozenset[int]
     requires_labels: bool
-    severity: Mapping[str, Mapping[str, Any]]
     params: Mapping[str, Any]
 
     def __post_init__(self) -> None:
-        entries = {**self.params, **{f"{kind}.{pname}": value
-                   for kind, table in self.severity.items() for pname, value in table.items()}}
-        unknown = [key for key in self.params if "." in key] + [
-            key for key in entries if key not in _ENTRIES]
-        missing = [key for key in _ENTRIES if key not in entries]
+        unknown = [key for key in self.params if key not in _ENTRIES]
+        missing = [key for key in _ENTRIES if key not in self.params]
         for what, keys in (("unknown", unknown), ("missing", missing)):
             if keys:
-                raise ProfileError(f"{self.name}: {what} key {keys[0]!r}; "
-                                   f"valid keys: {', '.join(_ENTRIES)}")
+                raise _key_error(self.name, what, keys[0])
         for key, shape in _ENTRIES.items():
-            if not _has_shape(shape, entries[key]):
-                raise ProfileError(f"{self.name}: {key} must be {shape}, got {entries[key]!r}")
+            if not _has_shape(shape, self.params[key]):
+                raise ProfileError(f"{self.name}: {key} must be {shape}, got {self.params[key]!r}")
         if not isinstance(self.requires_labels, bool):
             raise ProfileError(f"{self.name}: requires_labels must be true or false, "
                                f"got {self.requires_labels!r}")
         checked = {name: value for name, value in vars(self).items()
                    if name in _RANGES and not (name in _INJECTED and value is None)}
-        for key, value in {**checked, **entries}.items():
+        for key, value in {**checked, **self.params}.items():
             rule, allowed = _RANGES.get(key, (">= 0", lambda v, profile: True))
             listed = isinstance(value, (list, tuple, frozenset))
             values = value if listed else [value]
@@ -134,35 +131,31 @@ class DatasetProfile:
                     f"{self.name}: {name} overlaps injected class ids {sorted(overlap)}"
                 )
 
+    def value_at(self, key: str, severity: Severity) -> Any:
+        """`key`'s value at `severity`: a triple's entry, any other value whole."""
+        value = self.params[key]
+        return value[list(Severity).index(severity)] if _ENTRIES[key] == _TRIPLE else value
+
     def severity_params(self, kind: CorruptionKind, severity: Severity) -> dict:
-        """`kind`'s table at `severity`, cast as its operator reads it; each ``_axis`` whole."""
-        casts = {key.partition(".")[2]: cast for key, cast in KINDS[kind].values()}
-        return {pname: [casts[pname](v) for v in value] if pname.endswith("_axis")
-                else casts[pname](value[list(Severity).index(severity)])
-                for pname, value in self.severity[kind.value].items()}
+        """`kind`'s severity entries at `severity`, keyed after the dot and cast;
+        each ``_axis`` whole."""
+        return {key.partition(".")[2]: [cast(v) for v in value] if key.endswith("_axis")
+                else cast(value)
+                for key, cast in KINDS[kind].values() if "." in key
+                for value in [self.value_at(key, severity)]}
 
     def injected_classes(self) -> frozenset[int]:
         return frozenset(getattr(self, name) for name in _INJECTED) - {None}
 
     def with_overrides(self, overrides: Mapping[str, Any]) -> "DatasetProfile":
-        """Copy with parameters replaced.
-
-        Plain keys update `params`; dotted keys like ``fog.beta_bs`` replace a
-        severity-table entry. The copy is checked as every profile is.
+        """Copy with the `params` values of `overrides`' keys replaced. The
+        copy is checked as every profile is.
 
         Raises:
-            ProfileError: a key names no parameter or table entry, or a value
-                has the wrong shape or is out of range.
+            ProfileError: a key names no profile value, or a value has the
+                wrong shape or is out of range.
         """
-        params = dict(self.params)
-        severity = {k: dict(v) for k, v in self.severity.items()}
-        for key, value in overrides.items():
-            kind, dot, pname = key.partition(".")
-            if dot:
-                severity.setdefault(kind, {})[pname] = value
-            else:
-                params[key] = value
-        return replace(self, params=params, severity=severity)
+        return replace(self, params={**self.params, **overrides})
 
 
 def _is_number(value: Any) -> bool:
@@ -186,8 +179,8 @@ _TRIPLE = "a 3-entry severity triple of numbers"
 _AXIS = "a nonempty list of numbers"
 
 # What each corruption reads: operator keyword -> (profile key, cast). A
-# dotted key ("kind.name") is a severity-table entry, one ending in "_axis" a
-# list that `corruptions.apply` draws from, any other a `params` constant.
+# dotted key ("kind.name") is a severity triple, one ending in "_axis" a
+# list that `corruptions.apply` draws from, any other a constant.
 KINDS = {
     CorruptionKind.FOG: {
         "alpha": ("fog.alpha_axis", float), "beta_bs": ("fog.beta_bs", float),
@@ -211,15 +204,19 @@ KINDS = {
         "subsample_keep": ("subsample_keep", float)},
 }
 
-# Every `params` key and severity-table entry a profile has, no more and no
-# fewer, with the shape of its value: those of `KINDS` (a tuple is a pair),
-# then the RANSAC settings that `corruptions.FrameContext.ground` reads.
+# Every `params` key a profile has, no more and no fewer, with the shape of
+# its value: those of `KINDS` (a tuple is a pair), then the RANSAC settings
+# that `corruptions.FrameContext.ground` reads.
 _ENTRIES = {
     **{key: _AXIS if key.endswith("_axis") else _TRIPLE if "." in key
        else _PAIR if cast is tuple else _NUMBER
        for table in KINDS.values() for key, cast in table.values()},
     "ransac_iterations": _NUMBER, "ransac_threshold": _NUMBER,
 }
+
+
+def _key_error(profile: str, what: str, key: str) -> ProfileError:
+    return ProfileError(f"{profile}: {what} key {key!r}; valid keys: {', '.join(_ENTRIES)}")
 
 
 def _has_shape(shape: str, value: Any) -> bool:
@@ -304,9 +301,14 @@ def load_profile(
     try:
         params = dict(source.get("defaults", {}))
         params.update(raw.get("params", {}))
-        return DatasetProfile(name=name.lower(), params=params, **{
-            f.name: raw[f.name] for f in fields(DatasetProfile)
-            if f.name not in ("name", "params")})
+        given = {f.name: raw[f.name] for f in fields(DatasetProfile)
+                 if f.name not in ("name", "params")}
+        dotted = [key for key in params if "." in key]  # a file nests severity entries
+        params.update({f"{kind}.{pname}": value for kind, table in raw["severity"].items()
+                       for pname, value in table.items()})
+        if dotted:
+            raise _key_error(name.lower(), "unknown", dotted[0])
+        return DatasetProfile(name=name.lower(), params=params, **given)
     except KeyError as exc:
         raise ProfileError(f"profile {name!r} has no {exc.args[0]!r} field") from exc
     except (AttributeError, TypeError, ValueError) as exc:

@@ -190,8 +190,9 @@ def write_kitti_boxes(boxes: BoxSet) -> str:
 
 
 def read_scan(data: bytes, profile: DatasetProfile, frame_id: str = "") -> PointCloud:
-    """Decode a scan in the profile's layout (nuScenes: 5 channels with the
-    ring, others: 4), dividing intensity by the profile's `intensity_scale`.
+    """Decode a scan in the profile's layout, dividing intensity by the
+    profile's `intensity_scale`. The layout follows the name, not a key:
+    `nuscenes` reads 5-channel records with the ring, every other name 4.
 
     Raises:
         CorruptScanError: an intensity is above 1 after the division.

@@ -18,8 +18,9 @@ from lidarcorrupt import (
 )
 from lidarcorrupt.corruptions import CorruptedFrame
 
-# The operators' dataset constants, read from the profile as `apply` reads
-# them (every built-in profile shares the `defaults` table).
+# The semantickitti profile's values by their `--set` keys; the operators'
+# dataset constants are read from it as `apply` reads them (every built-in
+# profile shares the `defaults` table).
 PARAMS = load_profile("semantickitti").params
 FOG = {"beta_0": PARAMS["fog_beta_0"], "response_distance": PARAMS["fog_response_distance"],
        "scatter_fraction": tuple(PARAMS["fog_scatter_fraction"])}
@@ -29,6 +30,21 @@ SNOW = {key: PARAMS[f"snow_{key}"] for key in (
 RANSAC = {"iterations": PARAMS["ransac_iterations"],
           "inlier_threshold": PARAMS["ransac_threshold"]}
 NUSCENES_BEAMS = load_profile("nuscenes").beam_count
+
+# Another in-range value for each profile key, by its `--set` name.
+PARAM_CHANGES = {
+    "fog_beta_0": 20.0, "fog_response_distance": 80.0, "fog_scatter_fraction": [0.2, 0.9],
+    "wet_kappa_per_mm": 0.5, "wet_noise_floor": 0.3,
+    "snow_particles_per_meter_per_rate": 0.02, "snow_extinction_per_rate": 0.05,
+    "snow_reflectivity": 0.9, "snow_min_particle_range": 5.0,
+    "crosstalk_sigma": 1.0, "ransac_iterations": 3, "ransac_threshold": 0.5,
+    "subsample_keep": 0.25,
+    "fog.alpha_axis": [0.1, 0.2], "fog.beta_bs": [0.02, 0.1, 0.4],
+    "wet_ground.water_height_mm": [0.5, 2.0, 3.0], "snow.snowfall_rate": [1.0, 2.0, 4.0],
+    "motion_blur.sigma_t": [0.1, 0.15, 0.5], "beam_missing.beams_dropped": [8, 24, 40],
+    "crosstalk.fraction": [0.02, 0.05, 0.1], "incomplete_echo.fraction": [0.5, 0.6, 0.7],
+    "cross_sensor.beams_kept": [40, 24, 8],
+}
 
 
 def draw(kind, n, seed=0):

@@ -120,6 +120,8 @@ TABLE_EDITS = {
     "no snow.snowfall_rate": ((*SK, "severity", "snow", "snowfall_rate"), DELETE),
     "no snow table": ((*SK, "severity", "snow"), DELETE),
     "misspelled key": (("defaults", "crosstalk_sigm"), 3.0),
+    "dotted defaults key": (("defaults", "fog.beta_bs"), [0, 0, 0]),
+    "dotted params key": ((*SK, "params"), {"fog.beta_bs": [0, 0, 0]}),
     "fog_class 'x'": ((*SK, "fog_class"), "x"),
     "fog_class 70000": ((*SK, "fog_class"), 70000),
     "fog_class -1": ((*SK, "fog_class"), -1),
@@ -188,6 +190,9 @@ BAD_PROFILE_DIRS = [
      "semantickitti: missing key 'snow.snowfall_rate'; valid keys: {keys}\n"),
     ("no snow table", "semantickitti: missing key 'snow.snowfall_rate'; valid keys: {keys}\n"),
     ("misspelled key", "semantickitti: unknown key 'crosstalk_sigm'; valid keys: {keys}\n"),
+    ("dotted defaults key",
+     "semantickitti: unknown key 'fog.beta_bs'; valid keys: {keys}\n"),
+    ("dotted params key", "semantickitti: unknown key 'fog.beta_bs'; valid keys: {keys}\n"),
     ("fog_class 'x'",
      "semantickitti: fog_class must be a whole number in [0, 65535] or null, got 'x'\n"),
     ("fog_class 70000",
@@ -1249,8 +1254,19 @@ class TestReport:
         assert "CE undefined" in result.output
 
 
+# A malformed accuracy record -> the error after its file name.
+BAD_RECORDS = {
+    "record []": ([], "accuracy record is malformed: "),
+    "corruptions []": ({"model": "m", "clean": 0.5, "corruptions": []},
+                       "accuracy record is malformed: "),
+    "fog null": ({"model": "m", "clean": 0.5, "corruptions": {"fog": None}},
+                 "accuracy record is malformed: "),
+    "no clean": ({"model": "m", "corruptions": {}}, "accuracy record has no 'clean' field\n"),
+}
+
+
 @pytest.mark.parametrize("case", ["truncated pred", "corrupt below a file",
-                                  "evaluate below a file"])
+                                  "evaluate below a file", *BAD_RECORDS])
 def test_failed_run_names_its_cause_without_traceback(tmp_path, case):
     # What a shell sees: the exit code, and one line on stderr that names
     # the file, with no traceback on either stream.
@@ -1265,6 +1281,12 @@ def test_failed_run_names_its_cause_without_traceback(tmp_path, case):
         bad.write_bytes(bad.read_bytes()[:11])
         args, code = evaluate, 1
         message = f"evaluation failed: {bad}: byte length 11 is not a multiple of 4\n"
+    elif case in BAD_RECORDS:
+        record, reason = BAD_RECORDS[case]
+        bad = tmp_path / "record.json"
+        bad.write_text(json.dumps(record))
+        args, code = ["report", "--baseline", str(bad)], 1
+        message = f"report failed: {bad}: {reason}"
     elif case == "corrupt below a file":
         args, code = ["corrupt", "--dataset", "semantickitti", "--in", str(src),
                       "--out", str(blocked)], 2

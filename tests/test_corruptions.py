@@ -430,15 +430,19 @@ class TestIncompleteEcho:
         survivors = {tuple(r) for r in out.cloud.xyz.tolist()}
         assert all(tuple(r) in survivors for r in outside.tolist())
 
-    def test_box_classes_filter_vehicle_query(self):
+    @pytest.mark.parametrize("profile_name,pedestrian", [
+        ("kitti", False), ("semantickitti", True), ("nuscenes", True), ("wod", True)])
+    def test_box_classes_filter_vehicle_query(self, profile_name, pedestrian):
         # kitti counts Car/Van/Truck/Cyclist boxes as vehicles, not Pedestrian.
+        # An empty vehicle_box_classes filters no box, so the other profiles
+        # count the Pedestrian's point too (an empty vehicle_classes marks none).
         cloud = PointCloud(xyz=np.array([[0, 0, 0], [10, 0, 0]], np.float32),
                            intensity=np.zeros(2, np.float32))
         boxes = BoxSet((Box(center=(0, 0, 0), lwh=(2, 2, 2), yaw=0.0, class_id=0),
                         Box(center=(10, 0, 0), lwh=(2, 2, 2), yaw=0.0, class_id=3)))
         frame = CorruptedFrame(cloud, boxes=boxes)
-        mask = FrameContext(frame, load_profile("kitti"), seed=0).vehicle_mask
-        assert mask.tolist() == [True, False]
+        mask = FrameContext(frame, load_profile(profile_name), seed=0).vehicle_mask
+        assert mask.tolist() == [True, pedestrian]
 
     def test_labels_take_precedence_over_boxes(self):
         frame = self._vehicle_frame()

@@ -29,7 +29,7 @@ from lidarcorrupt.corruptions import (
 from lidarcorrupt.profiles import CorruptionKind, Severity
 from lidarcorrupt.rng import derive_seed
 
-from conftest import BOXES, make_beam_cloud, write_dataset
+from conftest import BOXES, PARAM_CHANGES, make_beam_cloud, write_dataset
 
 
 def labelled_frame(seed=0, frame_id="000000", with_ring=False):
@@ -318,29 +318,6 @@ def test_operator_parameters_resolve_under_the_dispatch_rule(kind):
     assert set(profiles.KINDS[kind]) <= set(params)
 
 
-# Another in-range value for each profile key: every `params` key and
-# severity-table entry. The `ransac_*` keys are read only where RANSAC finds
-# the ground: on an unlabelled kitti frame.
-PARAM_CHANGES = {
-    "fog_beta_0": 20.0, "fog_response_distance": 80.0, "fog_scatter_fraction": [0.2, 0.9],
-    "wet_kappa_per_mm": 0.5, "wet_noise_floor": 0.3,
-    "snow_particles_per_meter_per_rate": 0.02, "snow_extinction_per_rate": 0.05,
-    "snow_reflectivity": 0.9, "snow_min_particle_range": 5.0,
-    "crosstalk_sigma": 1.0, "ransac_iterations": 3, "ransac_threshold": 0.5,
-    "subsample_keep": 0.25,
-    "fog.alpha_axis": [0.1, 0.2], "fog.beta_bs": [0.02, 0.1, 0.4],
-    "wet_ground.water_height_mm": [0.5, 2.0, 3.0], "snow.snowfall_rate": [1.0, 2.0, 4.0],
-    "motion_blur.sigma_t": [0.1, 0.15, 0.5], "beam_missing.beams_dropped": [8, 24, 40],
-    "crosstalk.fraction": [0.02, 0.05, 0.1], "incomplete_echo.fraction": [0.5, 0.6, 0.7],
-    "cross_sensor.beams_kept": [40, 24, 8],
-}
-
-
-def profile_value(profile, key):
-    kind, dot, name = key.partition(".")
-    return profile.severity[kind][name] if dot else profile.params[key]
-
-
 def output_bytes(frame, profile):
     """Every output of `frame` under `profile`, encoded as `corrupt` writes it."""
     return [bytes(write_scan(out.cloud, profile))
@@ -354,11 +331,13 @@ def test_param_changes_cover_every_param():
 
 @pytest.mark.parametrize("key", sorted(PARAM_CHANGES))
 def test_every_param_reaches_an_output(key):
+    # The `ransac_*` keys are read only where RANSAC finds the ground: on an
+    # unlabelled kitti frame.
     ransac = key.startswith("ransac_")
     profile = load_profile("kitti" if ransac else "semantickitti")
     frame = boxed_frame(seed=2) if ransac else labelled_frame(seed=2)
     changed = profile.with_overrides({key: PARAM_CHANGES[key]})
-    assert profile_value(changed, key) != profile_value(profile, key)
+    assert changed.params[key] != profile.params[key]
     assert output_bytes(frame, changed) != output_bytes(frame, profile)
 
 

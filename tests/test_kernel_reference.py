@@ -17,7 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from lidarcorrupt import load_profile
 from lidarcorrupt.corruptions import (
     CorruptedFrame,
     Provenance,
@@ -32,7 +31,7 @@ from lidarcorrupt.rng import make_rng
 from lidarcorrupt.scan_io import _pack, write_semkitti_labels
 from lidarcorrupt.types import LabelArray, PointCloud
 
-from conftest import FOG, SNOW, draw
+from conftest import FOG, PARAMS, SNOW, draw
 
 # --- the replaced code, verbatim ----------------------------------------------
 
@@ -340,8 +339,6 @@ def test_with_fields_by_index(frame, seed, tag, class_id):
 
 # --- each severity's statistics against the samplers drawn per output before ---
 
-SEVERITIES = load_profile("semantickitti").severity
-
 
 def ray_frame(ranges):
     """A frame of one ray per range, along x, all of intensity 0.5."""
@@ -368,7 +365,7 @@ def snow_hits(frame, r_s, seed, shared):
     return np.linalg.norm(xyz[hit].astype(np.float64), axis=1), hit
 
 
-@pytest.mark.parametrize("r_s", SEVERITIES["snow"]["snowfall_rate"])
+@pytest.mark.parametrize("r_s", PARAMS["snow.snowfall_rate"])
 @pytest.mark.parametrize("shared", [True, False])
 def test_snow_hit_rate_is_the_poisson_closed_form(r_s, shared):
     # Rays of 60 m: a particle within the 59 m past the minimum range with
@@ -380,7 +377,7 @@ def test_snow_hit_rate_is_the_poisson_closed_form(r_s, shared):
     assert abs(hit.mean() - p) < 5 * np.sqrt(p * (1 - p) / n)
 
 
-@pytest.mark.parametrize("r_s", SEVERITIES["snow"]["snowfall_rate"])
+@pytest.mark.parametrize("r_s", PARAMS["snow.snowfall_rate"])
 def test_snow_hit_distances_match_the_old_sampler(r_s):
     frame = ray_frame(np.random.default_rng(5).uniform(0.5, 80, 100_000))
     shared, _ = snow_hits(frame, r_s, seed=23, shared=True)
@@ -389,7 +386,7 @@ def test_snow_hit_distances_match_the_old_sampler(r_s):
     assert abs(len(shared) - len(old)) < 5 * np.sqrt(len(old))
 
 
-@pytest.mark.parametrize("sigma_t", SEVERITIES["motion_blur"]["sigma_t"])
+@pytest.mark.parametrize("sigma_t", PARAMS["motion_blur.sigma_t"])
 def test_motion_blur_axis_std_matches_the_old_sampler(sigma_t):
     n = 50_000
     frame = ray_frame(np.zeros(n))

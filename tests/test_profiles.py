@@ -3,11 +3,14 @@
 import json
 import re
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 
 from lidarcorrupt import DatasetProfile, ProfileError, load_profile
 from lidarcorrupt.profiles import CorruptionKind, Severity, available_profiles
+
+from conftest import PARAM_CHANGES
 
 
 class TestBuiltinTables:
@@ -105,6 +108,10 @@ class TestBuiltinTables:
 
 
 SCATTER_RULE = "a pair low <= high in [0, 1]"
+
+
+def builtin_tables():
+    return json.loads(resources.files("lidarcorrupt").joinpath("data/profiles.json").read_text())
 
 
 class TestOverridesAndValidation:
@@ -210,7 +217,6 @@ class TestOverridesAndValidation:
                 vehicle_classes=frozenset(),
                 vehicle_box_classes=frozenset(),
                 requires_labels=True,
-                severity=p.severity,
                 params=p.params,
             )
 
@@ -220,9 +226,9 @@ class TestOverridesAndValidation:
         with pytest.raises(ProfileError, match=r"^kitti: missing key 'crosstalk_sigma'; "
                                                r"valid keys: fog\.alpha_axis, .*crosstalk_sigma"):
             replace(p, params=params)
-        severity = {**p.severity, "fog": {"beta_bs": [0.0, 0.0, 0.0]}}
+        params = {k: v for k, v in p.params.items() if k != "fog.alpha_axis"}
         with pytest.raises(ProfileError, match="^kitti: missing key 'fog.alpha_axis'; "):
-            replace(p, severity=severity)
+            replace(p, params=params)
 
     @pytest.mark.parametrize("key", ["does_not_exist", "fog.nonexistent", "hail.rate"])
     def test_unknown_key_named(self, key):
@@ -230,16 +236,25 @@ class TestOverridesAndValidation:
                            match=f"^kitti: unknown key {re.escape(repr(key))}; valid keys: "):
             load_profile("kitti").with_overrides({key: [0, 0, 0]})
 
-    def test_dotted_params_key_is_unknown(self):
-        p = load_profile("kitti")
-        with pytest.raises(ProfileError, match=r"^kitti: unknown key 'fog\.beta_bs'; "):
-            replace(p, params={**p.params, "fog.beta_bs": [0, 0, 0]})
+    @pytest.mark.parametrize("key", sorted(PARAM_CHANGES))
+    def test_profile_dir_table_equals_set(self, tmp_path, key):
+        # A table file nests a dotted key as severity[kind][name] and any
+        # other in the entry's params; both routes build the same profile.
+        value = PARAM_CHANGES[key]
+        payload = builtin_tables()
+        entry = payload["profiles"]["semantickitti"]
+        kind, dot, pname = key.partition(".")
+        if dot:
+            entry["severity"][kind][pname] = value
+        else:
+            entry.setdefault("params", {})[key] = value
+        (tmp_path / "profiles.json").write_text(json.dumps(payload))
+        expected = load_profile("semantickitti").with_overrides({key: value})
+        assert load_profile("semantickitti", tmp_path) == expected
+        assert expected.params[key] == value
 
     def test_profile_dir_override(self, tmp_path):
-        from importlib import resources
-
-        text = resources.files("lidarcorrupt").joinpath("data/profiles.json").read_text()
-        payload = json.loads(text)
+        payload = builtin_tables()
         payload["profiles"]["semantickitti"]["beam_count"] = 128
         (tmp_path / "profiles.json").write_text(json.dumps(payload))
         assert load_profile("semantickitti", tmp_path).beam_count == 128

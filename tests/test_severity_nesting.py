@@ -67,7 +67,7 @@ def test_heavier_severity_corrupts_a_superset(profile_name):
             light, moderate, heavy = corrupted_sets(kind, frame, profile, ctx)
             assert light <= moderate <= heavy, kind
             heavy_any[kind] |= bool(heavy)
-        k_t = profile.severity["crosstalk"]["fraction"]
+        k_t = profile.params["crosstalk.fraction"]
         assert [len(s) for s in corrupted_sets(CorruptionKind.CROSSTALK, frame, profile, ctx)
                 ] == [int(np.rint(k * n)) for k in k_t]
         beam_of = ctx.partition.beam_of
@@ -76,7 +76,7 @@ def test_heavier_severity_corrupts_a_superset(profile_name):
             out = apply(CorruptionSpec(CorruptionKind.BEAM_MISSING, severity, seed=seed),
                         frame, profile, ctx)
             kept.append(len(np.unique(beam_of[out.labels.instance.astype(np.int64)])))
-        dropped = profile.severity["beam_missing"]["beams_dropped"]
+        dropped = profile.params["beam_missing.beams_dropped"]
         assert kept == [profile.beam_count - m for m in dropped]
         if profile.beam_count == 64:
             assert kept == [48, 32, 16]
@@ -89,7 +89,7 @@ def test_motion_blur_offsets_scale_with_sigma(profile_name):
     frame = audit_frame(profile, seed=4)
     ctx = FrameContext(frame, profile, seed=4)
     xyz = frame.cloud.xyz.astype(np.float64)
-    sigmas = profile.severity["motion_blur"]["sigma_t"]
+    sigmas = profile.params["motion_blur.sigma_t"]
     scaled = []
     for severity, sigma_t in zip(Severity, sigmas):
         out = apply(CorruptionSpec(CorruptionKind.MOTION_BLUR, severity, seed=4),
