@@ -21,7 +21,6 @@ from .consistency import (
 )
 from .corruptions import (
     CorruptedFrame,
-    CorruptionSpec,
     FrameContext,
     Provenance,
     apply,

@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 import click
 import numpy as np
 
-from .corruptions import CorruptionSpec, FrameContext, apply
+from .corruptions import FrameContext, apply
 from .errors import LidarCorruptError, ManifestError, PairingError, ProfileError
 from .metrics import (
     KIND_ORDER,
@@ -87,6 +87,11 @@ class RunConfig:
             raise ProfileError(f"input root {self.input_root} is not a directory")
         if self.input_root.resolve() == self.output_root.resolve():
             raise ProfileError("output root must differ from input root")
+        try:  # a name, as the command line gives it, is its member
+            object.__setattr__(self, "kinds", tuple(map(CorruptionKind, self.kinds)))
+            object.__setattr__(self, "severities", tuple(map(Severity, self.severities)))
+        except ValueError as exc:
+            raise ProfileError(str(exc)) from exc
         if not self.kinds or not self.severities:
             raise ProfileError("corruption and severity selections must be nonempty")
         for what, chosen in (("corruption", self.kinds), ("severity", self.severities)):
@@ -167,7 +172,7 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
     entries: list[dict] = []
     failures: list[dict] = []
     try:
-        frame = load_frame(cfg.input_root, stem, profile)
+        ctx = FrameContext(load_frame(cfg.input_root, stem, profile), profile, cfg.seed)
     except Exception as exc:  # reported per frame, batch continues
         return [], [_failure("load", exc, frame=stem)]
 
@@ -185,15 +190,13 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
         except Exception as exc:  # reported per output, frame continues
             record_failure("write", output["kind"], output["severity"], exc)
 
-    ctx = FrameContext(frame, profile, cfg.seed)
     pending = None
     with ThreadPoolExecutor(max_workers=1) as helper:
         for kind in cfg.kinds:
             for severity in cfg.severities:
                 job = None
                 try:
-                    spec = CorruptionSpec(kind=kind, severity=severity, seed=cfg.seed)
-                    result = apply(spec, frame, profile, ctx)
+                    result = apply(kind, ctx, severity)
                     out_dir = cfg.output_root / kind.value / severity.value
                     out_dir.mkdir(parents=True, exist_ok=True)
                     output = {"frame": stem, "kind": kind.value, "severity": severity.value,
@@ -254,7 +257,8 @@ def run_corrupt(cfg: RunConfig) -> dict:
     assembled in sorted order regardless of worker scheduling, so reruns and
     different worker counts reproduce identical checksums. A frame whose
     worker dies is recorded as a failure; the other frames keep their
-    entries and the manifest is still written. An unwritable root raises ProfileError.
+    entries and the manifest is still written. An unwritable root or
+    manifest raises ProfileError.
     """
     profile = cfg.load()  # fail fast on unknown profiles/overrides
     stems = frame_stems(cfg.input_root)
@@ -288,19 +292,21 @@ def run_corrupt(cfg: RunConfig) -> dict:
         "entries": all_entries,
         "failures": all_failures,
     }
-    _write_atomic(
-        cfg.output_root / "manifest.json",
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
+    path = cfg.output_root / "manifest.json"
+    try:
+        _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ProfileError(f"cannot write {path}: {exc}") from exc
     return manifest
 
 
-def run_verify(out_root: Path) -> tuple[int, list[str]]:
+def run_verify(out_root: Path) -> tuple[int, int, list[str]]:
     """Re-hash every file that `out_root/manifest.json` lists.
 
-    Returns the number of entries and one line per entry whose file is
-    outside `out_root` (not read), missing, unreadable or has a SHA-256
-    other than the entry's.
+    Returns the number of entries whose file matches, the number of entries,
+    and one line per entry whose file is outside `out_root` (not read),
+    missing, unreadable or has a SHA-256 other than the entry's, then one
+    per file under a `<kind>/<severity>/` directory that no entry names.
 
     Raises:
         ManifestError: no `manifest.json`, or one that is not a manifest:
@@ -328,7 +334,14 @@ def run_verify(out_root: Path) -> tuple[int, list[str]]:
             continue
         if hashlib.sha256(data).hexdigest() != digest:
             problems.append(f"differs: {name}")
-    return len(listed), problems
+    matched = len(listed) - len(problems)
+    names = {os.path.normpath(name) for name, _ in listed}
+    for out_dir in (f"{k.value}/{s.value}" for k in CorruptionKind for s in ALL_SEVERITIES):
+        if (path.parent / out_dir).is_dir():
+            problems += [f"unlisted: {out_dir}/{p.name}" for p in
+                         sorted((path.parent / out_dir).iterdir())
+                         if f"{out_dir}/{p.name}" not in names]
+    return matched, len(listed), problems
 
 
 def _matched_stems(pred_dir: Path, gt_dir: Path) -> list[str]:
@@ -475,13 +488,11 @@ def _parse_override(text: str) -> tuple[str, object]:
 
 
 def _parse_selection(choices: type, text: str) -> tuple:
-    """Comma-separated members of the enum `choices`, or all for "all" or ""."""
+    """Comma-separated names, which `RunConfig` turns into members of the enum
+    `choices`, or all of its members for "all" or ""."""
     if text.strip().lower() in ("", "all"):
         return tuple(choices)
-    try:
-        return tuple(choices(v.strip()) for v in text.split(","))
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from exc
+    return tuple(v.strip() for v in text.split(","))
 
 
 @click.group()
@@ -577,15 +588,16 @@ def cmd_report(records, baseline, fmt, out_path):
 @main.command("verify")
 @click.argument("out_root", type=click.Path(file_okay=False))
 def cmd_verify(out_root):
-    """Re-hash every file OUT_ROOT/manifest.json lists against its checksum."""
+    """Re-hash every file OUT_ROOT/manifest.json lists against its checksum,
+    and name the files under OUT_ROOT/<kind>/<severity>/ that it does not list."""
     try:
-        checked, problems = run_verify(Path(out_root))
+        matched, checked, problems = run_verify(Path(out_root))
     except ManifestError as exc:
         click.echo(f"cannot verify: {exc}", err=True)
         sys.exit(2)
     for line in problems:
         click.echo(line)
-    click.echo(f"{checked - len(problems)} of {checked} files match {out_root}/manifest.json")
+    click.echo(f"{matched} of {checked} files match {out_root}/manifest.json")
     if problems:
         sys.exit(1)
 

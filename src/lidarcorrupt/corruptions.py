@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -34,7 +34,6 @@ from .types import INTENSITY_TOLERANCE, BoxSet, LabelArray, PointCloud, row_indi
 
 __all__ = [
     "Provenance",
-    "CorruptionSpec",
     "CorruptedFrame",
     "apply_fog",
     "apply_wet_ground",
@@ -56,15 +55,6 @@ class Provenance(enum.IntEnum):
     INJECTED_FOG = 1
     INJECTED_SNOW = 2
     JITTERED_CROSSTALK = 3
-
-
-@dataclass(frozen=True)
-class CorruptionSpec:
-    """Reproducibility key for one corrupted frame."""
-
-    kind: CorruptionKind
-    severity: Severity
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -108,9 +98,9 @@ class CorruptedFrame:
         changed: Optional[np.ndarray] = None, tag: Optional[Provenance] = None,
         class_id: Optional[int] = None,
     ) -> "CorruptedFrame":
-        """Copy with replaced coordinates and/or intensity; boxes kept. The
-        points at `changed` (a mask or indices) are tagged `tag` and, when the
-        frame has labels and `class_id` is not None, relabeled `class_id`."""
+        """A `CorruptedFrame` with replaced coordinates and/or intensity; boxes
+        kept. The points at `changed` (a mask or indices) are tagged `tag` and,
+        when the frame has labels and `class_id` is not None, relabeled `class_id`."""
         labels, provenance = self.labels, self.provenance
         idx = None if changed is None else row_indices(changed, len(self.cloud))
         if idx is not None and idx.size:
@@ -120,8 +110,8 @@ class CorruptedFrame:
                 semantic = labels.semantic.copy()
                 semantic[idx] = class_id
                 labels = labels.with_semantic(semantic)
-        return replace(self, cloud=self.cloud.with_fields(xyz, intensity),
-                       labels=labels, provenance=provenance)
+        return CorruptedFrame(self.cloud.with_fields(xyz, intensity), labels,
+                              self.boxes, provenance)
 
 
 def _check_strength(name: str, value: float) -> None:
@@ -404,32 +394,32 @@ def apply_cross_sensor(
     return frame.select(keep)
 
 
-class FrameContext:
-    """Derived structures of one frame, computed on first use and cached.
+class FrameContext(CorruptedFrame):
+    """An input frame bound to its profile and run seed, with its derived
+    structures computed on first use and cached.
 
     The beam partition, the ground (and its incidence) and the vehicle mask
     depend on the frame but not on the corruption or severity, so one
     context serves all of a frame's outputs. A structure whose computation
     raises is not cached: each output that needs it fails with the same
-    error, and the others are unaffected. Point ranges are cached on the
-    frame (`CorruptedFrame.ranges`) and beam ranks on the partition.
+    error, and the others are unaffected. Point ranges are cached as the
+    inherited `ranges`, and beam ranks on the partition. An operator's
+    output is a plain `CorruptedFrame`, or, for an identity, the context.
 
     The ground is the ground-labelled points and their plane
     (`GroundModel.from_mask`), or, when the frame has no labels or the
     profile no ground classes, a RANSAC fit seeded by `seed_of(wet_ground)`.
     """
 
-    def __init__(
-        self, frame: CorruptedFrame, profile: DatasetProfile, seed: int
-    ) -> None:
-        self.frame = frame
-        self.profile = profile
-        self.seed = seed
-        self._draw: tuple = (None, None)
+    def __init__(self, frame: CorruptedFrame, profile: DatasetProfile, seed: int) -> None:
+        super().__init__(frame.cloud, frame.labels, frame.boxes, frame.provenance)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "_draw", (None, None))
 
     def seed_of(self, kind: CorruptionKind) -> int:
         """The seed of `kind`'s randomness in this frame: (run seed, frame id, kind)."""
-        return derive_seed(self.seed, self.frame.cloud.frame_id, kind)
+        return derive_seed(self.seed, self.cloud.frame_id, kind)
 
     def draw(self, kind: CorruptionKind):
         """`kind`'s randomness for this frame (`_DRAWS`), seeded by `seed_of`
@@ -437,32 +427,32 @@ class FrameContext:
         if self._draw[0] != kind:
             self.keep_only(kind)  # free the last kind's arrays before drawing
             rng = make_rng(kind, self.seed_of(kind))
-            self._draw = (kind, _DRAWS[kind](rng, self, len(self.frame.cloud)))
+            object.__setattr__(self, "_draw", (kind, _DRAWS[kind](rng, self, len(self.cloud))))
         return self._draw[1]
 
     def keep_only(self, kind: CorruptionKind) -> None:
         """Free the per-kind arrays that `kind` does not read: another
         kind's draw, and the incidence outside wet ground."""
         if self._draw[0] != kind:
-            self._draw = (None, None)
+            object.__setattr__(self, "_draw", (None, None))
         if kind != CorruptionKind.WET_GROUND:
             self.__dict__.pop("incidence", None)
 
     @cached_property
     def partition(self) -> BeamPartition:
-        cloud = self.frame.cloud  # the ranges go unread with a ring channel
+        cloud = self.cloud  # the ranges go unread with a ring channel
         return partition_beams(cloud, int(self.profile.beam_count),
-                               None if cloud.ring is not None else self.frame.ranges)
+                               None if cloud.ring is not None else self.ranges)
 
     @cached_property
     def ground(self) -> GroundModel:
-        frame, profile = self.frame, self.profile
-        if frame.labels is not None and profile.ground_classes:
+        profile = self.profile
+        if self.labels is not None and profile.ground_classes:
             return GroundModel.from_mask(
-                frame.cloud.xyz, ground_mask_from_labels(frame.labels, profile)
+                self.cloud.xyz, ground_mask_from_labels(self.labels, profile)
             )
         return fit_ground_ransac(
-            frame.cloud,
+            self.cloud,
             iterations=int(profile.params["ransac_iterations"]),
             inlier_threshold=float(profile.params["ransac_threshold"]),
             seed=self.seed_of(CorruptionKind.WET_GROUND),
@@ -471,20 +461,20 @@ class FrameContext:
     @cached_property
     def incidence(self) -> np.ndarray:
         """`GroundModel.cos_incidence` of the ground, for wet ground."""
-        return self.ground.cos_incidence(self.frame.cloud.xyz, self.frame.ranges)
+        return self.ground.cos_incidence(self.cloud.xyz, self.ranges)
 
     @cached_property
     def vehicle_mask(self) -> np.ndarray:
         """Vehicle-labelled points, or else the points in vehicle-class boxes.
         Raises ValueError when the frame has neither labels nor boxes."""
-        frame, profile = self.frame, self.profile
-        if frame.labels is not None and profile.vehicle_classes:
+        profile = self.profile
+        if self.labels is not None and profile.vehicle_classes:
             return np.isin(
-                frame.labels.semantic,
+                self.labels.semantic,
                 np.array(sorted(profile.vehicle_classes), dtype=np.int64),
             )
-        if frame.boxes is not None:
-            return frame.boxes.contains(frame.cloud.xyz, profile.vehicle_box_classes or None)
+        if self.boxes is not None:
+            return self.boxes.contains(self.cloud.xyz, profile.vehicle_box_classes or None)
         raise ValueError(
             "incomplete echo needs semantic labels or boxes to find vehicle points"
         )
@@ -505,43 +495,29 @@ _DRAWS = {
 }
 
 
-def apply(
-    spec: CorruptionSpec,
-    frame: CorruptedFrame,
-    profile: DatasetProfile,
-    ctx: Optional[FrameContext] = None,
-) -> CorruptedFrame:
-    """Apply one corruption at one severity, resolving parameters from the profile.
+def apply(kind: CorruptionKind, frame: FrameContext, severity: Severity) -> CorruptedFrame:
+    """One corruption at one severity of `frame`, parameters from `frame.profile`.
 
     `apply_<kind>` gets each parameter after `frame` by its name: a
     `profiles.KINDS` keyword is its profile value at the severity, cast, with
-    an ``_axis`` one drawn with the seed `ctx.seed_of(kind)`; `draw` is
-    `ctx.draw(kind)`; a name ending in ``_class`` is the profile's injected
+    an ``_axis`` one drawn with the seed `frame.seed_of(kind)`; `draw` is
+    `frame.draw(kind)`; a name ending in ``_class`` is the profile's injected
     class id; any other is that `FrameContext` structure (ground, incidence,
-    beam partition, vehicle mask). Callers corrupting one frame many times
-    build `ctx` once with `FrameContext(frame, profile, spec.seed)`, and
-    loop kind by kind, so each kind is drawn once. Without one, a throwaway
-    context is built, with the same result.
-
-    Raises:
-        ValueError: `ctx` was built for another frame, profile or seed.
+    beam partition, vehicle mask). Build the context once per frame with
+    `FrameContext(frame, profile, seed)`, and loop kind by kind, so each
+    kind is drawn once.
     """
-    if ctx is None:
-        ctx = FrameContext(frame, profile, spec.seed)
-    elif ctx.frame is not frame or ctx.profile is not profile or ctx.seed != spec.seed:
-        raise ValueError("frame context was built for another frame, profile or seed")
-    kind = spec.kind
-    ctx.keep_only(kind)
+    frame.keep_only(kind)
     operator = globals()[f"apply_{kind}"]  # a wrapper set on the module runs
     kwargs = {}
-    for name in list(inspect.signature(operator).parameters)[1:]:  # ctx builds only these
+    for name in list(inspect.signature(operator).parameters)[1:]:  # frame builds only these
         if name in KINDS[kind]:
             key, cast = KINDS[kind][name]
-            value = profile.value_at(key, spec.severity)
+            value = frame.profile.value_at(key, severity)
             if key.endswith("_axis"):
-                value = make_rng(f"{kind}-{name}", ctx.seed_of(kind)).choice(value)
+                value = make_rng(f"{kind}-{name}", frame.seed_of(kind)).choice(value)
             kwargs[name] = cast(value)
         else:
-            kwargs[name] = ctx.draw(kind) if name == "draw" else getattr(
-                profile if name.endswith("_class") else ctx, name)
+            kwargs[name] = frame.draw(kind) if name == "draw" else getattr(
+                frame.profile if name.endswith("_class") else frame, name)
     return operator(frame, **kwargs)

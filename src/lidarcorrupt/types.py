@@ -38,7 +38,7 @@ class PointCloud:
     """One LiDAR scan: N points with coordinates, intensity, optional ring.
 
     Attributes:
-        xyz: (N, 3) float32 coordinates in meters.
+        xyz: (N, 3) float32 coordinates in meters; another shape raises ValueError.
         intensity: (N,) float32 return intensity, raw sensor units as stored.
         ring: optional (N,) int32 beam/ring index of each point.
         frame_id: opaque identifier, usually the file stem.
@@ -50,7 +50,9 @@ class PointCloud:
     frame_id: str = ""
 
     def __post_init__(self) -> None:
-        xyz = np.ascontiguousarray(self.xyz, dtype=np.float32).reshape(-1, 3)
+        xyz = np.ascontiguousarray(self.xyz, dtype=np.float32)
+        if xyz.ndim != 2 or xyz.shape[1] != 3:
+            raise ValueError(f"xyz has shape {xyz.shape}, expected (N, 3)")
         intensity = np.ascontiguousarray(self.intensity, dtype=np.float32).reshape(-1)
         object.__setattr__(self, "xyz", xyz)
         object.__setattr__(self, "intensity", intensity)

@@ -376,7 +376,7 @@ class TestCorrupt:
                 if kind not in corruptions._DRAWS:
                     continue
                 redrawn = corruptions._DRAWS[kind](
-                    make_rng(kind, entry["seed"]), ctx, len(ctx.frame.cloud))
+                    make_rng(kind, entry["seed"]), ctx, len(ctx.cloud))
                 drawn = ctx.draw(kind)
                 if kind is not CorruptionKind.CROSSTALK:
                     redrawn, drawn = (redrawn,), (drawn,)
@@ -839,7 +839,7 @@ class TestCorrupt:
         monkeypatch.setattr(Path, "write_text", flaky)
         src = build_dataset(tmp_path / "in", n_frames=1, beams=8)
         out = tmp_path / "out"
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(ProfileError, match=f"^cannot write {out}/manifest.json: disk full$"):
             cli.run_corrupt(RunConfig(profile_name="semantickitti", input_root=src,
                                       output_root=out, kinds=(cli.CorruptionKind.FOG,)))
         assert not (out / "manifest.json").exists()
@@ -875,33 +875,51 @@ class TestCorrupt:
         assert f"configuration error: {profile}: {message}\n" in result.output
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("option,text,repeated", [
+    # A repeated name, or a name of no member, is a configuration error.
+    @pytest.mark.parametrize("option,text,message", [
         ("--corruptions", "fog,fog", "corruption selection repeats fog"),
         ("--corruptions", "snow,fog,snow,fog", "corruption selection repeats fog, snow"),
         ("--severities", "heavy,light,heavy", "severity selection repeats heavy"),
+        ("--corruptions", "fog,smog", "'smog' is not a valid CorruptionKind"),
+        ("--severities", "light,extreme", "'extreme' is not a valid Severity"),
     ])
     def test_repeated_selection_is_configuration_error(self, runner, tmp_path, option,
-                                                       text, repeated):
+                                                       text, message):
         src = build_dataset(tmp_path / "in", n_frames=1)
         result = runner.invoke(
             main, ["corrupt", "--dataset", "semantickitti", "--in", str(src),
                    "--out", str(tmp_path / "out"), option, text])
         assert result.exit_code == 2, result.output
-        assert f"configuration error: {repeated}\n" in result.output
+        assert f"configuration error: {message}\n" in result.output
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("field,chosen,repeated", [
+    # A repeated name, or a name of no member, is a configuration error.
+    @pytest.mark.parametrize("field,chosen,message", [
         ("kinds", (cli.CorruptionKind.FOG, cli.CorruptionKind.FOG),
          "corruption selection repeats fog"),
         ("severities", (cli.Severity.HEAVY, cli.Severity.HEAVY),
          "severity selection repeats heavy"),
+        ("kinds", ("fog", "smog"), "'smog' is not a valid CorruptionKind"),
+        ("severities", ("light", "extreme"), "'extreme' is not a valid Severity"),
     ])
     def test_repeated_selection_rejected_by_run_config(self, tmp_path, field, chosen,
-                                                       repeated):
+                                                       message):
         src = build_dataset(tmp_path / "in", n_frames=1)
-        with pytest.raises(ProfileError, match=f"^{repeated}$"):
+        with pytest.raises(ProfileError, match=f"^{message}$"):
             RunConfig(profile_name="semantickitti", input_root=src,
                       output_root=tmp_path / "out", **{field: chosen})
+
+    def test_selection_by_name_equals_selection_by_member(self, tmp_path):
+        src = build_dataset(tmp_path / "in", n_frames=1, beams=8)
+        manifests = [cli.run_corrupt(RunConfig(
+            profile_name="semantickitti", input_root=src, output_root=tmp_path / name,
+            kinds=kinds, severities=severities)) for name, kinds, severities in (
+                ("members", (cli.CorruptionKind.FOG, cli.CorruptionKind.SNOW),
+                 (cli.Severity.HEAVY,)),
+                ("names", ("fog", "snow"), ("heavy",)))]
+        assert manifests[0]["failures"] == []
+        assert len(manifests[0]["entries"]) == 4
+        assert manifests[0] == manifests[1]
 
     def test_partial_failure_exit_one(self, runner, tmp_path):
         src = build_dataset(tmp_path / "in", n_frames=1)
@@ -948,6 +966,27 @@ class TestVerify:
             "differs: snow/heavy/000001.label",
             f"22 of 24 files match {out}/manifest.json",
         ]
+
+    def test_files_no_entry_names_listed(self, runner, tmp_path):
+        # A second run into a used root lists only its own outputs; the first
+        # run's, and a leftover `.tmp`, are named and fail the check.
+        src = build_dataset(tmp_path / "in", n_frames=1, beams=8)
+        out = tmp_path / "out"
+        for extra in ([], ["--corruptions", "fog", "--seed", "5"]):
+            result = runner.invoke(main, ["corrupt", "--dataset", "semantickitti",
+                                          "--in", str(src), "--out", str(out), *extra])
+            assert result.exit_code == 0, result.output
+        (out / "fog" / "heavy" / "000000.bin.tmp").write_bytes(b"partial")
+        result = runner.invoke(main, ["verify", str(out)])
+        assert result.exit_code == 1, result.output
+        lines = result.output.splitlines()
+        assert lines[-1] == f"6 of 6 files match {out}/manifest.json"
+        assert lines[0] == "unlisted: fog/heavy/000000.bin.tmp"
+        assert sorted(lines[1:-1]) == sorted(
+            f"unlisted: {kind}/{severity}/000000.{ext}" for kind in cli.CorruptionKind
+            if kind is not cli.CorruptionKind.FOG for severity in cli.Severity
+            for ext in ("bin", "label"))
+        assert len(lines) == 1 + 7 * 3 * 2 + 1
 
     def test_entry_outside_out_listed(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -1266,7 +1305,8 @@ BAD_RECORDS = {
 
 
 @pytest.mark.parametrize("case", ["truncated pred", "corrupt below a file",
-                                  "evaluate below a file", *BAD_RECORDS])
+                                  "manifest is a directory", "evaluate below a file",
+                                  *BAD_RECORDS])
 def test_failed_run_names_its_cause_without_traceback(tmp_path, case):
     # What a shell sees: the exit code, and one line on stderr that names
     # the file, with no traceback on either stream.
@@ -1291,6 +1331,11 @@ def test_failed_run_names_its_cause_without_traceback(tmp_path, case):
         args, code = ["corrupt", "--dataset", "semantickitti", "--in", str(src),
                       "--out", str(blocked)], 2
         message = f"configuration error: cannot write {blocked}: "
+    elif case == "manifest is a directory":
+        (tmp_path / "out" / "manifest.json").mkdir(parents=True)
+        args, code = ["corrupt", "--dataset", "semantickitti", "--in", str(src),
+                      "--out", str(tmp_path / "out"), "--corruptions", "fog"], 2
+        message = f"configuration error: cannot write {tmp_path}/out/manifest.json: "
     else:
         blocked = blocked / "record.json"
         args, code = [*evaluate, "--out", str(blocked)], 2

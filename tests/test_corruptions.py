@@ -14,7 +14,6 @@ from lidarcorrupt import (
 )
 from lidarcorrupt.corruptions import (
     CorruptedFrame,
-    CorruptionSpec,
     FrameContext,
     Provenance,
     apply,
@@ -554,16 +553,14 @@ class TestDispatcher:
 
         frame = make_labeled_frame(seed=20)
         profile = load_profile("semantickitti")
-        spec = CorruptionSpec(CorruptionKind.MOTION_BLUR, Severity.LIGHT, seed=7)
-        a = apply(spec, frame, profile)
-        b = apply(spec, frame, profile)
+        a = apply(CorruptionKind.MOTION_BLUR, FrameContext(frame, profile, 7), Severity.LIGHT)
+        b = apply(CorruptionKind.MOTION_BLUR, FrameContext(frame, profile, 7), Severity.LIGHT)
         assert write_kitti_scan(a.cloud) == write_kitti_scan(b.cloud)
 
     def test_beam_missing_heavy_drops_48(self):
         frame = make_labeled_frame(seed=21)
         profile = load_profile("semantickitti")
-        spec = CorruptionSpec(CorruptionKind.BEAM_MISSING, Severity.HEAVY, seed=1)
-        out = apply(spec, frame, profile)
+        out = apply(CorruptionKind.BEAM_MISSING, FrameContext(frame, profile, 1), Severity.HEAVY)
         assert len(out.cloud) == 160  # 16 of 64 beams remain, 10 points each
 
     @pytest.mark.parametrize("kind", list(CorruptionKind))
@@ -579,7 +576,7 @@ class TestDispatcher:
             np.array([10, 40, 40, 48, 70], np.uint16), np.zeros(5, np.uint16)
         )
         frame = CorruptedFrame(cloud, labels)
-        out = apply(CorruptionSpec(kind, severity, seed=3), frame, load_profile("semantickitti"))
+        out = apply(kind, FrameContext(frame, load_profile("semantickitti"), 3), severity)
         assert out.labels is not None
         assert len(out.labels) == len(out.cloud)
         assert len(out.provenance) == len(out.cloud)
@@ -588,7 +585,7 @@ class TestDispatcher:
         frame = simple_frame(n=64, seed=23, with_boxes=True)
         profile = load_profile("semantickitti")
         for kind in CorruptionKind:
-            out = apply(CorruptionSpec(kind, Severity.HEAVY, seed=5), frame, profile)
+            out = apply(kind, FrameContext(frame, profile, 5), Severity.HEAVY)
             assert out.boxes is frame.boxes
 
     @pytest.mark.parametrize(
@@ -603,7 +600,7 @@ class TestDispatcher:
         # a point carries an injected class id iff it carries the matching tag
         frame = make_labeled_frame(seed=24)
         profile = load_profile("semantickitti")
-        out = apply(CorruptionSpec(kind, Severity.HEAVY, seed=2), frame, profile)
+        out = apply(kind, FrameContext(frame, profile, 2), Severity.HEAVY)
         injected_id = {
             CorruptionKind.FOG: profile.fog_class,
             CorruptionKind.SNOW: profile.snow_class,

@@ -21,7 +21,6 @@ from lidarcorrupt import cli, corruptions, geometry, profiles
 from lidarcorrupt.geometry import BeamPartition, GroundModel, lstsq_plane
 from lidarcorrupt.corruptions import (
     CorruptedFrame,
-    CorruptionSpec,
     FrameContext,
     apply,
     apply_wet_ground,
@@ -66,8 +65,8 @@ def test_apply_with_and_without_context_bitwise_equal(profile_name):
     ctx = FrameContext(frame, profile, seed=9)
     for kind in CorruptionKind:
         for severity in Severity:
-            spec = CorruptionSpec(kind, severity, seed=9)
-            assert_same(apply(spec, frame, profile, ctx), apply(spec, frame, profile))
+            assert_same(apply(kind, ctx, severity),
+                        apply(kind, FrameContext(frame, profile, seed=9), severity))
 
 
 def test_whole_float_beam_count_corrupts_as_its_int():
@@ -80,8 +79,8 @@ def test_whole_float_beam_count_corrupts_as_its_int():
     frame = boxed_frame(seed=3)
     for kind in (CorruptionKind.BEAM_MISSING, CorruptionKind.CROSS_SENSOR):
         for severity in Severity:
-            spec = CorruptionSpec(kind, severity, seed=5)
-            assert_same(apply(spec, frame, as_float), apply(spec, frame, profile))
+            assert_same(apply(kind, FrameContext(frame, as_float, seed=5), severity),
+                        apply(kind, FrameContext(frame, profile, seed=5), severity))
     for key, written, cast in (
         ("beam_missing.beams_dropped", [16.0, 32.0, 48.0], [16, 32, 48]),
         ("cross_sensor.beams_kept", [48.0, 32.0, 16.0], [48, 32, 16]),
@@ -100,7 +99,7 @@ def test_whole_float_beam_count_corrupts_as_its_int():
 def outputs(frame, profile):
     """Every kind and severity of `frame` under `profile`, from one context."""
     ctx = FrameContext(frame, profile, seed=3)
-    return [apply(CorruptionSpec(kind, severity, seed=3), frame, profile, ctx)
+    return [apply(kind, ctx, severity)
             for kind in CorruptionKind for severity in Severity]
 
 
@@ -111,8 +110,7 @@ def test_severity_major_loop_equals_kind_major():
     frame = labelled_frame(seed=5)
     kind_major = outputs(frame, profile)
     ctx = FrameContext(frame, profile, seed=3)
-    severity_major = {(kind, severity): apply(CorruptionSpec(kind, severity, seed=3),
-                                              frame, profile, ctx)
+    severity_major = {(kind, severity): apply(kind, ctx, severity)
                       for severity in Severity for kind in CorruptionKind}
     pairs = zip(kind_major, [(k, s) for k in CorruptionKind for s in Severity])
     for out, key in pairs:
@@ -129,7 +127,7 @@ def test_each_kind_drawn_once_and_only_the_last_kept(monkeypatch):
     ctx = FrameContext(frame, profile, seed=8)
     for kind in CorruptionKind:
         for severity in Severity:
-            apply(CorruptionSpec(kind, severity, seed=8), frame, profile, ctx)
+            apply(kind, ctx, severity)
         # the earlier kinds' arrays are gone: a draw, and the incidence, live with their kind
         assert ctx._draw[0] is (kind if kind in corruptions._DRAWS else None)
         assert ("incidence" in vars(ctx)) == (kind is CorruptionKind.WET_GROUND)
@@ -148,25 +146,15 @@ def test_frames_of_different_sizes_sharing_a_seed_share_no_draw():
         fresh = {}
         for frame in (small, large, small):
             ctx = FrameContext(frame, profile, seed=4)
-            out = apply(CorruptionSpec(kind, Severity.HEAVY, seed=4), frame, profile, ctx)
+            out = apply(kind, ctx, Severity.HEAVY)
             assert len(ctx.draw(kind)[0] if kind is CorruptionKind.CROSSTALK
                        else ctx.draw(kind)) == {
                 CorruptionKind.BEAM_MISSING: 64,
                 CorruptionKind.INCOMPLETE_ECHO: int(ctx.vehicle_mask.sum()),
             }.get(kind, len(frame.cloud))
-            alone = apply(CorruptionSpec(kind, Severity.HEAVY, seed=4), frame, profile)
+            alone = apply(kind, FrameContext(frame, profile, seed=4), Severity.HEAVY)
             assert_same(out, alone)
             assert_same(fresh.setdefault(len(frame.cloud), out), out)
-
-
-def test_context_for_another_frame_rejected():
-    profile = load_profile("kitti")
-    frame = boxed_frame()
-    spec = CorruptionSpec(CorruptionKind.FOG, Severity.LIGHT, seed=1)
-    with pytest.raises(ValueError, match="another frame"):
-        apply(spec, frame, profile, FrameContext(boxed_frame(), profile, seed=1))
-    with pytest.raises(ValueError, match="another frame"):
-        apply(spec, frame, profile, FrameContext(frame, profile, seed=2))
 
 
 def test_unlabelled_wet_ground_severities_share_one_ground_model():
@@ -181,8 +169,7 @@ def test_unlabelled_wet_ground_severities_share_one_ground_model():
     )
     assert ctx.ground.plane == model.plane
     for severity in Severity:
-        out = apply(CorruptionSpec(CorruptionKind.WET_GROUND, severity, seed=5),
-                    frame, profile, ctx)
+        out = apply(CorruptionKind.WET_GROUND, ctx, severity)
         expected = apply_wet_ground(
             frame,
             model,
@@ -222,8 +209,7 @@ def test_planeless_label_ground_wets_at_normal_incidence(n_ground):
     for severity in Severity:
         d_w = float(profile.severity_params(
             CorruptionKind.WET_GROUND, severity)["water_height_mm"])
-        out = apply(CorruptionSpec(CorruptionKind.WET_GROUND, severity, seed=2),
-                    frame, profile, ctx)
+        out = apply(CorruptionKind.WET_GROUND, ctx, severity)
         i64 = frame.cloud.intensity.astype(np.float64)
         wet = i64 * np.exp(np.full(len(i64), -kappa * d_w))
         keep = ~ground | (wet >= i_n)
@@ -287,7 +273,7 @@ def test_ringless_partition_reads_the_frame_ranges(calls):
     frame = labelled_frame(seed=1)
     ctx = FrameContext(frame, profile, seed=4)
     for kind in (CorruptionKind.FOG, CorruptionKind.BEAM_MISSING):
-        apply(CorruptionSpec(kind, Severity.HEAVY, seed=4), frame, profile, ctx)
+        apply(kind, ctx, Severity.HEAVY)
     assert (calls["ranges"], calls["partition"]) == (1, 1)
 
 
@@ -297,7 +283,7 @@ def test_ring_partition_reads_no_ranges(calls):
     frame = FRAMES["nuscenes"](seed=1)
     ctx = FrameContext(frame, profile, seed=4)
     for kind in (CorruptionKind.BEAM_MISSING, CorruptionKind.CROSS_SENSOR):
-        apply(CorruptionSpec(kind, Severity.HEAVY, seed=4), frame, profile, ctx)
+        apply(kind, ctx, Severity.HEAVY)
     assert (calls["ranges"], calls["partition"]) == (0, 1)
 
 

@@ -15,7 +15,6 @@ import pytest
 from lidarcorrupt import load_profile
 from lidarcorrupt.corruptions import (
     CorruptedFrame,
-    CorruptionSpec,
     FrameContext,
     Provenance,
     apply,
@@ -46,7 +45,7 @@ def corrupted_sets(kind, frame, profile, ctx):
     """Per severity, the input indices `kind` injects, jitters or drops."""
     sets = []
     for severity in Severity:
-        out = apply(CorruptionSpec(kind, severity, seed=ctx.seed), frame, profile, ctx)
+        out = apply(kind, ctx, severity)
         source = out.labels.instance.astype(np.int64)
         if kind in INJECTED:
             sets.append(set(source[out.provenance == INJECTED[kind]].tolist()))
@@ -73,8 +72,7 @@ def test_heavier_severity_corrupts_a_superset(profile_name):
         beam_of = ctx.partition.beam_of
         kept = []
         for severity in Severity:
-            out = apply(CorruptionSpec(CorruptionKind.BEAM_MISSING, severity, seed=seed),
-                        frame, profile, ctx)
+            out = apply(CorruptionKind.BEAM_MISSING, ctx, severity)
             kept.append(len(np.unique(beam_of[out.labels.instance.astype(np.int64)])))
         dropped = profile.params["beam_missing.beams_dropped"]
         assert kept == [profile.beam_count - m for m in dropped]
@@ -92,8 +90,7 @@ def test_motion_blur_offsets_scale_with_sigma(profile_name):
     sigmas = profile.params["motion_blur.sigma_t"]
     scaled = []
     for severity, sigma_t in zip(Severity, sigmas):
-        out = apply(CorruptionSpec(CorruptionKind.MOTION_BLUR, severity, seed=4),
-                    frame, profile, ctx)
+        out = apply(CorruptionKind.MOTION_BLUR, ctx, severity)
         scaled.append((out.cloud.xyz.astype(np.float64) - xyz) / sigma_t)
     # Within the float32 rounding of the blurred coordinates.
     tolerance = 2 * np.spacing(np.float32(np.abs(xyz).max() + 10)) / min(sigmas)

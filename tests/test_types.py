@@ -1,6 +1,7 @@
 """Container validation, row selection and box geometry."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,13 @@ class TestPointCloud:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             PointCloud(xyz=np.zeros((2, 3)), intensity=np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (6,), (0,), (4, 2), (2, 3, 1)])
+    def test_xyz_of_another_shape_rejected(self, shape):
+        # a transposed or flat array is not read row by row as points
+        message = re.escape(f"xyz has shape {shape}, expected (N, 3)")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PointCloud(xyz=np.zeros(shape), intensity=np.zeros(shape[-1]))
 
     def test_ring_length_mismatch(self):
         with pytest.raises(ValueError):
