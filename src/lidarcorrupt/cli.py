@@ -64,6 +64,8 @@ from .scan_io import (  # noqa: F401
 __all__ = ["RunConfig", "run_corrupt", "run_evaluate", "run_report", "run_verify", "main"]
 
 ALL_SEVERITIES = tuple(Severity)
+# The output directories a run may write, relative to its output root.
+_OUT_DIRS = [f"{k.value}/{s.value}" for k in CorruptionKind for s in ALL_SEVERITIES]
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,14 @@ class RunConfig:
             raise ProfileError(f"input root {self.input_root} is not a directory")
         if self.input_root.resolve() == self.output_root.resolve():
             raise ProfileError("output root must differ from input root")
-        try:  # a name, as the command line gives it, is its member
-            object.__setattr__(self, "kinds", tuple(map(CorruptionKind, self.kinds)))
-            object.__setattr__(self, "severities", tuple(map(Severity, self.severities)))
-        except ValueError as exc:
-            raise ProfileError(str(exc)) from exc
+        for name, members in (("kinds", CorruptionKind), ("severities", Severity)):
+            chosen = getattr(self, name)
+            if isinstance(chosen, str):  # else each character would be a name
+                raise ProfileError(f"{name} must be a sequence of names, got {str(chosen)!r}")
+            try:  # a name, as the command line gives it, is its member
+                object.__setattr__(self, name, tuple(map(members, chosen)))
+            except ValueError as exc:
+                raise ProfileError(str(exc)) from exc
         if not self.kinds or not self.severities:
             raise ProfileError("corruption and severity selections must be nonempty")
         for what, chosen in (("corruption", self.kinds), ("severity", self.severities)):
@@ -180,9 +185,10 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
         failures.append(_failure(stage, exc, frame=stem, kind=kind, severity=severity))
 
     def settle(job: tuple) -> None:
-        """Wait for one output's encode and hashes, then write its files."""
+        """Make one output's directory, await its encode and hashes, write its files."""
         output, paths, hashes, encoded = job
         try:
+            paths[0].parent.mkdir(parents=True, exist_ok=True)
             for path, payload, digest in zip(paths, encoded.result(), hashes):
                 _write_atomic(path, payload)
                 entries.append({"file": str(path.relative_to(cfg.output_root)),
@@ -198,7 +204,6 @@ def _corrupt_one_frame(args: tuple) -> tuple[list[dict], list[dict]]:
                 try:
                     result = apply(kind, ctx, severity)
                     out_dir = cfg.output_root / kind.value / severity.value
-                    out_dir.mkdir(parents=True, exist_ok=True)
                     output = {"frame": stem, "kind": kind.value, "severity": severity.value,
                               "seed": ctx.seed_of(kind),
                               "params": profile.severity_params(kind, severity)}
@@ -257,10 +262,14 @@ def run_corrupt(cfg: RunConfig) -> dict:
     assembled in sorted order regardless of worker scheduling, so reruns and
     different worker counts reproduce identical checksums. A frame whose
     worker dies is recorded as a failure; the other frames keep their
-    entries and the manifest is still written. An unwritable root or
-    manifest raises ProfileError.
+    entries and the manifest is still written. A root that holds a
+    `manifest.json` file or an output directory of an earlier run, or an
+    unwritable root or manifest, raises ProfileError.
     """
     profile = cfg.load()  # fail fast on unknown profiles/overrides
+    for name, used in (("manifest.json", Path.is_file), *((d, Path.is_dir) for d in _OUT_DIRS)):
+        if used(cfg.output_root / name):
+            raise ProfileError(f"output root {cfg.output_root} holds {name} of an earlier run")
     stems = frame_stems(cfg.input_root)
     try:
         cfg.output_root.mkdir(parents=True, exist_ok=True)
@@ -336,7 +345,7 @@ def run_verify(out_root: Path) -> tuple[int, int, list[str]]:
             problems.append(f"differs: {name}")
     matched = len(listed) - len(problems)
     names = {os.path.normpath(name) for name, _ in listed}
-    for out_dir in (f"{k.value}/{s.value}" for k in CorruptionKind for s in ALL_SEVERITIES):
+    for out_dir in _OUT_DIRS:
         if (path.parent / out_dir).is_dir():
             problems += [f"unlisted: {out_dir}/{p.name}" for p in
                          sorted((path.parent / out_dir).iterdir())

@@ -4,8 +4,8 @@ The built-in tables live in ``data/profiles.json`` (editable, versioned).
 Each profile carries the sensor beam count, the severity parameter triples
 for all eight corruptions, the semantic class-id sets used by ground and
 vehicle queries, and the synthetic class ids assigned to injected fog, snow,
-and crosstalk points. `load_profile` can read another directory's tables,
-whose nested ``severity[kind][name]`` entries it keys ``kind.name``.
+and crosstalk points. A table entry holds its fields and its values by their
+``--set`` names, over a ``defaults`` table of the values all entries share.
 
 A profile is checked whole when it is built, from a table (values as
 written) or by `with_overrides`: its keys must be those of `_ENTRIES` (from
@@ -97,7 +97,8 @@ class DatasetProfile:
         missing = [key for key in _ENTRIES if key not in self.params]
         for what, keys in (("unknown", unknown), ("missing", missing)):
             if keys:
-                raise _key_error(self.name, what, keys[0])
+                raise ProfileError(f"{self.name}: {what} key {keys[0]!r}; "
+                                   f"valid keys: {', '.join(_ENTRIES)}")
         for key, shape in _ENTRIES.items():
             if not _has_shape(shape, self.params[key]):
                 raise ProfileError(f"{self.name}: {key} must be {shape}, got {self.params[key]!r}")
@@ -215,10 +216,6 @@ _ENTRIES = {
 }
 
 
-def _key_error(profile: str, what: str, key: str) -> ProfileError:
-    return ProfileError(f"{profile}: {what} key {key!r}; valid keys: {', '.join(_ENTRIES)}")
-
-
 def _has_shape(shape: str, value: Any) -> bool:
     if shape == _NUMBER:
         return _is_number(value)
@@ -262,13 +259,10 @@ _RANGES = {
 
 
 def _profile_source(directory: Optional[str | Path]) -> dict:
-    """The profile tables; ProfileError names a table file that cannot be
-    read, is not JSON or has no "profiles" table."""
-    if directory is None:
-        return json.loads(
-            resources.files("lidarcorrupt").joinpath("data/profiles.json").read_text()
-        )
-    path = Path(directory) / "profiles.json"
+    """`directory`'s profile tables, or the built-in ones; ProfileError names
+    a table file that cannot be read, is not JSON or has no "profiles" table."""
+    root = resources.files("lidarcorrupt") / "data" if directory is None else Path(directory)
+    path = root / "profiles.json"
     try:
         source = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
@@ -285,11 +279,12 @@ def available_profiles(directory: Optional[str | Path] = None) -> list[str]:
 def load_profile(
     name: str, directory: Optional[str | Path] = None
 ) -> DatasetProfile:
-    """Load a named dataset profile from the built-in tables, or `directory`'s.
+    """Load a named dataset profile from the built-in tables, or `directory`'s:
+    its entry's keys over the ``defaults`` table, and each key not a field in `params`.
 
     Raises:
         ProfileError: unknown name, unreadable tables, or an entry with a
-            missing or malformed field.
+            missing, unknown or malformed key.
     """
     source = _profile_source(directory)
     try:
@@ -299,15 +294,9 @@ def load_profile(
             f"unknown profile {name!r}; available: {sorted(source['profiles'])}"
         ) from exc
     try:
-        params = dict(source.get("defaults", {}))
-        params.update(raw.get("params", {}))
-        given = {f.name: raw[f.name] for f in fields(DatasetProfile)
+        params = {**source.get("defaults", {}), **raw}
+        given = {f.name: params.pop(f.name) for f in fields(DatasetProfile)
                  if f.name not in ("name", "params")}
-        dotted = [key for key in params if "." in key]  # a file nests severity entries
-        params.update({f"{kind}.{pname}": value for kind, table in raw["severity"].items()
-                       for pname, value in table.items()})
-        if dotted:
-            raise _key_error(name.lower(), "unknown", dotted[0])
         return DatasetProfile(name=name.lower(), params=params, **given)
     except KeyError as exc:
         raise ProfileError(f"profile {name!r} has no {exc.args[0]!r} field") from exc

@@ -114,14 +114,15 @@ HUGE = 10 ** 400  # an int too large for a float
 # fault -> (a key path into the built-in tables, the value set there or DELETE)
 TABLE_EDITS = {
     "no beam_count": ((*SK, "beam_count"), DELETE),
-    "non-numeric triple": ((*SK, "severity", "fog", "beta_bs"), ["a", "b", "c"]),
-    "empty axis": ((*SK, "severity", "fog", "alpha_axis"), []),
+    "non-numeric triple": ((*SK, "fog.beta_bs"), ["a", "b", "c"]),
+    "empty axis": ((*SK, "fog.alpha_axis"), []),
     "no defaults": (("defaults",), DELETE),
-    "no snow.snowfall_rate": ((*SK, "severity", "snow", "snowfall_rate"), DELETE),
-    "no snow table": ((*SK, "severity", "snow"), DELETE),
+    "no snow.snowfall_rate": ((*SK, "snow.snowfall_rate"), DELETE),
     "misspelled key": (("defaults", "crosstalk_sigm"), 3.0),
-    "dotted defaults key": (("defaults", "fog.beta_bs"), [0, 0, 0]),
-    "dotted params key": ((*SK, "params"), {"fog.beta_bs": [0, 0, 0]}),
+    "misspelled dotted defaults key": (("defaults", "fog.beta_b"), [0, 0, 0]),
+    "field typo": ((*SK, "beam_cout"), 32),
+    "nested severity table": ((*SK, "severity"), {"fog": {"beta_bs": [0, 0, 0]}}),
+    "params table": ((*SK, "params"), {"crosstalk_sigma": 3.0}),
     "fog_class 'x'": ((*SK, "fog_class"), "x"),
     "fog_class 70000": ((*SK, "fog_class"), 70000),
     "fog_class -1": ((*SK, "fog_class"), -1),
@@ -188,11 +189,12 @@ BAD_PROFILE_DIRS = [
     ("no defaults", "semantickitti: missing key 'fog_beta_0'; valid keys: {keys}\n"),
     ("no snow.snowfall_rate",
      "semantickitti: missing key 'snow.snowfall_rate'; valid keys: {keys}\n"),
-    ("no snow table", "semantickitti: missing key 'snow.snowfall_rate'; valid keys: {keys}\n"),
     ("misspelled key", "semantickitti: unknown key 'crosstalk_sigm'; valid keys: {keys}\n"),
-    ("dotted defaults key",
-     "semantickitti: unknown key 'fog.beta_bs'; valid keys: {keys}\n"),
-    ("dotted params key", "semantickitti: unknown key 'fog.beta_bs'; valid keys: {keys}\n"),
+    ("misspelled dotted defaults key",
+     "semantickitti: unknown key 'fog.beta_b'; valid keys: {keys}\n"),
+    ("field typo", "semantickitti: unknown key 'beam_cout'; valid keys: {keys}\n"),
+    ("nested severity table", "semantickitti: unknown key 'severity'; valid keys: {keys}\n"),
+    ("params table", "semantickitti: unknown key 'params'; valid keys: {keys}\n"),
     ("fog_class 'x'",
      "semantickitti: fog_class must be a whole number in [0, 65535] or null, got 'x'\n"),
     ("fog_class 70000",
@@ -262,12 +264,7 @@ def out_of_range_profile_dir(root, profile_name, override):
     """The built-in tables with one entry of `profile_name` set as `override` does."""
     key, value = cli._parse_override(override)
     source = builtin_tables()
-    entry = source["profiles"][profile_name]
-    if "." in key:
-        kind, pname = key.split(".")
-        entry["severity"][kind][pname] = value
-    else:
-        entry.setdefault("params", {})[key] = value
+    source["profiles"][profile_name][key] = value
     root.mkdir()
     (root / "profiles.json").write_text(json.dumps(source))
     return root
@@ -901,6 +898,12 @@ class TestCorrupt:
          "severity selection repeats heavy"),
         ("kinds", ("fog", "smog"), "'smog' is not a valid CorruptionKind"),
         ("severities", ("light", "extreme"), "'extreme' is not a valid Severity"),
+        ("kinds", "fog", "kinds must be a sequence of names, got 'fog'"),
+        pytest.param("kinds", cli.CorruptionKind.FOG,
+                     "kinds must be a sequence of names, got 'fog'", id="kinds-FOG"),
+        ("severities", "heavy", "severities must be a sequence of names, got 'heavy'"),
+        pytest.param("severities", cli.Severity.HEAVY,
+                     "severities must be a sequence of names, got 'heavy'", id="severities-HEAVY"),
     ])
     def test_repeated_selection_rejected_by_run_config(self, tmp_path, field, chosen,
                                                        message):
@@ -920,6 +923,41 @@ class TestCorrupt:
         assert manifests[0]["failures"] == []
         assert len(manifests[0]["entries"]) == 4
         assert manifests[0] == manifests[1]
+
+    @pytest.mark.parametrize("used,name", [
+        ("earlier run", "manifest.json"), ("output directory", "snow/heavy")])
+    def test_used_output_root_is_configuration_error(self, runner, tmp_path, used, name):
+        src = build_dataset(tmp_path / "in", n_frames=1, beams=8)
+        out = tmp_path / "out"
+        args = ["corrupt", "--dataset", "semantickitti", "--in", str(src), "--out", str(out)]
+        if used == "earlier run":
+            assert runner.invoke(main, [*args, "--corruptions", "fog"]).exit_code == 0
+        else:
+            (out / name).mkdir(parents=True)
+        before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+        result = runner.invoke(main, [*args, "--seed", "5"])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            f"configuration error: output root {out} holds {name} of an earlier run\n")
+        assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
+
+    def test_unwritable_output_directory_fails_its_outputs_at_write(self, runner, tmp_path):
+        src = build_dataset(tmp_path / "in", n_frames=1, beams=8)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "fog").write_text("not a directory")
+        result = runner.invoke(main, ["corrupt", "--dataset", "semantickitti", "--in",
+                                      str(src), "--out", str(out),
+                                      "--corruptions", "fog,snow"])
+        assert result.exit_code == 1, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [(f["kind"], f["severity"], f["stage"], f["type"])
+                for f in manifest["failures"]] == [
+            ("fog", severity, "write", "NotADirectoryError")
+            for severity in ("heavy", "light", "moderate")]
+        assert sorted(e["file"] for e in manifest["entries"]) == sorted(
+            f"snow/{severity}/000000.{ext}" for severity in cli.Severity
+            for ext in ("bin", "label"))
 
     def test_partial_failure_exit_one(self, runner, tmp_path):
         src = build_dataset(tmp_path / "in", n_frames=1)
@@ -968,14 +1006,19 @@ class TestVerify:
         ]
 
     def test_files_no_entry_names_listed(self, runner, tmp_path):
-        # A second run into a used root lists only its own outputs; the first
-        # run's, and a leftover `.tmp`, are named and fail the check.
+        # Files written into a finished root beside its own outputs, such as
+        # another run's and a leftover `.tmp`, are named and fail the check.
         src = build_dataset(tmp_path / "in", n_frames=1, beams=8)
         out = tmp_path / "out"
-        for extra in ([], ["--corruptions", "fog", "--seed", "5"]):
-            result = runner.invoke(main, ["corrupt", "--dataset", "semantickitti",
-                                          "--in", str(src), "--out", str(out), *extra])
-            assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["corrupt", "--dataset", "semantickitti", "--in",
+                                      str(src), "--out", str(out), "--corruptions", "fog"])
+        assert result.exit_code == 0, result.output
+        for kind in cli.CorruptionKind:
+            for severity in cli.Severity:
+                if kind is not cli.CorruptionKind.FOG:
+                    (out / kind / severity).mkdir(parents=True)
+                    for ext in ("bin", "label"):
+                        (out / kind / severity / f"000000.{ext}").write_bytes(b"other run")
         (out / "fog" / "heavy" / "000000.bin.tmp").write_bytes(b"partial")
         result = runner.invoke(main, ["verify", str(out)])
         assert result.exit_code == 1, result.output

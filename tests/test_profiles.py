@@ -238,20 +238,26 @@ class TestOverridesAndValidation:
 
     @pytest.mark.parametrize("key", sorted(PARAM_CHANGES))
     def test_profile_dir_table_equals_set(self, tmp_path, key):
-        # A table file nests a dotted key as severity[kind][name] and any
-        # other in the entry's params; both routes build the same profile.
+        # A table entry holds each value under its --set name, and both
+        # routes build the same profile.
         value = PARAM_CHANGES[key]
         payload = builtin_tables()
-        entry = payload["profiles"]["semantickitti"]
-        kind, dot, pname = key.partition(".")
-        if dot:
-            entry["severity"][kind][pname] = value
-        else:
-            entry.setdefault("params", {})[key] = value
+        payload["profiles"]["semantickitti"][key] = value
         (tmp_path / "profiles.json").write_text(json.dumps(payload))
         expected = load_profile("semantickitti").with_overrides({key: value})
         assert load_profile("semantickitti", tmp_path) == expected
         assert expected.params[key] == value
+
+    def test_defaults_value_shared_and_entry_value_kept(self, tmp_path):
+        # A dotted key in defaults reaches every entry that does not hold it.
+        payload = builtin_tables()
+        payload["defaults"]["fog.beta_bs"] = [0.02, 0.1, 0.4]
+        del payload["profiles"]["kitti"]["fog.beta_bs"]
+        payload["profiles"]["semantickitti"]["fog.beta_bs"] = [0.01, 0.2, 0.3]
+        (tmp_path / "profiles.json").write_text(json.dumps(payload))
+        assert load_profile("kitti", tmp_path) == load_profile("kitti").with_overrides(
+            {"fog.beta_bs": [0.02, 0.1, 0.4]})
+        assert load_profile("semantickitti", tmp_path).params["fog.beta_bs"] == [0.01, 0.2, 0.3]
 
     def test_profile_dir_override(self, tmp_path):
         payload = builtin_tables()
