@@ -468,32 +468,32 @@ def run_evaluate(
 def run_report(
     record_paths: Sequence[Path], baseline_path: Path, fmt: str = "csv"
 ) -> str:
-    """Render the CE/RR report for the given records against the baseline;
-    a ValueError names the file that holds no accuracy record."""
+    """Render the CE/RR report for the given records against the baseline; a
+    ValueError names the file that holds no accuracy record, and a
+    ProfileError a record scored with another metric than the baseline."""
     records = []
     for path in (baseline_path, *record_paths):
         try:
             records.append(read_accuracy_record(Path(path).read_text()))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+        if records[-1].metric_kind != records[0].metric_kind:
+            raise ProfileError(f"{path} holds {records[-1].metric_kind} scores but baseline "
+                               f"{baseline_path} holds {records[0].metric_kind}")
     return render_report(aggregate(records[1:] or records, records[0]), fmt)
 
 
 def _parse_override(text: str) -> tuple[str, object]:
+    """``KEY=VALUE``: VALUE as JSON, a comma list as a JSON list, else as given."""
     if "=" not in text:
         raise click.BadParameter(f"override {text!r} must look like key=value")
     key, raw = text.split("=", 1)
-    try:
-        value: object = json.loads(raw)
-    except json.JSONDecodeError:
-        if "," in raw:
-            try:
-                value = [float(v) for v in raw.split(",")]
-            except ValueError:
-                value = raw
-        else:
-            value = raw
-    return key.strip(), value
+    for candidate in (raw, f"[{raw}]") if "," in raw else (raw,):
+        try:
+            return key.strip(), json.loads(candidate)
+        except json.JSONDecodeError:
+            pass
+    return key.strip(), raw
 
 
 def _parse_selection(choices: type, text: str) -> tuple:
@@ -588,6 +588,9 @@ def cmd_report(records, baseline, fmt, out_path):
     """Aggregate accuracy records into a CE/RR robustness report."""
     try:
         text = run_report([Path(r) for r in records], Path(baseline), fmt)
+    except ProfileError as exc:
+        click.echo(f"configuration error: {exc}", err=True)
+        sys.exit(2)
     except (LidarCorruptError, ValueError, ZeroDivisionError, OSError, KeyError) as exc:
         click.echo(f"report failed: {exc}", err=True)
         sys.exit(1)

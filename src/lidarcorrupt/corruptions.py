@@ -441,7 +441,7 @@ class FrameContext(CorruptedFrame):
     @cached_property
     def partition(self) -> BeamPartition:
         cloud = self.cloud  # the ranges go unread with a ring channel
-        return partition_beams(cloud, int(self.profile.beam_count),
+        return partition_beams(cloud, self.profile.beam_count,
                                None if cloud.ring is not None else self.ranges)
 
     @cached_property
@@ -453,8 +453,8 @@ class FrameContext(CorruptedFrame):
             )
         return fit_ground_ransac(
             self.cloud,
-            iterations=int(profile.params["ransac_iterations"]),
-            inlier_threshold=float(profile.params["ransac_threshold"]),
+            iterations=profile.params["ransac_iterations"],
+            inlier_threshold=profile.params["ransac_threshold"],
             seed=self.seed_of(CorruptionKind.WET_GROUND),
         )
 
@@ -489,7 +489,7 @@ _DRAWS = {
     CorruptionKind.MOTION_BLUR: lambda rng, ctx, n: rng.standard_normal((n, 3)),
     CorruptionKind.BEAM_MISSING: lambda rng, ctx, n: rng.permutation(ctx.partition.beam_count),
     CorruptionKind.CROSSTALK: lambda rng, ctx, n: (rng.permutation(n), rng.standard_normal(
-        (int(np.rint(float(max(ctx.profile.params["crosstalk.fraction"])) * n)), 4))),
+        (int(np.rint(max(ctx.profile.params["crosstalk.fraction"]) * n)), 4))),
     CorruptionKind.INCOMPLETE_ECHO:
         lambda rng, ctx, n: rng.permutation(np.count_nonzero(ctx.vehicle_mask)),
 }
@@ -499,11 +499,11 @@ def apply(kind: CorruptionKind, frame: FrameContext, severity: Severity) -> Corr
     """One corruption at one severity of `frame`, parameters from `frame.profile`.
 
     `apply_<kind>` gets each parameter after `frame` by its name: a
-    `profiles.KINDS` keyword is its profile value at the severity, cast, with
-    an ``_axis`` one drawn with the seed `frame.seed_of(kind)`; `draw` is
-    `frame.draw(kind)`; a name ending in ``_class`` is the profile's injected
-    class id; any other is that `FrameContext` structure (ground, incidence,
-    beam partition, vehicle mask). Build the context once per frame with
+    `profiles.KINDS` keyword is its profile value at the severity, as the
+    profile holds it, with an ``_axis`` one drawn with the seed
+    `frame.seed_of(kind)`; `draw` is `frame.draw(kind)`; a name ending in
+    ``_class`` is the profile's injected class id; any other is that
+    `FrameContext` structure (ground, incidence, beam partition, vehicle mask). Build the context once per frame with
     `FrameContext(frame, profile, seed)`, and loop kind by kind, so each
     kind is drawn once.
     """
@@ -512,11 +512,11 @@ def apply(kind: CorruptionKind, frame: FrameContext, severity: Severity) -> Corr
     kwargs = {}
     for name in list(inspect.signature(operator).parameters)[1:]:  # frame builds only these
         if name in KINDS[kind]:
-            key, cast = KINDS[kind][name]
+            key = KINDS[kind][name]
             value = frame.profile.value_at(key, severity)
             if key.endswith("_axis"):
-                value = make_rng(f"{kind}-{name}", frame.seed_of(kind)).choice(value)
-            kwargs[name] = cast(value)
+                value = float(make_rng(f"{kind}-{name}", frame.seed_of(kind)).choice(value))
+            kwargs[name] = value
         else:
             kwargs[name] = frame.draw(kind) if name == "draw" else getattr(
                 frame.profile if name.endswith("_class") else frame, name)

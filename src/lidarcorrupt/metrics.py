@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .profiles import CorruptionKind, DatasetProfile
+from .profiles import CorruptionKind, DatasetProfile, _is_number
 
 __all__ = [
     "confusion_matrix",
@@ -288,15 +288,19 @@ def write_accuracy_record(record: AccuracyRecord) -> str:
 
 
 def read_accuracy_record(text: str) -> AccuracyRecord:
-    """Parse the JSON accuracy-record format written by `write_accuracy_record`."""
+    """Parse the JSON accuracy-record format written by `write_accuracy_record`.
+    Accuracies are JSON numbers (`profiles._is_number`): a string or a
+    boolean is malformed, not read as the number it spells."""
     payload = json.loads(text)
     try:
-        return AccuracyRecord(
-            model=payload["model"],
-            clean_acc=float(payload["clean"]),
-            per_corruption={k: tuple(v) for k, v in payload["corruptions"].items()},
-            metric_kind=payload.get("metric", "mIoU"),
-        )
+        model, clean, corruptions = payload["model"], payload["clean"], payload["corruptions"]
+        if not _is_number(clean):
+            raise TypeError(f"clean must be a number, got {clean!r}")
+        for kind, values in corruptions.items():
+            if not isinstance(values, list) or not all(map(_is_number, values)):
+                raise TypeError(f"{kind} must be a list of numbers, got {values!r}")
+        return AccuracyRecord(model=model, clean_acc=float(clean), per_corruption=corruptions,
+                              metric_kind=payload.get("metric", "mIoU"))
     except KeyError as exc:
         raise ValueError(f"accuracy record has no {exc.args[0]!r} field") from exc
     except (AttributeError, TypeError) as exc:

@@ -7,12 +7,13 @@ vehicle queries, and the synthetic class ids assigned to injected fog, snow,
 and crosstalk points. A table entry holds its fields and its values by their
 ``--set`` names, over a ``defaults`` table of the values all entries share.
 
-A profile is checked whole when it is built, from a table (values as
-written) or by `with_overrides`: its keys must be those of `_ENTRIES` (from
-`KINDS`, the one list of what each corruption reads), with values of their
-shape there, `requires_labels` true or false, and each value in its range
-(`_RANGES`). ProfileError reads
-``PROFILE: KEY must be ...``, or names a missing or unknown key.
+A profile is checked whole when it is built, from a table or by
+`with_overrides`: its keys must be those of `_ENTRIES` (from `KINDS`, the
+one list of what each corruption reads), with values of their shape there,
+`requires_labels` true or false, and each value in its range (`_RANGES`).
+ProfileError reads ``PROFILE: KEY must be ...``, echoing the value as
+written, or names a missing or unknown key. Once checked, each value is kept
+as its rule's type, so every reader takes it as the profile holds it.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class DatasetProfile:
     share it; any other is a dataset-wide constant. Class ids are whole
     numbers in [0, 65535] (semantic ids are 16-bit), box classes whole
     numbers. The three class-id sets are given as lists of distinct ids and
-    kept as frozensets. An empty `vehicle_classes` marks no point a vehicle,
+    kept as frozensets of ints; any other number is kept as an int where its
+    rule asks for a whole number and as a float otherwise, alone or in a list. An empty `vehicle_classes` marks no point a vehicle,
     but an empty `vehicle_box_classes` counts every box as one. Building a
     profile checks it whole (see the module docstring) and raises
     ProfileError on the first fault.
@@ -107,20 +109,26 @@ class DatasetProfile:
                                f"got {self.requires_labels!r}")
         checked = {name: value for name, value in vars(self).items()
                    if name in _RANGES and not (name in _INJECTED and value is None)}
+        typed = {}
         for key, value in {**checked, **self.params}.items():
             rule, allowed = _RANGES.get(key, (">= 0", lambda v, profile: True))
+            whole = "whole" in rule  # the rule's words say whether it takes a whole number
             listed = isinstance(value, (list, tuple, frozenset))
             values = value if listed else [value]
             # A field is one number, or for a class-id list a list of them.
             if (key in checked and listed != (key in _CLASS_LISTS)) or not all(
-                    _is_number(v) and v >= 0 and allowed(v, self) for v in values):
+                    _is_number(v) and v >= 0 and (_whole(v) or not whole) and allowed(v, self)
+                    for v in values):
                 rule = rule.format(beam_count=self.beam_count)
                 raise ProfileError(f"{self.name}: {key} must be {rule}, got {value!r}")
-        for key in _CLASS_LISTS:
-            ids = getattr(self, key)
-            if len(set(ids)) < len(ids):
-                raise ProfileError(f"{self.name}: {key} must be distinct ids, got {ids!r}")
-            object.__setattr__(self, key, frozenset(ids))
+            if key in _CLASS_LISTS and len(set(values)) < len(values):
+                raise ProfileError(f"{self.name}: {key} must be distinct ids, got {value!r}")
+            values = [int(v) if whole else float(v) for v in values]
+            typed[key] = (frozenset(values) if key in _CLASS_LISTS
+                          else values if listed else values[0])
+        for name in checked:
+            object.__setattr__(self, name, typed.pop(name))
+        object.__setattr__(self, "params", typed)
         injected = self.injected_classes()
         for name, classes in (
             ("ground_classes", self.ground_classes),
@@ -138,12 +146,10 @@ class DatasetProfile:
         return value[list(Severity).index(severity)] if _ENTRIES[key] == _TRIPLE else value
 
     def severity_params(self, kind: CorruptionKind, severity: Severity) -> dict:
-        """`kind`'s severity entries at `severity`, keyed after the dot and cast;
-        each ``_axis`` whole."""
-        return {key.partition(".")[2]: [cast(v) for v in value] if key.endswith("_axis")
-                else cast(value)
-                for key, cast in KINDS[kind].values() if "." in key
-                for value in [self.value_at(key, severity)]}
+        """`kind`'s severity entries at `severity`, keyed after the dot; each
+        ``_axis`` whole."""
+        return {key.partition(".")[2]: self.value_at(key, severity)
+                for key in KINDS[kind].values() if "." in key}
 
     def injected_classes(self) -> frozenset[int]:
         return frozenset(getattr(self, name) for name in _INJECTED) - {None}
@@ -179,40 +185,37 @@ _PAIR = "a list of 2 numbers"
 _TRIPLE = "a 3-entry severity triple of numbers"
 _AXIS = "a nonempty list of numbers"
 
-# What each corruption reads: operator keyword -> (profile key, cast). A
-# dotted key ("kind.name") is a severity triple, one ending in "_axis" a
-# list that `corruptions.apply` draws from, any other a constant.
+# What each corruption reads: operator keyword -> profile key. A dotted key
+# ("kind.name") is a severity triple, one ending in "_axis" a list that
+# `corruptions.apply` draws from, any other a constant.
 KINDS = {
     CorruptionKind.FOG: {
-        "alpha": ("fog.alpha_axis", float), "beta_bs": ("fog.beta_bs", float),
-        "beta_0": ("fog_beta_0", float), "response_distance": ("fog_response_distance", float),
-        "scatter_fraction": ("fog_scatter_fraction", tuple)},
+        "alpha": "fog.alpha_axis", "beta_bs": "fog.beta_bs", "beta_0": "fog_beta_0",
+        "response_distance": "fog_response_distance",
+        "scatter_fraction": "fog_scatter_fraction"},
     CorruptionKind.WET_GROUND: {
-        "d_w": ("wet_ground.water_height_mm", float), "i_n": ("wet_noise_floor", float),
-        "kappa_per_mm": ("wet_kappa_per_mm", float)},
+        "d_w": "wet_ground.water_height_mm", "i_n": "wet_noise_floor",
+        "kappa_per_mm": "wet_kappa_per_mm"},
     CorruptionKind.SNOW: {
-        "r_s": ("snow.snowfall_rate", float), "reflectivity": ("snow_reflectivity", float),
-        "particles_per_meter_per_rate": ("snow_particles_per_meter_per_rate", float),
-        "extinction_per_rate": ("snow_extinction_per_rate", float),
-        "min_particle_range": ("snow_min_particle_range", float)},
-    CorruptionKind.MOTION_BLUR: {"sigma_t": ("motion_blur.sigma_t", float)},
-    CorruptionKind.BEAM_MISSING: {"m": ("beam_missing.beams_dropped", int)},
-    CorruptionKind.CROSSTALK: {
-        "k_t": ("crosstalk.fraction", float), "sigma_c": ("crosstalk_sigma", float)},
-    CorruptionKind.INCOMPLETE_ECHO: {"k_e": ("incomplete_echo.fraction", float)},
+        "r_s": "snow.snowfall_rate", "reflectivity": "snow_reflectivity",
+        "particles_per_meter_per_rate": "snow_particles_per_meter_per_rate",
+        "extinction_per_rate": "snow_extinction_per_rate",
+        "min_particle_range": "snow_min_particle_range"},
+    CorruptionKind.MOTION_BLUR: {"sigma_t": "motion_blur.sigma_t"},
+    CorruptionKind.BEAM_MISSING: {"m": "beam_missing.beams_dropped"},
+    CorruptionKind.CROSSTALK: {"k_t": "crosstalk.fraction", "sigma_c": "crosstalk_sigma"},
+    CorruptionKind.INCOMPLETE_ECHO: {"k_e": "incomplete_echo.fraction"},
     CorruptionKind.CROSS_SENSOR: {
-        "beams_kept": ("cross_sensor.beams_kept", int),
-        "subsample_keep": ("subsample_keep", float)},
+        "beams_kept": "cross_sensor.beams_kept", "subsample_keep": "subsample_keep"},
 }
 
 # Every `params` key a profile has, no more and no fewer, with the shape of
-# its value: those of `KINDS` (a tuple is a pair), then the RANSAC settings
-# that `corruptions.FrameContext.ground` reads.
+# its value: those of `KINDS` (the fog scatter fraction a pair), then the
+# RANSAC settings that `corruptions.FrameContext.ground` reads.
 _ENTRIES = {
-    **{key: _AXIS if key.endswith("_axis") else _TRIPLE if "." in key
-       else _PAIR if cast is tuple else _NUMBER
-       for table in KINDS.values() for key, cast in table.values()},
-    "ransac_iterations": _NUMBER, "ransac_threshold": _NUMBER,
+    **{key: _AXIS if key.endswith("_axis") else _TRIPLE if "." in key else _NUMBER
+       for table in KINDS.values() for key in table.values()},
+    "fog_scatter_fraction": _PAIR, "ransac_iterations": _NUMBER, "ransac_threshold": _NUMBER,
 }
 
 
@@ -225,7 +228,7 @@ def _has_shape(shape: str, value: Any) -> bool:
 
 
 def _is_class_id(value: Any, profile: DatasetProfile) -> bool:
-    return _whole(value) and value <= 65535
+    return value <= 65535
 
 
 _CLASS_LISTS = ("ground_classes", "vehicle_classes", "vehicle_box_classes")
@@ -234,14 +237,15 @@ _INJECTED = ("fog_class", "snow_class", "crosstalk_class")
 
 # The range of a profile value beyond the rule that it is no negative number:
 # key -> (the range in words, whether each number `v` of `profile` is in it).
+# A rule whose words say "whole" also takes whole numbers only, kept as ints.
 _RANGES = {
-    "beam_count": ("a whole number >= 1", lambda v, profile: _whole(v) and v >= 1),
+    "beam_count": ("a whole number >= 1", lambda v, profile: v >= 1),
     "intensity_scale": ("> 0", lambda v, profile: v > 0),
     "ignore_label": ("a whole number in [0, 65535]", _is_class_id),
     **dict.fromkeys(_INJECTED, ("a whole number in [0, 65535] or null", _is_class_id)),
     "ground_classes": ("whole numbers in [0, 65535]", _is_class_id),
     "vehicle_classes": ("whole numbers in [0, 65535]", _is_class_id),
-    "vehicle_box_classes": ("whole numbers >= 0", lambda v, profile: _whole(v)),
+    "vehicle_box_classes": ("whole numbers >= 0", lambda v, profile: True),
     "fog_beta_0": ("> 0", lambda v, profile: v > 0),
     "fog_response_distance": ("> 0", lambda v, profile: v > 0),
     "fog_scatter_fraction": (
@@ -251,10 +255,10 @@ _RANGES = {
     "crosstalk.fraction": ("in [0, 1]", lambda v, profile: v <= 1),
     "incomplete_echo.fraction": ("in [0, 1]", lambda v, profile: v <= 1),
     "beam_missing.beams_dropped": ("a whole number in [0, {beam_count}]",
-                                   lambda v, profile: _whole(v) and v <= profile.beam_count),
+                                   lambda v, profile: v <= profile.beam_count),
     "cross_sensor.beams_kept": ("a whole number in [1, {beam_count}]",
-                                lambda v, profile: _whole(v) and 1 <= v <= profile.beam_count),
-    "ransac_iterations": ("a whole number >= 1", lambda v, profile: _whole(v) and v >= 1),
+                                lambda v, profile: 1 <= v <= profile.beam_count),
+    "ransac_iterations": ("a whole number >= 1", lambda v, profile: v >= 1),
 }
 
 

@@ -117,6 +117,7 @@ TABLE_EDITS = {
     "non-numeric triple": ((*SK, "fog.beta_bs"), ["a", "b", "c"]),
     "empty axis": ((*SK, "fog.alpha_axis"), []),
     "no defaults": (("defaults",), DELETE),
+    "no profiles table": (("profiles",), DELETE),
     "no snow.snowfall_rate": ((*SK, "snow.snowfall_rate"), DELETE),
     "misspelled key": (("defaults", "crosstalk_sigm"), 3.0),
     "misspelled dotted defaults key": (("defaults", "fog.beta_b"), [0, 0, 0]),
@@ -187,6 +188,7 @@ BAD_PROFILE_DIRS = [
     ("empty axis", "semantickitti: fog.alpha_axis must be a nonempty list of numbers, "
                    "got []"),
     ("no defaults", "semantickitti: missing key 'fog_beta_0'; valid keys: {keys}\n"),
+    ("no profiles table", 'profile tables {dir}/profiles.json have no "profiles" table\n'),
     ("no snow.snowfall_rate",
      "semantickitti: missing key 'snow.snowfall_rate'; valid keys: {keys}\n"),
     ("misspelled key", "semantickitti: unknown key 'crosstalk_sigm'; valid keys: {keys}\n"),
@@ -233,12 +235,11 @@ BAD_PROFILE_DIRS = [
 OUT_OF_RANGE = [
     ("semantickitti", "subsample_keep=0", "subsample_keep must be in (0, 1], got 0"),
     ("semantickitti", "cross_sensor.beams_kept=0,0,0",
-     "cross_sensor.beams_kept must be a whole number in [1, 64], got [0.0, 0.0, 0.0]"),
+     "cross_sensor.beams_kept must be a whole number in [1, 64], got [0, 0, 0]"),
     ("semantickitti", "beam_missing.beams_dropped=99,99,99",
-     "beam_missing.beams_dropped must be a whole number in [0, 64], "
-     "got [99.0, 99.0, 99.0]"),
+     "beam_missing.beams_dropped must be a whole number in [0, 64], got [99, 99, 99]"),
     ("semantickitti", "fog.beta_bs=-1,-1,-1",
-     "fog.beta_bs must be >= 0, got [-1.0, -1.0, -1.0]"),
+     "fog.beta_bs must be >= 0, got [-1, -1, -1]"),
     ("semantickitti", "ransac_threshold=-1", "ransac_threshold must be >= 0, got -1"),
     ("semantickitti", "wet_noise_floor=-5", "wet_noise_floor must be >= 0, got -5"),
     ("semantickitti", "ransac_iterations=0",
@@ -411,8 +412,9 @@ class TestCorrupt:
                     == (tmp_path / "full" / entry["file"]).read_bytes())
 
     def test_entries_record_params_as_the_operator_reads_them(self, runner, tmp_path):
-        # `--set KEY=16,32,48` parses as floats; the entries record the ints
-        # the operator reads, as a run without the --set does.
+        # The profile keeps `--set KEY=16,32,48` as the ints its rule asks
+        # for, so the entries record what the operator reads, as a run
+        # without the --set does.
         src = build_dataset(tmp_path / "in", n_frames=1)
         entries = []
         for name, overrides in (("plain", []), ("set", [
@@ -426,6 +428,22 @@ class TestCorrupt:
         params = {e["kind"]: e["params"] for e in entries[1] if e["severity"] == "heavy"}
         assert json.dumps(params["beam_missing"]) == '{"beams_dropped": 48}'
         assert params["fog"]["alpha_axis"] == [0.0, 0.005, 0.01, 0.02, 0.03, 0.06]
+
+    def test_equal_override_records_equal_params(self, runner, tmp_path):
+        # A value given as it is already held, in another spelling (16 for
+        # 16.0, 3 for 3.0), changes no byte of the manifest but `overrides`.
+        src = write_dataset(tmp_path / "in", "kitti", n_frames=1)
+        manifests = []
+        for name, overrides in (("plain", []), ("set", [
+                "--set", "beam_missing.beams_dropped=16,32,48", "--set", "crosstalk_sigma=3"])):
+            result = runner.invoke(main, ["corrupt", "--dataset", "kitti", "--in", str(src),
+                                          "--out", str(tmp_path / name), *overrides])
+            assert result.exit_code == 0, result.output
+            manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+        assert manifests[1].pop("overrides") == {
+            "beam_missing.beams_dropped": [16, 32, 48], "crosstalk_sigma": 3}
+        assert manifests[0].pop("overrides") == {}
+        assert json.dumps(manifests[0]) == json.dumps(manifests[1])  # 3 and 3.0 differ here
 
     def test_override_recorded_and_applied(self, runner, tmp_path):
         src = build_dataset(tmp_path / "in", n_frames=1)
@@ -872,13 +890,16 @@ class TestCorrupt:
         assert f"configuration error: {profile}: {message}\n" in result.output
         assert not (tmp_path / "out").exists()
 
-    # A repeated name, or a name of no member, is a configuration error.
+    # A repeated name, a name of no member, no worker or an override with no
+    # value is a configuration error.
     @pytest.mark.parametrize("option,text,message", [
         ("--corruptions", "fog,fog", "corruption selection repeats fog"),
         ("--corruptions", "snow,fog,snow,fog", "corruption selection repeats fog, snow"),
         ("--severities", "heavy,light,heavy", "severity selection repeats heavy"),
         ("--corruptions", "fog,smog", "'smog' is not a valid CorruptionKind"),
         ("--severities", "light,extreme", "'extreme' is not a valid Severity"),
+        ("--workers", "0", "workers must be >= 1, got 0"),
+        ("--set", "crosstalk_sigma", "override 'crosstalk_sigma' must look like key=value"),
     ])
     def test_repeated_selection_is_configuration_error(self, runner, tmp_path, option,
                                                        text, message):
@@ -890,7 +911,8 @@ class TestCorrupt:
         assert f"configuration error: {message}\n" in result.output
         assert not (tmp_path / "out").exists()
 
-    # A repeated name, or a name of no member, is a configuration error.
+    # A repeated name, a name of no member, an empty selection or no worker
+    # is a configuration error.
     @pytest.mark.parametrize("field,chosen,message", [
         ("kinds", (cli.CorruptionKind.FOG, cli.CorruptionKind.FOG),
          "corruption selection repeats fog"),
@@ -904,6 +926,9 @@ class TestCorrupt:
         ("severities", "heavy", "severities must be a sequence of names, got 'heavy'"),
         pytest.param("severities", cli.Severity.HEAVY,
                      "severities must be a sequence of names, got 'heavy'", id="severities-HEAVY"),
+        ("kinds", (), "corruption and severity selections must be nonempty"),
+        ("severities", [], "corruption and severity selections must be nonempty"),
+        ("workers", 0, "workers must be >= 1, got 0"),
     ])
     def test_repeated_selection_rejected_by_run_config(self, tmp_path, field, chosen,
                                                        message):
@@ -997,12 +1022,16 @@ class TestVerify:
         data[5] ^= 0x01
         label.write_bytes(bytes(data))
         (out / "fog" / "light" / "000000.bin").unlink()
+        unreadable = out / "fog" / "heavy" / "000001.bin"
+        unreadable.unlink()
+        unreadable.mkdir()
         result = runner.invoke(main, ["verify", str(out)])
         assert result.exit_code == 1, result.output
         assert result.output.splitlines() == [
+            f"unreadable: fog/heavy/000001.bin: [Errno 21] Is a directory: '{unreadable}'",
             "missing: fog/light/000000.bin",
             "differs: snow/heavy/000001.label",
-            f"22 of 24 files match {out}/manifest.json",
+            f"21 of 24 files match {out}/manifest.json",
         ]
 
     def test_files_no_entry_names_listed(self, runner, tmp_path):
@@ -1344,12 +1373,28 @@ BAD_RECORDS = {
     "fog null": ({"model": "m", "clean": 0.5, "corruptions": {"fog": None}},
                  "accuracy record is malformed: "),
     "no clean": ({"model": "m", "corruptions": {}}, "accuracy record has no 'clean' field\n"),
+    "clean '0.7'": ({"model": "m", "clean": "0.7", "corruptions": {}},
+                    "accuracy record is malformed: clean must be a number, got '0.7'\n"),
+    "clean true": ({"model": "m", "clean": True, "corruptions": {}},
+                   "accuracy record is malformed: clean must be a number, got True\n"),
+    "fog '1'": ({"model": "m", "clean": 0.5, "corruptions": {"fog": "1"}},
+                "accuracy record is malformed: fog must be a list of numbers, got '1'\n"),
+    "fog booleans": ({"model": "m", "clean": 0.5, "corruptions": {"fog": [True, True, False]}},
+                     "accuracy record is malformed: fog must be a list of numbers, "
+                     "got [True, True, False]\n"),
+    "clean 1.5": ({"model": "m", "clean": 1.5, "corruptions": {}},
+                  "clean accuracy must be in [0, 1], got 1.5\n"),
+    "fog [1.5]": ({"model": "m", "clean": 0.5, "corruptions": {"fog": [1.5]}},
+                  "m/fog: accuracies outside [0, 1]\n"),
+    "fog of 2": ({"model": "m", "clean": 0.5, "corruptions": {"fog": [0.5, 0.5]}},
+                 "m/fog: need 1 or 3 accuracies, got 2\n"),
 }
 
 
 @pytest.mark.parametrize("case", ["truncated pred", "corrupt below a file",
                                   "manifest is a directory", "evaluate below a file",
-                                  *BAD_RECORDS])
+                                  *BAD_RECORDS, "extra prediction", "no clean/",
+                                  "mixed metrics"])
 def test_failed_run_names_its_cause_without_traceback(tmp_path, case):
     # What a shell sees: the exit code, and one line on stderr that names
     # the file, with no traceback on either stream.
@@ -1370,6 +1415,26 @@ def test_failed_run_names_its_cause_without_traceback(tmp_path, case):
         bad.write_text(json.dumps(record))
         args, code = ["report", "--baseline", str(bad)], 1
         message = f"report failed: {bad}: {reason}"
+    elif case == "extra prediction":
+        write_label_dir(tmp_path / "pred" / "clean", {"000001": [1, 2, 3]})
+        args, code = evaluate, 1
+        message = (f"evaluation failed: prediction 000001 has no ground truth under "
+                   f"{tmp_path}/gt/clean\n")
+    elif case == "no clean/":
+        (tmp_path / "empty").mkdir()
+        args, code = [*evaluate[:3], "--gt", str(tmp_path / "empty"), *evaluate[5:]], 1
+        message = ("evaluation failed: ground truth has no clean/ directory under "
+                   f"{tmp_path}/empty\n")
+    elif case == "mixed metrics":
+        paths = []
+        for name, metric in (("base", "mAP"), ("model", "mIoU")):
+            paths.append(tmp_path / f"{name}.json")
+            scores = {kind.value: [0.5] for kind in cli.KIND_ORDER}
+            paths[-1].write_text(json.dumps({"model": name, "metric": metric, "clean": 0.6,
+                                             "corruptions": scores}))
+        args, code = ["report", str(paths[1]), "--baseline", str(paths[0])], 2
+        message = (f"configuration error: {paths[1]} holds mIoU scores but baseline {paths[0]} "
+                   "holds mAP\n")
     elif case == "corrupt below a file":
         args, code = ["corrupt", "--dataset", "semantickitti", "--in", str(src),
                       "--out", str(blocked)], 2

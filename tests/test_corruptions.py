@@ -666,6 +666,8 @@ def _nan_or_negative_cases():
             (lambda f, v=bad: apply_motion_blur(f, v, draw("motion_blur", 50)), "sigma_t"),
             (lambda f, v=bad: apply_crosstalk(f, 0.5, v, draw("crosstalk", 50)), "sigma_c"),
             (lambda f, v=bad: wet(f, ground, d_w=v), "d_w"),
+            (lambda f, v=bad: apply_incomplete_echo(f, np.ones(50, bool), v,
+                                                    draw("incomplete_echo", 50)), "k_e"),
         ]
     return cases
 

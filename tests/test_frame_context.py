@@ -70,10 +70,10 @@ def test_apply_with_and_without_context_bitwise_equal(profile_name):
 
 
 def test_whole_float_beam_count_corrupts_as_its_int():
-    # A table may write beam_count as 64.0, a whole-number key as 16.0 (the
-    # CLI parses `--set KEY=16,32,48` as floats) and a float key as 1. The
-    # profile keeps each value as written, and `apply` casts it as
-    # `profiles.KINDS` says, so each output is bitwise the same.
+    # A table may write beam_count as 64.0, a whole-number key as 16.0 and a
+    # float key as 1. The profile keeps each checked value as its rule's
+    # type (an int where the rule asks for a whole number, else a float), so
+    # each output is bitwise the same.
     profile = load_profile("kitti")
     as_float = dataclasses.replace(profile, beam_count=64.0)
     frame = boxed_frame(seed=3)
@@ -81,7 +81,7 @@ def test_whole_float_beam_count_corrupts_as_its_int():
         for severity in Severity:
             assert_same(apply(kind, FrameContext(frame, as_float, seed=5), severity),
                         apply(kind, FrameContext(frame, profile, seed=5), severity))
-    for key, written, cast in (
+    for key, written, held in (
         ("beam_missing.beams_dropped", [16.0, 32.0, 48.0], [16, 32, 48]),
         ("cross_sensor.beams_kept", [48.0, 32.0, 16.0], [48, 32, 16]),
         ("ransac_iterations", 200.0, 200),
@@ -91,9 +91,9 @@ def test_whole_float_beam_count_corrupts_as_its_int():
         ("subsample_keep", 1, 1.0),
     ):
         pairs = zip(outputs(frame, profile.with_overrides({key: written})),
-                    outputs(frame, profile.with_overrides({key: cast})))
-        for out_written, out_cast in pairs:
-            assert_same(out_written, out_cast)
+                    outputs(frame, profile.with_overrides({key: held})))
+        for out_written, out_held in pairs:
+            assert_same(out_written, out_held)
 
 
 def outputs(frame, profile):

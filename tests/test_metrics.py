@@ -19,6 +19,7 @@ from lidarcorrupt import (
 )
 from lidarcorrupt.metrics import (
     KIND_ORDER,
+    per_class_iou,
     read_accuracy_record,
     write_accuracy_record,
 )
@@ -76,6 +77,12 @@ class TestMiou:
     def test_undefined_when_empty(self):
         with pytest.raises(UndefinedMetricError):
             miou(np.zeros((3, 3), int))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (4,)])
+    def test_non_square_matrix_rejected(self, shape):
+        # A (1, 3) matrix would broadcast to three IoUs without the check.
+        with pytest.raises(ValueError, match=r"^confusion matrix must be square, got shape "):
+            per_class_iou(np.ones(shape))
 
 
 class TestCorruptionError:

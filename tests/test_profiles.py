@@ -196,6 +196,20 @@ class TestOverridesAndValidation:
         assert p.vehicle_classes == frozenset()
         assert isinstance(load_profile("semantickitti").vehicle_classes, frozenset)
 
+    def test_values_kept_as_their_rules_type(self):
+        # An int where the rule asks for a whole number, else a float; lists
+        # as lists, whichever way each number was written.
+        p = replace(load_profile("kitti"), beam_count=64.0, ignore_label=255.0,
+                    vehicle_box_classes=[0.0, 1]).with_overrides({
+                        "beam_missing.beams_dropped": (16.0, 32.0, 48.0),
+                        "ransac_iterations": 200.0, "crosstalk_sigma": 3,
+                        "fog.alpha_axis": [0, 1], "fog_scatter_fraction": (0, 1)})
+        held = (p.beam_count, p.ignore_label, sorted(p.vehicle_box_classes),
+                *(p.params[key] for key in ("beam_missing.beams_dropped", "ransac_iterations",
+                                            "crosstalk_sigma", "fog.alpha_axis",
+                                            "fog_scatter_fraction")))
+        assert repr(held) == "(64, 255, [0, 1], [16, 32, 48], 200, 3.0, [0.0, 1.0], [0.0, 1.0])"
+
     def test_beam_ranges_follow_beam_count(self):
         p = load_profile("nuscenes")  # 32 beams
         p.with_overrides({"cross_sensor.beams_kept": [32, 16, 1]})

@@ -169,6 +169,12 @@ class TestSelect:
         for select in (cloud.select, labels.select, CorruptedFrame(cloud, labels).select):
             with pytest.raises(IndexError):
                 select(mask)
+        # nor is a frame built with labels or provenance of another length
+        with pytest.raises(ValueError, match=f"^{length} labels for 3 points$"):
+            CorruptedFrame(cloud, LabelArray(np.zeros(length, np.uint16),
+                                             np.zeros(length, np.uint16)))
+        with pytest.raises(ValueError, match=f"^{length} provenance tags for 3 points$"):
+            CorruptedFrame(cloud, provenance=np.zeros(length, np.uint8))
 
 
 def contains_reference(boxes, xyz, class_ids=None):
