@@ -30,7 +30,6 @@ import numpy as np
 from .corruptions import FrameContext, apply
 from .errors import LidarCorruptError, ManifestError, PairingError, ProfileError
 from .metrics import (
-    KIND_ORDER,
     AccuracyRecord,
     aggregate,
     confusion_matrix,
@@ -63,9 +62,8 @@ from .scan_io import (  # noqa: F401
 
 __all__ = ["RunConfig", "run_corrupt", "run_evaluate", "run_report", "run_verify", "main"]
 
-ALL_SEVERITIES = tuple(Severity)
 # The output directories a run may write, relative to its output root.
-_OUT_DIRS = [f"{k.value}/{s.value}" for k in CorruptionKind for s in ALL_SEVERITIES]
+_OUT_DIRS = [f"{k.value}/{s.value}" for k in CorruptionKind for s in Severity]
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ class RunConfig:
     input_root: Path
     output_root: Path
     kinds: tuple[CorruptionKind, ...] = tuple(CorruptionKind)
-    severities: tuple[Severity, ...] = ALL_SEVERITIES
+    severities: tuple[Severity, ...] = tuple(Severity)
     seed: int = 0
     workers: int = 1
     overrides: Mapping[str, object] = field(default_factory=dict)
@@ -441,10 +439,10 @@ def run_evaluate(
     if not clean_gt.is_dir():
         raise PairingError(f"ground truth has no clean/ directory under {gt_root}")
     present = []
-    for kind in KIND_ORDER:
-        missing = [f"{kind.value}/{s.value}" for s in ALL_SEVERITIES
+    for kind in CorruptionKind:
+        missing = [f"{kind.value}/{s.value}" for s in Severity
                    if not (gt_root / kind.value / s.value).is_dir()]
-        if 0 < len(missing) < len(ALL_SEVERITIES):
+        if 0 < len(missing) < len(Severity):
             raise PairingError(
                 f"ground truth has {kind.value} but no {', '.join(missing)} "
                 f"directory under {gt_root}; a corruption needs all three severities"
@@ -456,7 +454,7 @@ def run_evaluate(
         kind: tuple(
             _miou_over_dir(pred_root / kind / s.value, gt_root / kind / s.value,
                            profile, num_classes)
-            for s in ALL_SEVERITIES
+            for s in Severity
         )
         for kind in present
     }

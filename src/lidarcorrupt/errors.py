@@ -1,12 +1,16 @@
 """Exception hierarchy for scan decoding, geometry, and metric failures."""
 
+__all__ = ["LidarCorruptError", "MalformedScanError", "CorruptScanError", "PairingError",
+           "NoPlaneError", "ManifestError", "ProfileError", "UndefinedMetricError"]
+
 
 class LidarCorruptError(Exception):
     """Base class for all package-specific errors."""
 
 
 class MalformedScanError(LidarCorruptError):
-    """Byte stream length is not a whole number of records."""
+    """Byte stream length is not a whole number of records, or a box label
+    row does not parse."""
 
 
 class CorruptScanError(LidarCorruptError):
@@ -26,7 +30,9 @@ class ManifestError(LidarCorruptError):
 
 
 class ProfileError(LidarCorruptError):
-    """Dataset profile is missing parameters for a requested corruption."""
+    """A configuration error (exit 2): a profile or its tables, a `--set`
+    value, a corruption or severity selection, `workers`, an input or
+    output root (used, or unwritable), or a `report` of mixed metrics."""
 
 
 class UndefinedMetricError(LidarCorruptError):

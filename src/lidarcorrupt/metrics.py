@@ -36,7 +36,6 @@ __all__ = [
     "write_accuracy_record",
 ]
 
-KIND_ORDER = tuple(CorruptionKind)
 
 Accuracies = Union[float, Sequence[float]]
 
@@ -173,7 +172,7 @@ class AccuracyRecord:
         object.__setattr__(self, "per_corruption", norm)
 
     def is_complete(self) -> bool:
-        return all(kind.value in self.per_corruption for kind in KIND_ORDER)
+        return all(kind.value in self.per_corruption for kind in CorruptionKind)
 
     def accuracy(self, kind: CorruptionKind) -> tuple[float, ...]:
         return self.per_corruption[kind.value]
@@ -191,8 +190,8 @@ class RobustnessReport:
     mrr: float = field(init=False)
 
     def __post_init__(self) -> None:
-        ce = [self.per_corruption_ce[k.value] for k in KIND_ORDER]
-        rr = [self.per_corruption_rr[k.value] for k in KIND_ORDER]
+        ce = [self.per_corruption_ce[k.value] for k in CorruptionKind]
+        rr = [self.per_corruption_rr[k.value] for k in CorruptionKind]
         object.__setattr__(self, "mce", float(np.mean(ce)))
         object.__setattr__(self, "mrr", float(np.mean(rr)))
 
@@ -210,11 +209,11 @@ def aggregate(
     reports = []
     for record in records:
         if not record.is_complete():
-            missing = [k.value for k in KIND_ORDER if k.value not in record.per_corruption]
+            missing = [k.value for k in CorruptionKind if k.value not in record.per_corruption]
             raise ValueError(f"record {record.model!r} is missing {missing}")
         ce = {}
         rr = {}
-        for kind in KIND_ORDER:
+        for kind in CorruptionKind:
             ce[kind.value] = corruption_error(
                 record.accuracy(kind), baseline.accuracy(kind)
             )
@@ -232,13 +231,13 @@ def aggregate(
 
 def _report_rows(reports: Sequence[RobustnessReport]) -> tuple[list[str], list[list]]:
     header = ["model", "mce", "mrr"]
-    header += [f"{k.value}_ce" for k in KIND_ORDER]
-    header += [f"{k.value}_rr" for k in KIND_ORDER]
+    header += [f"{k.value}_ce" for k in CorruptionKind]
+    header += [f"{k.value}_rr" for k in CorruptionKind]
     rows = []
     for rep in reports:
         row: list = [rep.model, rep.mce, rep.mrr]
-        row += [rep.per_corruption_ce[k.value] for k in KIND_ORDER]
-        row += [rep.per_corruption_rr[k.value] for k in KIND_ORDER]
+        row += [rep.per_corruption_ce[k.value] for k in CorruptionKind]
+        row += [rep.per_corruption_rr[k.value] for k in CorruptionKind]
         rows.append(row)
     return header, rows
 

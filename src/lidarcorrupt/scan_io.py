@@ -94,15 +94,16 @@ def write_kitti_scan(pc: PointCloud) -> bytes:
 
 
 def read_nuscenes_scan(data: bytes, frame_id: str = "", *, beam_count: int) -> PointCloud:
-    """Decode a 5-channel nuScenes scan; the 5th channel becomes the ring index."""
+    """Decode a 5-channel nuScenes scan; the 5th channel, a whole number in
+    [0, beam_count), becomes the ring index."""
     raw = _decode_floats(data, 5, "nuscenes scan")
-    ring = np.rint(raw[:, 4]).astype(np.int32)
-    bad = np.flatnonzero((ring < 0) | (ring >= beam_count))
+    stored = raw[:, 4]  # NaN fails every test here, inf the range test
+    bad = np.flatnonzero(~((stored >= 0) & (stored < beam_count) & (stored == np.floor(stored))))
     if bad.size:
-        raise CorruptScanError(
-            f"ring index {ring[bad[0]]} outside [0, {beam_count}) at point {bad[0]}"
-        )
-    return PointCloud(xyz=raw[:, :3], intensity=raw[:, 3], ring=ring, frame_id=frame_id)
+        raise CorruptScanError(f"ring value {stored[bad[0]]!s} at point {bad[0]} "
+                               f"is not a beam id in [0, {beam_count})")
+    return PointCloud(xyz=raw[:, :3], intensity=raw[:, 3], ring=stored.astype(np.int32),
+                      frame_id=frame_id)
 
 
 def write_nuscenes_scan(pc: PointCloud) -> bytes:

@@ -1429,7 +1429,7 @@ def test_failed_run_names_its_cause_without_traceback(tmp_path, case):
         paths = []
         for name, metric in (("base", "mAP"), ("model", "mIoU")):
             paths.append(tmp_path / f"{name}.json")
-            scores = {kind.value: [0.5] for kind in cli.KIND_ORDER}
+            scores = {kind.value: [0.5] for kind in CorruptionKind}
             paths[-1].write_text(json.dumps({"model": name, "metric": metric, "clean": 0.6,
                                              "corruptions": scores}))
         args, code = ["report", str(paths[1]), "--baseline", str(paths[0])], 2

@@ -7,20 +7,18 @@ import pytest
 
 from lidarcorrupt import (
     AccuracyRecord,
+    CorruptionKind,
     UndefinedMetricError,
     aggregate,
     confusion_matrix,
     corruption_error,
     load_profile,
     miou,
+    per_class_iou,
+    read_accuracy_record,
     remap_injected,
     render_report,
     resilience_rate,
-)
-from lidarcorrupt.metrics import (
-    KIND_ORDER,
-    per_class_iou,
-    read_accuracy_record,
     write_accuracy_record,
 )
 
@@ -145,7 +143,7 @@ class TestResilienceRate:
 
 def make_record(model, clean, offsets, base=0.5):
     per = {}
-    for i, kind in enumerate(KIND_ORDER):
+    for i, kind in enumerate(CorruptionKind):
         acc = base + offsets * (i + 1) / 10
         per[kind.value] = (acc - 0.01, acc, acc + 0.01)
     return AccuracyRecord(model=model, clean_acc=clean, per_corruption=per)
@@ -155,7 +153,7 @@ class TestAggregate:
     def test_baseline_vs_itself(self):
         baseline = make_record("base", 0.62, 0.02)
         (report,) = aggregate([baseline], baseline)
-        for kind in KIND_ORDER:
+        for kind in CorruptionKind:
             assert report.per_corruption_ce[kind.value] == pytest.approx(100.0, rel=1e-12)
         assert report.mce == pytest.approx(100.0, rel=1e-12)
 
@@ -170,7 +168,7 @@ class TestAggregate:
         record = make_record("m", 0.58, 0.02, base=0.48)
         (report,) = aggregate([record], baseline)
         ces, rrs = [], []
-        for kind in KIND_ORDER:
+        for kind in CorruptionKind:
             a = np.mean(record.accuracy(kind))
             b = np.mean(baseline.accuracy(kind))
             ces.append(100 * (1 - a) / (1 - b))
@@ -241,7 +239,7 @@ class TestRecordIO:
     def test_accepts_single_mean(self):
         record = AccuracyRecord(
             model="mean", clean_acc=0.6,
-            per_corruption={k.value: (0.5,) for k in KIND_ORDER},
+            per_corruption={k.value: (0.5,) for k in CorruptionKind},
         )
         assert record.is_complete()
 

@@ -1,5 +1,6 @@
 """Codec round-trips and dataset iteration."""
 
+import re
 import struct
 
 import numpy as np
@@ -92,9 +93,13 @@ class TestNuscenesScan:
         raw = struct.pack("<5f", 0, 0, 0, 0, 31.0)
         assert read_nuscenes_scan(raw, beam_count=NUSCENES_BEAMS).ring.tolist() == [31]
 
-    def test_ring_out_of_range(self):
-        raw = struct.pack("<5f", 0, 0, 0, 0, 32.0)
-        with pytest.raises(CorruptScanError, match="ring"):
+    # Checked as stored, before any cast: a fraction, NaN, inf or a value
+    # past int32 is named as it is in the file, with its point.
+    @pytest.mark.parametrize("shown", ["32.0", "-1.0", "3.4", "-0.4", "nan", "inf", "-inf", "1e+12"])
+    def test_ring_out_of_range(self, shown):
+        raw = struct.pack("<10f", 0, 0, 0, 0, 1.0, 0, 0, 0, 0, float(shown))
+        message = f"ring value {shown} at point 1 is not a beam id in [0, {NUSCENES_BEAMS})"
+        with pytest.raises(CorruptScanError, match=re.escape(message)):
             read_nuscenes_scan(raw, beam_count=NUSCENES_BEAMS)
 
     def test_bad_length(self):
