@@ -29,11 +29,12 @@ import numpy as np
 
 from .corruptions import FrameContext, apply
 from .errors import LidarCorruptError, ManifestError, PairingError, ProfileError
+from .errors import UndefinedMetricError
 from .metrics import (
     AccuracyRecord,
     aggregate,
     confusion_matrix,
-    miou,
+    miou,  # noqa: F401
     read_accuracy_record,
     remap_injected,
     render_report,
@@ -43,8 +44,8 @@ from .profiles import CorruptionKind, DatasetProfile, Severity, load_profile
 from .types import PointCloud
 # bench/spans.py wraps the scan and box codecs and `derive_seed` below, and
 # the metrics functions above, by their names in this module, and a traced
-# run fails if one is missing, so they stay imported: the codecs and
-# `derive_seed` unused, and `confusion_matrix` called only to name a bad label.
+# run fails if one is missing, so they stay imported: the codecs, `derive_seed`
+# and `miou` unused, and `confusion_matrix` called only to name a bad label.
 from .rng import derive_seed  # noqa: F401
 from .scan_io import (  # noqa: F401
     frame_stems,
@@ -336,7 +337,7 @@ def run_verify(out_root: Path) -> tuple[int, int, list[str]]:
         except FileNotFoundError:
             problems.append(f"missing: {name}")
             continue
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the name
             problems.append(f"unreadable: {name}: {exc}")
             continue
         if hashlib.sha256(data).hexdigest() != digest:
@@ -368,10 +369,10 @@ def _miou_over_dir(
 ) -> float:
     """mIoU of one directory from its distinct (gt, pred) semantic id pairs.
 
-    Each file's pairs are counted as keys ``gt << 16 | pred`` and merged;
-    the injected remap and the ignore label apply to the merged gt ids.
-    `miou` scores a matrix over the present class ids only: the float of
-    the ``num_classes²`` matrix, in memory that grows with the pairs.
+    Each file's pairs are counted as keys ``gt << 16 | pred``; the injected
+    remap and the ignore label apply to the counted gt ids. A class's IoU is
+    its agreeing points over the points it holds in gt or pred, each a
+    bincount over the pairs, so memory grows with them, not ``num_classes²``.
 
     Raises:
         PairingError: unmatched stems, or a file of another length.
@@ -389,28 +390,27 @@ def _miou_over_dir(
         key = np.left_shift(gt, 16)  # from whole words: the shift drops gt's instance half,
         key |= pred.astype(np.uint16)  # and the cast pred's
         del pred, gt  # the key holds both files' ids, so their bytes go before the next read
-        unsorted, key = key, np.sort(key)  # an error names labels in point order
-        starts = np.flatnonzero(np.concatenate(([len(key) > 0], key[1:] != key[:-1])))
-        file_keys, file_counts = key[starts], np.diff(starts, append=len(key))
+        file_keys, file_counts = np.unique(key, return_counts=True)
         gt_ids = file_keys >> 16
         high = np.maximum(gt_ids, file_keys & 0xFFFF) >= num_classes
         if high.any() and not np.isin(gt_ids[high], skipped).all():
-            confusion_matrix(unsorted.astype(np.uint16),  # raises, naming the first bad id
-                             remap_injected((unsorted >> 16).astype(np.uint16), profile),
+            confusion_matrix(key.astype(np.uint16),  # raises, naming the first bad id
+                             remap_injected((key >> 16).astype(np.uint16), profile),
                              num_classes, ignore_label=profile.ignore_label)
         keys.append(file_keys)
         counts.append(file_counts)
-    pairs, where = np.unique(np.concatenate(keys), return_inverse=True)
-    merged = np.zeros(len(pairs), np.int64)
-    np.add.at(merged, where, np.concatenate(counts))
+    pairs, counts = np.concatenate(keys), np.concatenate(counts)
     gt_ids = remap_injected(pairs >> 16, profile)
     counted = gt_ids != profile.ignore_label
-    gt_ids, pred_ids = gt_ids[counted], (pairs & 0xFFFF)[counted]
-    classes = np.union1d(gt_ids, pred_ids)
-    cm = np.zeros((len(classes), len(classes)), np.int64)
-    # The remap only sends gt ids to the ignore label, so counted pairs stay distinct.
-    cm[np.searchsorted(classes, gt_ids), np.searchsorted(classes, pred_ids)] = merged[counted]
-    return miou(cm)
+    classes, where = np.unique(np.concatenate((gt_ids[counted], (pairs & 0xFFFF)[counted])),
+                               return_inverse=True)
+    if not len(classes):
+        raise UndefinedMetricError("mIoU undefined: no class present in pred or gt")
+    gt_class, pred_class = np.split(where, 2)
+    counts, agree = counts[counted], gt_class == pred_class
+    tp = np.bincount(gt_class[agree], counts[agree], len(classes))
+    held = np.bincount(where, np.tile(counts, 2), len(classes))  # gt's points plus pred's
+    return float((tp / (held - tp)).mean())
 
 
 def run_evaluate(
@@ -426,9 +426,9 @@ def run_evaluate(
     ``.label`` files on both sides. A corruption absent from the ground
     truth is skipped; one present needs all three severities. Injected
     corruption classes in the ground truth are remapped to the profile's
-    ignore label before scoring. Each directory is scored from its distinct
-    (gt, pred) pairs, so any `num_classes` in [1, 65536] runs in memory that
-    grows with those pairs, not with ``num_classes²``.
+    ignore label before scoring. Each directory is scored from the counts of
+    its files' distinct (gt, pred) pairs, so any `num_classes` in [1, 65536]
+    runs in memory that grows with those pairs, not with ``num_classes²``.
 
     Raises:
         PairingError: no ``clean/``, or a corruption with only some of its

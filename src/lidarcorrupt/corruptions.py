@@ -252,7 +252,8 @@ def apply_snow(
         return frame
 
     r = frame.ranges
-    with np.errstate(divide="ignore", invalid="ignore"):  # no particles at a rate of 0
+    # No particle on a ray at a rate of 0, or where a subnormal rate overflows the distance.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         particle_distances = min_particle_range + _checked(draw, len(r)) / (
             particles_per_meter_per_rate * r_s)
     idx = np.flatnonzero(particle_distances < r)
@@ -262,7 +263,7 @@ def apply_snow(
     xyz = frame.cloud.xyz.copy()
     intensity = (i64 * np.exp(-2.0 * k * r)).astype(np.float32)
     hit_d, hit_r = particle_distances.take(idx), r.take(idx)
-    scale = np.where(hit_r > 0, hit_d / np.maximum(hit_r, 1e-300), 0.0)
+    scale = hit_d / hit_r  # a hit's range exceeds its particle's distance, so is > 0
     xyz[idx] = (xyz.take(idx, axis=0).astype(np.float64) * scale[:, None]).astype(np.float32)
     hit_i = reflectivity * i64.take(idx) * np.exp(-2.0 * k * hit_d)
     intensity[idx] = np.clip(hit_i, 0.0, 1.0)

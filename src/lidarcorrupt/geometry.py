@@ -220,8 +220,7 @@ def partition_beams(pc: PointCloud, beam_count: int,
         return BeamPartition(beam_of=np.zeros(0, dtype=np.int64), beam_count=beam_count)
 
     z = pc.xyz[:, 2].astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sin_elev = np.where(ranges > 0, z / np.maximum(ranges, 1e-300), 0.0)
+    sin_elev = z / np.maximum(ranges, 1e-300)  # a range of 0 has z = 0
     elevation = np.arcsin(np.clip(sin_elev, -1.0, 1.0))
 
     quantiles = np.arange(1, beam_count) / beam_count

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -1070,6 +1071,7 @@ class TestVerify:
             {"file": "../outside.txt", "sha256": digest},
             {"file": str(outside), "sha256": digest},
             {"file": "fog/../../outside.txt", "sha256": digest},
+            {"file": "fog/light/a\u0000.bin", "sha256": digest},  # no path can hold it
         ]}))
         result = runner.invoke(main, ["verify", str(out)])
         assert result.exit_code == 1, result.output
@@ -1077,7 +1079,8 @@ class TestVerify:
             "outside: ../outside.txt",
             f"outside: {outside}",
             "outside: fog/../../outside.txt",
-            f"0 of 3 files match {out}/manifest.json",
+            "unreadable: fog/light/a\u0000.bin: embedded null byte",
+            f"0 of 4 files match {out}/manifest.json",
         ]
 
     @pytest.mark.parametrize("manifest", [None, "{", "[]", '{"entries": 3}',
@@ -1179,6 +1182,23 @@ class TestEvaluate:
             records.append(result.output)
         assert records[0] == records[1]
         assert json.loads(records[0])["clean"] == pytest.approx((1 + 0.5 + 0 + 1) / 4)
+
+    def test_many_ids_score_in_memory_of_their_pairs(self, tmp_path):
+        # 3000 distinct ids at 65536 classes: a class-by-class count matrix and
+        # its float copy would take 16 * 3000² bytes (144 MB); the pair counts
+        # take a few hundred kB.
+        ids = np.arange(3000, dtype=np.uint16)
+        write_label_dir(tmp_path / "gt" / "clean", {"000000": ids})
+        write_label_dir(tmp_path / "pred" / "clean", {"000000": ids})
+        profile = cli.load_profile("semantickitti")
+        tracemalloc.start()
+        try:
+            record = cli.run_evaluate(tmp_path / "pred", tmp_path / "gt", profile, 65536)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.clean_acc == 1.0
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_missing_prediction_named(self, runner, tmp_path):
         write_label_dir(tmp_path / "gt" / "clean", {"000000": [1, 2], "000001": [1, 2]})

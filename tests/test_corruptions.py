@@ -253,6 +253,14 @@ class TestSnow:
         assert np.array_equal(out.cloud.xyz[others], cloud.xyz[others])
         assert (out.labels.semantic[others] == 40).all()
 
+    def test_subnormal_rate_places_no_particle(self):
+        # E / rate overflows to inf at a rate this small: no particle on any
+        # ray, as at a rate of 0, and no overflow warning.
+        frame = simple_frame(n=50, seed=7)
+        out = apply_snow(frame, r_s=5e-307, draw=np.full(50, 0.7), snow_class=22, **SNOW)
+        assert (out.provenance == Provenance.ORIGINAL).all()
+        assert np.array_equal(out.cloud.xyz, frame.cloud.xyz)
+
     def test_sampled_snow_deterministic(self):
         frame = simple_frame(n=400, seed=9)
         a = apply_snow(frame, r_s=2.5, draw=draw("snow", 400, 11), snow_class=22, **SNOW)
