@@ -369,8 +369,8 @@ def _miou_over_dir(
 ) -> float:
     """mIoU of one directory from its distinct (gt, pred) semantic id pairs.
 
-    Each file's pairs are counted as keys ``gt << 16 | pred``; the injected
-    remap and the ignore label apply to the counted gt ids. A class's IoU is
+    Each file's pairs are counted as keys ``gt << 16 | pred``, its distinct gt
+    ids remapped once, and only pairs with a counted gt kept. A class's IoU is
     its agreeing points over the points it holds in gt or pred, each a
     bincount over the pairs, so memory grows with them, not ``num_classes²``.
 
@@ -380,8 +380,7 @@ def _miou_over_dir(
             counted label >= num_classes.
         UndefinedMetricError: no counted point in the directory.
     """
-    skipped = sorted(profile.injected_classes() | {profile.ignore_label})
-    keys, counts = [np.zeros(0, np.uint32)], [np.zeros(0, np.intp)]
+    parts = [(np.zeros(0, np.uint32), np.zeros(0, np.uint32), np.zeros(0, np.intp))]
     for stem in _matched_stems(pred_dir, gt_dir):
         pred, gt = (label_words(path.read_bytes(), str(path))
                     for path in (pred_dir / f"{stem}.label", gt_dir / f"{stem}.label"))
@@ -391,23 +390,20 @@ def _miou_over_dir(
         key |= pred.astype(np.uint16)  # and the cast pred's
         del pred, gt  # the key holds both files' ids, so their bytes go before the next read
         file_keys, file_counts = np.unique(key, return_counts=True)
-        gt_ids = file_keys >> 16
-        high = np.maximum(gt_ids, file_keys & 0xFFFF) >= num_classes
-        if high.any() and not np.isin(gt_ids[high], skipped).all():
+        file_gt = remap_injected(file_keys >> 16, profile)
+        counted = file_gt != profile.ignore_label
+        file_gt, file_pred = file_gt[counted], (file_keys & 0xFFFF)[counted]
+        if (np.maximum(file_gt, file_pred) >= num_classes).any():
             confusion_matrix(key.astype(np.uint16),  # raises, naming the first bad id
                              remap_injected((key >> 16).astype(np.uint16), profile),
                              num_classes, ignore_label=profile.ignore_label)
-        keys.append(file_keys)
-        counts.append(file_counts)
-    pairs, counts = np.concatenate(keys), np.concatenate(counts)
-    gt_ids = remap_injected(pairs >> 16, profile)
-    counted = gt_ids != profile.ignore_label
-    classes, where = np.unique(np.concatenate((gt_ids[counted], (pairs & 0xFFFF)[counted])),
-                               return_inverse=True)
+        parts.append((file_gt, file_pred, file_counts[counted]))
+    gt_ids, pred_ids, counts = (np.concatenate(part) for part in zip(*parts))
+    classes, where = np.unique(np.concatenate((gt_ids, pred_ids)), return_inverse=True)
     if not len(classes):
         raise UndefinedMetricError("mIoU undefined: no class present in pred or gt")
     gt_class, pred_class = np.split(where, 2)
-    counts, agree = counts[counted], gt_class == pred_class
+    agree = gt_class == pred_class
     tp = np.bincount(gt_class[agree], counts[agree], len(classes))
     held = np.bincount(where, np.tile(counts, 2), len(classes))  # gt's points plus pred's
     return float((tp / (held - tp)).mean())

@@ -125,13 +125,11 @@ def interpolate_prediction(
     # dist columns are sorted, so a coincident anchor is always column 0.
     exact = dist[:, 0] == 0.0
     out = np.empty((len(targets), partial.values.shape[1]))
-    if exact.any():
-        out[exact] = partial.values[idx[exact, 0]]
+    out[exact] = partial.values[idx[exact, 0]]
     inexact = ~exact
-    if inexact.any():
-        w = 1.0 / dist[inexact]
-        w /= w.sum(axis=1, keepdims=True)
-        out[inexact] = np.einsum("nk,nkd->nd", w, partial.values[idx[inexact]])
+    w = 1.0 / dist[inexact]
+    w /= w.sum(axis=1, keepdims=True)
+    out[inexact] = np.einsum("nk,nkd->nd", w, partial.values[idx[inexact]])
     return PredictionField(values=out, anchor_xyz=targets)
 
 
@@ -140,7 +138,7 @@ def _mean_squared_row_distance(a: PredictionField, b: PredictionField) -> float:
         raise ValueError(
             f"field shapes differ: {a.values.shape} vs {b.values.shape}"
         )
-    if len(a) == 0:
+    if len(a) == 0:  # the mean over no rows is NaN
         return 0.0
     diff = a.values - b.values
     return float(np.mean(np.sum(diff * diff, axis=1)))

@@ -103,7 +103,7 @@ class CorruptedFrame:
         when the frame has labels and `class_id` is not None, relabeled `class_id`."""
         labels, provenance = self.labels, self.provenance
         idx = None if changed is None else row_indices(changed, len(self.cloud))
-        if idx is not None and idx.size:
+        if idx is not None and idx.size:  # nothing tagged: the arrays are shared, not copied
             provenance = provenance.copy()
             provenance[idx] = tag
             if labels is not None and class_id is not None:
@@ -162,9 +162,6 @@ def apply_fog(
             f"max is {float(intensity.max()):.4g}"
         )
     n = len(frame.cloud)
-    if n == 0:
-        return frame
-
     i64 = intensity.astype(np.float64)
     r = frame.ranges
     i_hard = i64 * np.exp(-2.0 * alpha * r)
@@ -208,7 +205,7 @@ def apply_wet_ground(
     mask = np.asarray(ground.inlier_mask, dtype=bool)
     if len(mask) != n:
         raise ValueError(f"ground mask length {len(mask)} != point count {n}")
-    if d_w == 0 or n == 0 or not mask.any():
+    if d_w == 0:  # dry road: the general path would still drop ground returns below i_n
         return frame
 
     attenuation = np.exp(-kappa_per_mm * d_w / _checked(incidence, n))
@@ -219,7 +216,7 @@ def apply_wet_ground(
 
     # Off the ground wet_i is the float32 intensity itself, so it casts back bitwise.
     updated = frame.with_fields(intensity=wet_i.astype(np.float32))
-    if survivors.all():
+    if survivors.all():  # no return dropped, as is common at light water: skip the select
         return updated
     return updated.select(survivors)
 
@@ -248,7 +245,7 @@ def apply_snow(
     by index, each with the arithmetic of a full-length pass.
     """
     _check_strength("r_s", r_s)
-    if r_s == 0 or len(frame.cloud) == 0:
+    if r_s == 0:  # else the identity would rest on exp(-0.0) == 1 in every SIMD kernel
         return frame
 
     r = frame.ranges
@@ -281,7 +278,7 @@ def apply_motion_blur(frame: CorruptedFrame, sigma_t: float, draw: np.ndarray) -
     float32 in blocks of rows, so the float64 temporary is one block's.
     """
     _check_strength("sigma_t", sigma_t)
-    if sigma_t == 0 or len(frame.cloud) == 0:
+    if sigma_t == 0:  # else draw * 0.0 + xyz would turn a -0.0 coordinate into +0.0
         return frame
     xyz, draw = np.empty_like(frame.cloud.xyz), _checked(draw, len(frame.cloud), 3)
     for rows in (slice(i, i + 8192) for i in range(0, len(xyz), 8192)):
@@ -296,8 +293,6 @@ def apply_beam_missing(
     permutation of the partition's beam ids."""
     if not 0 <= m <= partition.beam_count:
         raise ValueError(f"m must be in [0, {partition.beam_count}], got {m}")
-    if m == 0:
-        return frame
     keep = ~np.isin(partition.beam_of, _checked(draw, partition.beam_count)[:m])
     return frame.select(keep)
 
@@ -321,8 +316,6 @@ def apply_crosstalk(
     _check_strength("sigma_c", sigma_c)
     n = len(frame.cloud)
     n_sel = int(np.rint(k_t * n))
-    if n_sel == 0:
-        return frame
     order, noise = draw
     selected, noise = _checked(order, n)[:n_sel], _checked(noise[:n_sel], n_sel, 4) * sigma_c
 
@@ -360,8 +353,6 @@ def apply_incomplete_echo(
 
     candidates = np.flatnonzero(vehicle_mask)
     n_del = int(np.rint(k_e * len(candidates)))
-    if n_del == 0:
-        return frame
     doomed = candidates.take(_checked(draw, len(candidates))[:n_del])
     keep = np.ones(len(frame.cloud), dtype=bool)
     keep[doomed] = False
@@ -390,8 +381,6 @@ def apply_cross_sensor(
     ).astype(np.int64)
 
     keep = np.isin(partition.beam_of, kept_beams) & (partition.ranks % stride == 0)
-    if keep.all():
-        return frame
     return frame.select(keep)
 
 
@@ -405,7 +394,8 @@ class FrameContext(CorruptedFrame):
     raises is not cached: each output that needs it fails with the same
     error, and the others are unaffected. Point ranges are cached as the
     inherited `ranges`, and beam ranks on the partition. An operator's
-    output is a plain `CorruptedFrame`, or, for an identity, the context.
+    output is a plain `CorruptedFrame`, or the context itself for dry wet
+    ground, zero-rate snow and zero-jitter motion blur.
 
     The ground is the ground-labelled points and their plane
     (`GroundModel.from_mask`), or, when the frame has no labels or the

@@ -216,7 +216,7 @@ def partition_beams(pc: PointCloud, beam_count: int,
     """
     if pc.ring is not None:
         return BeamPartition(beam_of=pc.ring.astype(np.int64), beam_count=beam_count)
-    if len(pc) == 0:
+    if len(pc) == 0:  # the quantiles of no angles raise
         return BeamPartition(beam_of=np.zeros(0, dtype=np.int64), beam_count=beam_count)
 
     z = pc.xyz[:, 2].astype(np.float64)

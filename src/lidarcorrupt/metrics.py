@@ -132,11 +132,8 @@ def resilience_rate(acc: Accuracies, clean_acc: float) -> float:
 def remap_injected(semantic: np.ndarray, profile: DatasetProfile) -> np.ndarray:
     """Map injected fog/snow/crosstalk class ids to the profile's ignore label."""
     semantic = np.asarray(semantic)
-    injected = sorted(profile.injected_classes())
-    if not injected:
-        return semantic
     out = semantic.copy()
-    for class_id in injected:
+    for class_id in sorted(profile.injected_classes()):
         out[semantic == class_id] = profile.ignore_label
     return out
 

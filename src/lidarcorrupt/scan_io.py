@@ -196,21 +196,21 @@ def read_scan(data: bytes, profile: DatasetProfile, frame_id: str = "") -> Point
     `nuscenes` reads 5-channel records with the ring, every other name 4.
 
     Raises:
-        CorruptScanError: an intensity is above 1 after the division.
+        CorruptScanError: an intensity is below 0 or above 1 after the division.
     """
     if profile.name == "nuscenes":
         cloud = read_nuscenes_scan(data, frame_id=frame_id, beam_count=profile.beam_count)
     else:
         cloud = read_kitti_scan(data, frame_id=frame_id)
     scale = profile.intensity_scale
-    if scale != 1.0:
+    if scale != 1.0:  # a scale of 1 skips a full-frame divide and copy
         cloud = cloud.with_fields(intensity=(cloud.intensity / scale).astype(np.float32))
-    over = np.flatnonzero(cloud.intensity > 1.0 + INTENSITY_TOLERANCE)
-    if over.size:
-        i = over[0]
+    bad = np.flatnonzero((cloud.intensity < 0) | (cloud.intensity > 1.0 + INTENSITY_TOLERANCE))
+    if bad.size:
+        i, bound = bad[0], "below 0" if cloud.intensity[bad[0]] < 0 else "above 1"
         raise CorruptScanError(
-            f"intensity {float(cloud.intensity[i]) * scale:.6g} at point {i} is above "
-            f"1 after dividing by the {profile.name} intensity_scale {scale:g}"
+            f"intensity {float(cloud.intensity[i]) * scale:.6g} at point {i} is {bound} "
+            f"after dividing by the {profile.name} intensity_scale {scale:g}"
         )
     return cloud
 

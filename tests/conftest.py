@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lidarcorrupt import (
     Box,
@@ -30,6 +31,14 @@ SNOW = {key: PARAMS[f"snow_{key}"] for key in (
 RANSAC = {"iterations": PARAMS["ransac_iterations"],
           "inlier_threshold": PARAMS["ransac_threshold"]}
 NUSCENES_BEAMS = load_profile("nuscenes").beam_count
+
+# With `CI` set, Hypothesis loads its `ci` profile, which derandomizes every
+# property test, so each CI run would replay one fixed example sequence. This
+# keeps the rest of `ci` (print_blob prints how to reproduce a failing example)
+# but draws new examples each run, so CI too can find a rare failing input.
+if settings.get_current_profile_name() == "ci":
+    settings.register_profile("ci-random", settings.get_profile("ci"), derandomize=False)
+    settings.load_profile("ci-random")
 
 # Another in-range value for each profile key, by its `--set` name.
 PARAM_CHANGES = {

@@ -358,6 +358,31 @@ class TestCorrupt:
         assert json.loads(manifests[0])["failures"] == []
         assert manifests[0] == manifests[1]
 
+    def test_degenerate_frames_write_every_output(self, tmp_path):
+        # Frames of 0, 1, 3 and 2 labelled points take each operator's
+        # general path (only the zero-strength identities return early):
+        # all 8 x 3 outputs of every frame are written, at either worker count.
+        src = tmp_path / "in"
+        (src / "velodyne").mkdir(parents=True)
+        (src / "labels").mkdir()
+        rng = np.random.default_rng(11)
+        for i, n in enumerate((0, 1, 3, 2)):
+            cloud = PointCloud(xyz=rng.uniform(-20, 20, (n, 3)).astype(np.float32),
+                               intensity=rng.uniform(0.05, 1, n).astype(np.float32))
+            semantic = np.array([40, 10, 48][:n], dtype=np.uint16)  # road, car, sidewalk
+            (src / "velodyne" / f"{i:06d}.bin").write_bytes(write_kitti_scan(cloud))
+            (src / "labels" / f"{i:06d}.label").write_bytes(
+                write_semkitti_labels(LabelArray(semantic, np.zeros(n, np.uint16))))
+        manifests = []
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            manifest = cli.run_corrupt(RunConfig(profile_name="semantickitti", input_root=src,
+                                                 output_root=out, seed=3, workers=workers))
+            assert manifest["failures"] == []
+            assert len(manifest["entries"]) == 4 * 8 * 3 * 2  # a .bin and a .label each
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+
     def test_manifest_seed_reproduces_each_draw(self, tmp_path):
         # An entry's seed is its kind's in the frame, from (run seed, stem,
         # kind); a generator keyed by it gives the draw its outputs read.

@@ -709,6 +709,10 @@ class TestDrawLength:
                                                 draw("crosstalk", 24)[1])),
         lambda f: apply_crosstalk(f, 0.5, 3.0, (draw("crosstalk", 50)[0],
                                                 draw("crosstalk", 50)[1][:, :3])),
+        # at zero strength too, where nothing is dropped or jittered
+        lambda f: apply_beam_missing(f, partition(f.cloud, 4), 0, draw("beam_missing", 3)),
+        lambda f: apply_crosstalk(f, 0.0, 3.0, draw("crosstalk", 51)),
+        lambda f: apply_incomplete_echo(f, np.arange(50) < 10, 0.0, draw("incomplete_echo", 9)),
     ])
     def test_rejected(self, call):
         with pytest.raises(ValueError, match="^draw has shape .*, expected "):

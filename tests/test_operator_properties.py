@@ -8,6 +8,11 @@ came from. Every operator runs at a strength in [0, 1]: strength 0 is its
 zero-parameter setting, which must be an exact identity.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,3 +186,18 @@ def test_labels_do_not_steer_the_cloud(kind, case, strength, seed):
     assert no_labels.labels is None
     source = no_class.labels.instance.astype(np.int64)
     assert np.array_equal(no_class.labels.semantic, frame.labels.semantic[source])
+
+
+def test_examples_are_random_in_ci_too():
+    # `conftest.py` swaps Hypothesis's derandomized `ci` profile for one
+    # that draws new examples; a fresh interpreter shows it with `CI` set.
+    assert settings().derandomize is False
+    tests = Path(__file__).parent
+    env = {**os.environ, "CI": "true",
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import conftest; from hypothesis import settings; "
+         "print(settings.get_current_profile_name(), settings().derandomize, "
+         "settings().print_blob)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["ci-random", "False", "True"]

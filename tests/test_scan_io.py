@@ -403,7 +403,7 @@ class TestScanCodec:
 
 
 class TestIntensityContract:
-    """Intensities above 1 after scaling are rejected once, at read."""
+    """Intensities below 0 or above 1 after scaling are rejected once, at read."""
 
     @staticmethod
     def scan_with_intensity(name, value, index=3):
@@ -427,6 +427,33 @@ class TestIntensityContract:
     def test_top_of_range_accepted(self, name, value):
         cloud = read_scan(self.scan_with_intensity(name, value), load_profile(name))
         assert cloud.intensity[3] == np.float32(value / load_profile(name).intensity_scale)
+
+    @pytest.mark.parametrize("name,value", [("wod", -0.5), ("kitti", -1e-7), ("nuscenes", -1.0)])
+    def test_below_zero_rejected_with_point_index(self, name, value):
+        data = self.scan_with_intensity(name, value)
+        with pytest.raises(CorruptScanError, match=f"intensity {value:g} at point 3 is below 0 "):
+            read_scan(data, load_profile(name), "f")
+
+    @pytest.mark.parametrize("name", ["kitti", "nuscenes"])
+    def test_negative_zero_accepted(self, name):
+        cloud = read_scan(self.scan_with_intensity(name, -0.0), load_profile(name))
+        assert cloud.intensity[3] == 0 and np.signbit(cloud.intensity[3])
+
+    def test_negative_frame_fails_once_at_load(self, tmp_path):
+        # Ten negative returns in a 2,560-point scan: the frame fails at
+        # load, so no operator sees them and no output is written.
+        cloud = random_cloud(np.random.default_rng(9), 2560)
+        intensity = cloud.intensity.copy()
+        intensity[100:110] = -0.5
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in" / "000000.bin").write_bytes(
+            write_kitti_scan(cloud.with_fields(intensity=intensity)))
+        manifest = run_corrupt(RunConfig(profile_name="kitti", input_root=tmp_path / "in",
+                                         output_root=tmp_path / "out"))
+        assert manifest["entries"] == []
+        [failure] = manifest["failures"]
+        assert failure["frame"] == "000000" and "kind" not in failure
+        assert "intensity -0.5 at point 100 is below 0" in failure["error"]
 
     def test_frame_fails_once_at_load(self, tmp_path):
         (tmp_path / "in").mkdir()

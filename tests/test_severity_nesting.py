@@ -6,7 +6,8 @@ every frame the points that light fog or snow inject, crosstalk jitters, or
 beam missing and incomplete echo drop are among moderate's, and those among
 heavy's, and each point's motion-blur offset scales with `sigma_t`. The
 exact targets hold at each severity: the beams beam missing keeps and the
-points crosstalk jitters.
+points crosstalk jitters. Wet ground draws nothing, but its attenuation grows
+with the water height, so it nests as well.
 """
 
 import numpy as np
@@ -97,3 +98,28 @@ def test_motion_blur_offsets_scale_with_sigma(profile_name):
     assert np.abs(scaled[0]).mean() > 0.5
     assert np.allclose(scaled[0], scaled[1], rtol=0, atol=tolerance)
     assert np.allclose(scaled[1], scaled[2], rtol=0, atol=tolerance)
+
+
+@pytest.mark.parametrize("profile_name", available_profiles())
+def test_wet_ground_nests(profile_name):
+    # A heavier water height drops a superset of the points and leaves no
+    # survivor brighter than a lighter one does.
+    profile = load_profile(profile_name)
+    heavy_drops = 0
+    for seed in range(3):
+        frame = audit_frame(profile, seed)
+        ctx = FrameContext(frame, profile, seed=seed)
+        dropped, intensity = [], []
+        for severity in Severity:
+            out = apply(CorruptionKind.WET_GROUND, ctx, severity)
+            source = out.labels.instance.astype(np.int64)
+            dropped.append(set(range(len(frame.cloud))) - set(source.tolist()))
+            full = np.full(len(frame.cloud), np.nan, dtype=np.float32)
+            full[source] = out.cloud.intensity
+            intensity.append(full)
+        assert dropped[0] <= dropped[1] <= dropped[2]
+        for lighter, heavier in zip(intensity, intensity[1:]):
+            kept = ~np.isnan(heavier)
+            assert (heavier[kept] <= lighter[kept]).all()
+        heavy_drops += len(dropped[2])
+    assert heavy_drops > 0
