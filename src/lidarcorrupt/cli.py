@@ -308,6 +308,33 @@ def run_corrupt(cfg: RunConfig) -> dict:
     return manifest
 
 
+class _ReadBuffer:
+    """One buffer that files are read into whole, in turn: it grows to the
+    longest file read yet and is reused for the next."""
+
+    def __init__(self) -> None:
+        self._bytes = np.empty(0, np.uint8)
+
+    def read(self, path: Path) -> memoryview:
+        """All of `path`'s bytes, as a view that the next read overwrites.
+
+        The buffer holds the file's size and one byte more, so the read that
+        returns nothing shows the end was reached; a file that grows while
+        it is read grows the buffer again. Raises what `Path.open` raises.
+        """
+        with path.open("rb", buffering=0) as file:
+            n, size = 0, os.fstat(file.fileno()).st_size
+            while True:
+                if len(self._bytes) <= max(size, n):
+                    grown = np.empty(max(size, 2 * n) + 1, np.uint8)
+                    grown[:n] = self._bytes[:n]
+                    self._bytes = grown
+                got = file.readinto(memoryview(self._bytes)[n:])
+                if not got:
+                    return memoryview(self._bytes)[:n]
+                n += got
+
+
 def run_verify(out_root: Path) -> tuple[int, int, list[str]]:
     """Re-hash every file that `out_root/manifest.json` lists.
 
@@ -327,13 +354,13 @@ def run_verify(out_root: Path) -> tuple[int, int, list[str]]:
             raise TypeError("an entry's file or sha256 is not a string")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ManifestError(f"{path} is missing or not a manifest: {exc}") from exc
-    problems = []
+    problems, buffer = [], _ReadBuffer()
     for name, digest in listed:
         if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == os.pardir:
             problems.append(f"outside: {name}")
             continue
         try:
-            data = (path.parent / name).read_bytes()
+            data = buffer.read(path.parent / name)
         except FileNotFoundError:
             problems.append(f"missing: {name}")
             continue
@@ -364,38 +391,61 @@ def _matched_stems(pred_dir: Path, gt_dir: Path) -> list[str]:
     return sorted(gt_stems)
 
 
-def _miou_over_dir(
-    pred_dir: Path, gt_dir: Path, profile: DatasetProfile, num_classes: int
-) -> float:
+class _ScoreBuffers:
+    """What one `run_evaluate` call reads and counts every file pair through:
+    a read buffer per side, the pairs' keys and the run starts of the sorted
+    keys, each grown to the longest file yet and reused for the next."""
+
+    def __init__(self) -> None:
+        self.pred, self.gt = _ReadBuffer(), _ReadBuffer()
+        self._key, self._starts = np.empty(0, "<u4"), np.empty(0, bool)
+
+    def pair_counts(self, gt: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct keys ``gt << 16 | pred`` of two files' label words,
+        ascending, and the number of points that hold each."""
+        if len(self._key) < len(gt):
+            self._key, self._starts = np.empty(len(gt), "<u4"), np.empty(len(gt), bool)
+        key, starts = self._key[:len(gt)], self._starts[:len(gt)]
+        np.left_shift(gt, 16, out=key)  # from whole words: the shift drops gt's instance half,
+        key.view("<u2")[::2] = pred.view("<u2")[::2]  # and only pred's low half fills the zeros
+        key.sort()
+        starts[:1] = True
+        np.not_equal(key[1:], key[:-1], out=starts[1:])
+        first = np.flatnonzero(starts)
+        return key[first], np.diff(first, append=len(key))
+
+
+def _miou_over_dir(pred_dir: Path, gt_dir: Path, profile: DatasetProfile,
+                   num_classes: int, buffers: _ScoreBuffers) -> float:
     """mIoU of one directory from its distinct (gt, pred) semantic id pairs.
 
     Each file's pairs are counted as keys ``gt << 16 | pred``, its distinct gt
     ids remapped once, and only pairs with a counted gt kept. A class's IoU is
     its agreeing points over the points it holds in gt or pred, each a
     bincount over the pairs, so memory grows with them, not ``num_classes²``.
+    Files are read and counted through `buffers`, which the caller reuses.
 
     Raises:
         PairingError: unmatched stems, or a file of another length.
+        MalformedScanError: a file that is not whole label words, by its path.
         ValueError: `confusion_matrix`'s message, for the first file with a
             counted label >= num_classes.
         UndefinedMetricError: no counted point in the directory.
     """
     parts = [(np.zeros(0, np.uint32), np.zeros(0, np.uint32), np.zeros(0, np.intp))]
     for stem in _matched_stems(pred_dir, gt_dir):
-        pred, gt = (label_words(path.read_bytes(), str(path))
-                    for path in (pred_dir / f"{stem}.label", gt_dir / f"{stem}.label"))
+        pred_path, gt_path = pred_dir / f"{stem}.label", gt_dir / f"{stem}.label"
+        pred = label_words(buffers.pred.read(pred_path), str(pred_path))
+        gt = label_words(buffers.gt.read(gt_path), str(gt_path))
         if len(pred) != len(gt):
             raise PairingError(f"frame {stem}: {len(pred)} predictions for {len(gt)} labels")
-        key = np.left_shift(gt, 16)  # from whole words: the shift drops gt's instance half,
-        key |= pred.astype(np.uint16)  # and the cast pred's
-        del pred, gt  # the key holds both files' ids, so their bytes go before the next read
-        file_keys, file_counts = np.unique(key, return_counts=True)
+        file_keys, file_counts = buffers.pair_counts(gt, pred)
         file_gt = remap_injected(file_keys >> 16, profile)
         counted = file_gt != profile.ignore_label
         file_gt, file_pred = file_gt[counted], (file_keys & 0xFFFF)[counted]
         if (np.maximum(file_gt, file_pred) >= num_classes).any():
-            confusion_matrix(key.astype(np.uint16),  # raises, naming the first bad id
-                             remap_injected((key >> 16).astype(np.uint16), profile),
+            confusion_matrix(pred.view("<u2")[::2],  # raises, naming the first bad id
+                             remap_injected(gt.view("<u2")[::2], profile),
                              num_classes, ignore_label=profile.ignore_label)
         parts.append((file_gt, file_pred, file_counts[counted]))
     gt_ids, pred_ids, counts = (np.concatenate(part) for part in zip(*parts))
@@ -425,6 +475,7 @@ def run_evaluate(
     ignore label before scoring. Each directory is scored from the counts of
     its files' distinct (gt, pred) pairs, so any `num_classes` in [1, 65536]
     runs in memory that grows with those pairs, not with ``num_classes²``.
+    Every file is read and counted through the same buffers, one set per call.
 
     Raises:
         PairingError: no ``clean/``, or a corruption with only some of its
@@ -445,11 +496,12 @@ def run_evaluate(
             )
         if not missing:
             present.append(kind.value)
-    clean = _miou_over_dir(pred_root / "clean", clean_gt, profile, num_classes)
+    buffers = _ScoreBuffers()
+    clean = _miou_over_dir(pred_root / "clean", clean_gt, profile, num_classes, buffers)
     per_corruption = {
         kind: tuple(
             _miou_over_dir(pred_root / kind / s.value, gt_root / kind / s.value,
-                           profile, num_classes)
+                           profile, num_classes, buffers)
             for s in Severity
         )
         for kind in present

@@ -286,14 +286,27 @@ def apply_motion_blur(frame: CorruptedFrame, sigma_t: float, draw: np.ndarray) -
     return frame.with_fields(xyz)
 
 
+def _in_beams(partition: BeamPartition, beams: np.ndarray) -> np.ndarray:
+    """`np.isin(partition.beam_of, beams)` for `beams` in [0, beam_count),
+    read from a table of those ids plus one False entry that every id past
+    them clips to. A ring built in memory may hold such ids, or ids below 0;
+    they are in no beam."""
+    table = np.zeros(partition.beam_count + 1, dtype=bool)
+    table[beams] = True
+    return table.take(partition.beam_of, mode="clip") & (partition.beam_of >= 0)
+
+
 def apply_beam_missing(
     frame: CorruptedFrame, partition: BeamPartition, m: int, draw: np.ndarray
 ) -> CorruptedFrame:
     """Beam missing: drop all points of the first m beams of `draw`, a
-    permutation of the partition's beam ids."""
+    permutation of the partition's beam ids; another draw raises ValueError."""
     if not 0 <= m <= partition.beam_count:
         raise ValueError(f"m must be in [0, {partition.beam_count}], got {m}")
-    keep = ~np.isin(partition.beam_of, _checked(draw, partition.beam_count)[:m])
+    if not np.array_equal(np.sort(_checked(draw, partition.beam_count)),
+                          np.arange(partition.beam_count)):
+        raise ValueError(f"draw is not a permutation of the {partition.beam_count} beam ids")
+    keep = ~_in_beams(partition, draw[:m])
     return frame.select(keep)
 
 
@@ -380,7 +393,7 @@ def apply_cross_sensor(
         np.arange(beams_kept) * partition.beam_count / beams_kept
     ).astype(np.int64)
 
-    keep = np.isin(partition.beam_of, kept_beams) & (partition.ranks % stride == 0)
+    keep = _in_beams(partition, kept_beams) & (partition.ranks % stride == 0)
     return frame.select(keep)
 
 

@@ -113,7 +113,7 @@ def write_nuscenes_scan(pc: PointCloud) -> bytes:
     return _pack(pc, 5).tobytes()
 
 
-def label_words(data: bytes, what: str = "label stream") -> np.ndarray:
+def label_words(data: bytes | memoryview, what: str = "label stream") -> np.ndarray:
     """`data` as 32-bit label words (a view); MalformedScanError names `what`."""
     if len(data) % 4 != 0:
         raise MalformedScanError(f"{what}: byte length {len(data)} is not a multiple of 4")

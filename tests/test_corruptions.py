@@ -349,6 +349,14 @@ class TestBeamMissing:
             apply_beam_missing(CorruptedFrame(cloud), part, m=65,
                                draw=draw("beam_missing", 64))
 
+    @pytest.mark.parametrize("bad", [-1, 64, 3], ids=["below", "past", "repeated"])
+    def test_draw_not_a_permutation(self, beam_cloud_64x10, bad):
+        cloud, _ = beam_cloud_64x10
+        beams = draw("beam_missing", 64)
+        beams[beams == 5] = bad
+        with pytest.raises(ValueError, match="^draw is not a permutation of the 64 beam ids$"):
+            apply_beam_missing(CorruptedFrame(cloud), partition(cloud, 64), m=0, draw=beams)
+
 
 class TestCrosstalk:
     def test_zero_identity(self):

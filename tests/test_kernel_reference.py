@@ -20,13 +20,15 @@ from scipy import stats
 from lidarcorrupt.corruptions import (
     CorruptedFrame,
     Provenance,
+    apply_beam_missing,
+    apply_cross_sensor,
     apply_crosstalk,
     apply_fog,
     apply_incomplete_echo,
     apply_motion_blur,
     apply_snow,
 )
-from lidarcorrupt.geometry import lstsq_plane, partition_beams, point_ranges
+from lidarcorrupt.geometry import BeamPartition, lstsq_plane, partition_beams, point_ranges
 from lidarcorrupt.rng import make_rng
 from lidarcorrupt.scan_io import _pack, write_semkitti_labels
 from lidarcorrupt.types import LabelArray, PointCloud
@@ -164,6 +166,19 @@ def snow_reference(frame, r_s, draw, snow_class=None, particles_per_meter_per_ra
 
 def motion_blur_reference(frame, sigma_t, draw):
     return (frame.cloud.xyz.astype(np.float64) + draw * sigma_t).astype(np.float32)
+
+
+def beam_missing_reference(frame, partition, m, draw):
+    return frame.select(~np.isin(partition.beam_of, draw[:m]))
+
+
+def cross_sensor_reference(frame, partition, beams_kept, subsample_keep):
+    stride = max(1, int(round(1.0 / subsample_keep)))
+    kept_beams = np.floor(
+        np.arange(beams_kept) * partition.beam_count / beams_kept
+    ).astype(np.int64)
+    keep = np.isin(partition.beam_of, kept_beams) & (partition.ranks % stride == 0)
+    return frame.select(keep)
 
 
 # --- inputs -------------------------------------------------------------------
@@ -429,3 +444,22 @@ def test_each_point_picked_as_often_as_by_the_old_sampler(kind):
     tolerance = 5 * np.sqrt(p * (1 - p) / runs)
     for pick in (shared, old):
         assert np.all(np.abs(inclusion_frequency(pick, n, runs) - p) <= tolerance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames(max_points=300), st.integers(1, 70), seeds, st.data())
+def test_beam_masks_by_table(frame, beam_count, seed, data):
+    # Ring-style beam ids below 0 and past beam_count, as a cloud built in
+    # memory may hold: they are in no beam.
+    rng = np.random.default_rng(seed)
+    partition = BeamPartition(rng.integers(-3, beam_count + 3, len(frame.cloud)), beam_count)
+    beams = rng.permutation(beam_count)
+    m = data.draw(st.integers(0, beam_count))
+    out = apply_beam_missing(frame, partition, m, beams)
+    ref = beam_missing_reference(frame, partition, m, beams)
+    assert_same_frame(out, (ref.cloud, ref.labels, ref.provenance))
+    beams_kept = data.draw(st.integers(1, beam_count))
+    subsample_keep = data.draw(st.sampled_from([1.0, 0.5, 0.3]))
+    out = apply_cross_sensor(frame, partition, beams_kept, subsample_keep)
+    ref = cross_sensor_reference(frame, partition, beams_kept, subsample_keep)
+    assert_same_frame(out, (ref.cloud, ref.labels, ref.provenance))

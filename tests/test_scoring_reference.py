@@ -12,6 +12,7 @@ import dataclasses
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -202,7 +203,7 @@ def test_read_semkitti_labels_matches_reference(data):
 REFERENCE_MAX_CLASSES = 512
 
 
-def reference_miou_over_dir(pred_dir, gt_dir, profile, num_classes):
+def reference_miou_over_dir(pred_dir, gt_dir, profile, num_classes, buffers):
     size = min(num_classes, REFERENCE_MAX_CLASSES)
     cm = np.zeros((size, size), np.int64)
     for stem in cli._matched_stems(pred_dir, gt_dir):
@@ -222,16 +223,18 @@ def reference_miou_over_dir(pred_dir, gt_dir, profile, num_classes):
 
 def evaluate_outcome(root, profile, num_classes, scorer=None):
     """The record `run_evaluate` writes, or the exception's type and message;
-    plus every label file read, in order, up to the end or the exception."""
+    plus every label file opened, in order, up to the end or the exception.
+    `run_evaluate` opens each file once to read it, and the reference once
+    through `Path.read_bytes`."""
     read = []
-    original = Path.read_bytes
+    original = Path.open
 
-    def recording(path):
+    def recording(path, *args, **kwargs):
         read.append(path.relative_to(root).as_posix())
-        return original(path)
+        return original(path, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Path, "read_bytes", recording)
+        mp.setattr(Path, "open", recording)
         if scorer is not None:
             mp.setattr(cli, "_miou_over_dir", scorer)
         result = outcome(lambda: write_accuracy_record(
@@ -373,3 +376,62 @@ def test_bad_file_stops_the_score_where_the_reference_does(tmp_path, fault):
     last = ["pred/clean/000001.label"] + ([] if fault == "malformed pred" else
                                           ["gt/clean/000001.label"])
     assert read[-len(last):] == last and read.count("pred/clean/000001.label") == 1
+
+
+# `run_evaluate` reads and counts every file through buffers that grow to the
+# longest file yet and are reused, so a file that follows a longer one must
+# read as itself, with nothing of the longer file's tail.
+GROW_THEN_SHRINK = {"clean": (3, 40, 7, 0), "fog/light": (120, 2),
+                    "fog/moderate": (0, 60, 1), "fog/heavy": (9,)}
+
+
+def test_files_that_grow_then_shrink_score_as_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    dirs, instances = {}, {}
+    for rel, lengths in GROW_THEN_SHRINK.items():
+        dirs[rel] = {f"{i:06d}": tuple(rng.integers(0, 30, n).tolist() for _ in range(2))
+                     for i, n in enumerate(lengths)}
+        instances[rel] = {stem: [rng.integers(0, 2**16, len(ids)).tolist() for ids in pair]
+                          for stem, pair in dirs[rel].items()}
+    write_tree(tmp_path, dirs, instances)
+    assert isinstance(assert_scores_as_reference(tmp_path, SEMANTICKITTI, 260), str)
+
+
+def test_second_run_scores_a_file_rewritten_shorter(tmp_path):
+    write_tree(tmp_path, clean_and_fog({"000000": ([1] * 50, [1] * 50),
+                                        "000001": ([2] * 4, [2] * 4)}))
+    first = assert_scores_as_reference(tmp_path, SEMANTICKITTI, 4)
+    for side, ids in (("pred", [1, 2]), ("gt", [2, 2])):
+        (tmp_path / side / "clean" / "000000.label").write_bytes(write_semkitti_labels(
+            LabelArray(np.array(ids, np.uint16), np.zeros(2, np.uint16))))
+    second = assert_scores_as_reference(tmp_path, SEMANTICKITTI, 4)
+    # class 1: no agreeing point; class 2: 5 agree of the 6 it holds
+    assert json.loads(first)["clean"] == 1.0
+    assert json.loads(second)["clean"] == pytest.approx((0 + 5 / 6) / 2)
+
+
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_malformed_file_after_a_longer_one_names_its_path(tmp_path, side):
+    write_tree(tmp_path, clean_and_fog({"000000": ([1] * 40, [1] * 40),
+                                        "000001": ([1, 2, 3], [1, 2, 3])}))
+    bad = tmp_path / side / "clean" / "000001.label"
+    bad.write_bytes(bad.read_bytes()[:11])
+    result, read = evaluate_outcome(tmp_path, SEMANTICKITTI, 4)
+    assert (result, read) == evaluate_outcome(tmp_path, SEMANTICKITTI, 4,
+                                              reference_miou_over_dir)
+    assert result == (MalformedScanError, f"{bad}: byte length 11 is not a multiple of 4")
+
+
+def test_read_buffer_reads_a_file_whole_past_its_stated_size(tmp_path, monkeypatch):
+    data = np.random.default_rng(0).bytes(10_000)
+    long, short = tmp_path / "long", tmp_path / "short"
+    long.write_bytes(data)
+    short.write_bytes(data[:7])
+    buffer = cli._ReadBuffer()
+    assert bytes(buffer.read(short)) == data[:7]
+    # As if the file grew after its size was taken: the buffer grows on.
+    monkeypatch.setattr(cli, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=3)))
+    assert bytes(buffer.read(long)) == data
+    monkeypatch.undo()
+    assert bytes(buffer.read(short)) == data[:7]
+    assert bytes(buffer.read(long)) == data
