@@ -48,7 +48,8 @@ class GroundModel:
 
     @classmethod
     def from_mask(cls, xyz: np.ndarray, mask: np.ndarray) -> "GroundModel":
-        """The labelled ground `xyz[mask]` and its least-squares plane."""
+        """The labelled ground `xyz[mask]` and its `lstsq_plane`: the smallest-eigenvalue
+        eigenvector of the points' 3x3 scatter, so no BLAS call grows with their count."""
         fit = lstsq_plane(xyz, mask)
         plane = None if fit is None else (*(float(v) for v in fit[0]), fit[1])
         return cls(plane=plane, inlier_mask=mask)
@@ -74,18 +75,20 @@ class GroundModel:
         return np.abs(pts @ self.normal + self.plane[3])
 
 
-def lstsq_plane(
-    xyz: np.ndarray, mask: np.ndarray
-) -> Optional[tuple[np.ndarray, float]]:
+def lstsq_plane(xyz: np.ndarray, mask: np.ndarray) -> Optional[tuple[np.ndarray, float]]:
     """Least-squares plane (upward unit normal, d) through `xyz[mask]`, or None
     under 3 points. The rows of `xyz[mask]` are gathered with `take`, cast to
-    float64 (a second copy for float32 input) and centred in place."""
+    float64 (a second copy for float32 input) and centred in place. The normal
+    is the smallest-eigenvalue eigenvector of their 3x3 scatter, summed from
+    column products: a BLAS or LAPACK call that grows with the rows (an SVD,
+    `pts.T @ pts`) would wake OpenBLAS's spinning threads in every forked worker."""
     pts = xyz.take(row_indices(mask, len(xyz)), axis=0).astype(np.float64, copy=False)
     if len(pts) < 3:
         return None
     centroid = pts.mean(axis=0)
     pts -= centroid
-    normal = np.linalg.svd(pts, full_matrices=False)[2][-1]
+    scatter = np.array([[np.add.reduce(a * b) for b in pts.T] for a in pts.T])
+    normal = np.ascontiguousarray(np.linalg.eigh(scatter)[1][:, 0])
     if normal[2] < 0:
         normal = -normal
     return normal, -float(normal @ centroid)
@@ -121,21 +124,18 @@ def _inlier_counts(
     return counts
 
 
-def fit_ground_ransac(
-    pc: PointCloud,
-    iterations: int,
-    inlier_threshold: float,
-    seed: int = 0,
-) -> GroundModel:
+def fit_ground_ransac(pc: PointCloud, iterations: int, inlier_threshold: float,
+                      seed: int = 0) -> GroundModel:
     """Fit the dominant plane by RANSAC over sampled point triples.
 
     Each sample is scored on every ceil(n / 16384)-th point. The best (the
-    first on ties) is refined by a least-squares fit on its inliers among all
-    points; the refit is kept only if it does not lose support. The normal is
-    oriented upward (c >= 0) and the returned inlier mask is consistent with
-    the final plane. The triples are drawn one `choice` per iteration and
-    crossed in one elementwise `np.cross`; the norms and offsets stay per-row
-    dot products, as in a loop per triple.
+    first on ties) is refined by `lstsq_plane` on its inliers among all points:
+    the smallest-eigenvalue eigenvector of their 3x3 scatter, so no BLAS or
+    LAPACK call grows with the inliers. The refit is kept only if it does not
+    lose support. The normal is oriented upward (c >= 0) and the returned
+    inlier mask is consistent with the final plane. The triples are drawn one
+    `choice` per iteration and crossed in one elementwise `np.cross`; the norms
+    and offsets stay per-row dot products, as in a loop per triple.
 
     Raises:
         NoPlaneError: fewer than 3 points, or every sampled triple collinear.

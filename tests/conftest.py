@@ -68,6 +68,18 @@ def draw(kind, n, seed=0):
             "motion_blur": lambda n: rng.standard_normal((n, 3))}.get(kind, rng.permutation)(n)
 
 
+def scatter_normal(centred):
+    """Unoriented plane normal of centred (N, 3) float64 points: the
+    eigenvector of the smallest eigenvalue of their 3x3 scatter matrix, whose
+    six distinct entries are each the pairwise `add.reduce` of one column
+    product, taken from contiguous column copies."""
+    x, y, z = (np.ascontiguousarray(column) for column in centred.T)
+    xx, xy, xz, yy, yz, zz = (np.add.reduce(a * b) for a, b in (
+        (x, x), (x, y), (x, z), (y, y), (y, z), (z, z)))
+    scatter = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
+    return np.ascontiguousarray(np.linalg.eigh(scatter)[1][:, 0])
+
+
 def partition(cloud, beam_count):
     """`partition_beams` from the cloud's own point ranges."""
     return partition_beams(cloud, beam_count, point_ranges(cloud.xyz))

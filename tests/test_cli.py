@@ -383,6 +383,24 @@ class TestCorrupt:
             manifests.append((out / "manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_corrupt_path_makes_no_svd(self, tmp_path, monkeypatch, workers):
+        # Ground planes, from labels (semantickitti) or by RANSAC (kitti), come
+        # from a 3x3 scatter matrix: an SVD of the points would wake OpenBLAS's
+        # threads in every worker. Two frames, so two workers run in the pool,
+        # whose forked workers inherit the patch.
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called on the corrupt path")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for profile_name, files_per_output in (("semantickitti", 2), ("kitti", 1)):
+            src = write_dataset(tmp_path / profile_name, profile_name, n_frames=2)
+            manifest = cli.run_corrupt(RunConfig(
+                profile_name=profile_name, input_root=src,
+                output_root=tmp_path / "out" / profile_name, seed=3, workers=workers))
+            assert manifest["failures"] == []
+            assert len(manifest["entries"]) == 2 * 8 * 3 * files_per_output
+
     def test_manifest_seed_reproduces_each_draw(self, tmp_path):
         # An entry's seed is its kind's in the frame, from (run seed, stem,
         # kind); a generator keyed by it gives the draw its outputs read.

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lidarcorrupt import (
     LabelArray,
@@ -21,7 +24,10 @@ from lidarcorrupt import (
 from lidarcorrupt import geometry
 from lidarcorrupt.rng import make_rng
 
-from conftest import RANSAC, make_beam_cloud
+from conftest import RANSAC, make_beam_cloud, scatter_normal
+
+
+BIG = float(np.float32(3e38))
 
 
 def cloud_from_xyz(xyz, frame_id="f"):
@@ -248,8 +254,7 @@ def refine_reference(pts, normal, d, count, threshold):
     mask = np.abs(pts @ normal + d) <= threshold
     if mask.sum() >= 3:
         centroid = pts[mask].mean(axis=0)
-        _, _, vt = np.linalg.svd(pts[mask] - centroid, full_matrices=False)
-        refit_normal = vt[-1]
+        refit_normal = scatter_normal(pts[mask] - centroid)
         refit_d = -float(refit_normal @ centroid)
         refit_mask = np.abs(pts @ refit_normal + refit_d) <= threshold
         if refit_mask.sum() >= count:
@@ -366,13 +371,12 @@ class TestVoxelize:
 
 
 def plane_from_mask_reference(xyz, mask):
-    """The former label-plane fit: (upward normal, d), or None under 3 points."""
+    """The label-plane fit: (upward normal, d), or None under 3 points."""
     pts = xyz[mask].astype(np.float64)
     if len(pts) < 3:
         return None
     centroid = pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(pts - centroid, full_matrices=False)
-    normal = vt[-1]
+    normal = scatter_normal(pts - centroid)
     if normal[2] < 0:
         normal = -normal
     return normal, -float(normal @ centroid)
@@ -395,7 +399,7 @@ class TestLstsqPlane:
 
     def test_normal_points_up_on_tilted_planes(self):
         rng = np.random.default_rng(0)
-        svd_downward = 0
+        raw_downward = 0
         for _ in range(20):
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
@@ -403,12 +407,51 @@ class TestLstsqPlane:
             a /= np.linalg.norm(a)
             uv = rng.uniform(-5, 5, (50, 2))
             xyz = uv[:, :1] * a + uv[:, 1:] * np.cross(n, a) + 3.0 * n
-            svd_downward += np.linalg.svd(xyz - xyz.mean(axis=0))[2][-1][2] < 0
+            raw_downward += scatter_normal(xyz - xyz.mean(axis=0))[2] < 0
             normal, d = geometry.lstsq_plane(xyz, np.ones(50, bool))
             assert normal[2] >= 0
             assert np.allclose(normal, n if n[2] >= 0 else -n)
             assert np.allclose(xyz @ normal + d, 0)
-        assert svd_downward  # the flip is exercised
+        assert raw_downward  # the flip is exercised
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(3, 2000), st.floats(0, 1.4), st.floats(0, 2 * math.pi),
+           st.sampled_from([0.0, 1.0, 100.0, 1e4]), st.floats(-6, -1), st.floats(1, 50),
+           st.integers(0, 2**32 - 1))
+    def test_matches_upward_svd(self, n, tilt, azimuth, offset, log_noise, extent, seed):
+        """On near-planar float32 clouds, far from the origin or on it, the
+        normal is the upward SVD normal and d its offset, to 1e-12."""
+        rng = np.random.default_rng(seed)
+        up = np.array([math.sin(tilt) * math.cos(azimuth), math.sin(tilt) * math.sin(azimuth),
+                       math.cos(tilt)])  # c >= cos(1.4), so the upward sign is clear
+        a = np.cross(up, [1.0, 0.0, 0.0])
+        a /= np.linalg.norm(a)
+        uv = rng.uniform(-extent, extent, (n, 2))
+        uv[:3] = [[-extent, -extent], [extent, -extent], [-extent, extent]]  # never collinear
+        centre = offset * rng.normal(size=3) / math.sqrt(3)
+        xyz = (centre + uv[:, :1] * a + uv[:, 1:] * np.cross(up, a)
+               + rng.normal(0, 10.0 ** log_noise, (n, 1)) * up).astype(np.float32)
+        normal, d = geometry.lstsq_plane(xyz, np.ones(n, bool))
+
+        pts = xyz.astype(np.float64)
+        centroid = pts.mean(axis=0)
+        ref = np.linalg.svd(pts - centroid, full_matrices=False)[2][-1]
+        ref = -ref if ref[2] < 0 else ref
+        assert np.abs(normal - ref).max() <= 1e-12
+        # d = -normal . centroid, so its rounding scales with the centroid's distance.
+        assert abs(d - -float(ref @ centroid)) <= 1e-12 * max(1.0, np.linalg.norm(centroid))
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float32, st.tuples(st.integers(0, 40), st.just(3)),
+                  elements=st.one_of(st.sampled_from([BIG, -BIG]),
+                                     st.floats(-BIG, BIG, width=32))),
+           st.integers(0, 2**32 - 1))
+    def test_extreme_finite_inputs_give_finite_plane(self, xyz, seed):
+        mask = np.random.default_rng(seed).random(len(xyz)) < 0.8
+        fit = geometry.lstsq_plane(xyz, mask)
+        assert (fit is None) == (mask.sum() < 3)
+        if fit is not None:
+            assert np.isfinite(fit[0]).all() and math.isfinite(fit[1])
 
     @pytest.mark.parametrize("count", [0, 1, 2])
     def test_under_three_points_is_none(self, count):
