@@ -29,12 +29,11 @@ import numpy as np
 
 from .corruptions import FrameContext, apply
 from .errors import LidarCorruptError, ManifestError, PairingError, ProfileError
-from .errors import UndefinedMetricError
 from .metrics import (
     AccuracyRecord,
     aggregate,
     confusion_matrix,
-    miou,  # noqa: F401
+    miou,
     read_accuracy_record,
     remap_injected,
     render_report,
@@ -44,8 +43,8 @@ from .profiles import CorruptionKind, DatasetProfile, Severity, load_profile
 from .types import PointCloud
 # bench/spans.py wraps the scan and box codecs and `derive_seed` below, and
 # the metrics functions above, by their names in this module, and a traced
-# run fails if one is missing, so they stay imported: the codecs, `derive_seed`
-# and `miou` unused, and `confusion_matrix` called only to name a bad label.
+# run fails if one is missing, so they stay imported: the codecs and
+# `derive_seed` unused, and `confusion_matrix` called only to name a bad label.
 from .rng import derive_seed  # noqa: F401
 from .scan_io import (  # noqa: F401
     frame_stems,
@@ -417,13 +416,12 @@ class _ScoreBuffers:
 
 def _miou_over_dir(pred_dir: Path, gt_dir: Path, profile: DatasetProfile,
                    num_classes: int, buffers: _ScoreBuffers) -> float:
-    """mIoU of one directory from its distinct (gt, pred) semantic id pairs.
+    """`miou` of one directory from its distinct (gt, pred) semantic id pairs.
 
     Each file's pairs are counted as keys ``gt << 16 | pred``, its distinct gt
-    ids remapped once, and only pairs with a counted gt kept. A class's IoU is
-    its agreeing points over the points it holds in gt or pred, each a
-    bincount over the pairs, so memory grows with them, not ``num_classes²``.
-    Files are read and counted through `buffers`, which the caller reuses.
+    ids remapped once, and only pairs with a counted gt kept, so memory grows
+    with the pairs, not ``num_classes²``. Files are read and counted through
+    `buffers`, which the caller reuses.
 
     Raises:
         PairingError: unmatched stems, or a file of another length.
@@ -449,14 +447,7 @@ def _miou_over_dir(pred_dir: Path, gt_dir: Path, profile: DatasetProfile,
                              num_classes, ignore_label=profile.ignore_label)
         parts.append((file_gt, file_pred, file_counts[counted]))
     gt_ids, pred_ids, counts = (np.concatenate(part) for part in zip(*parts))
-    classes, where = np.unique(np.concatenate((gt_ids, pred_ids)), return_inverse=True)
-    if not len(classes):
-        raise UndefinedMetricError("mIoU undefined: no class present in pred or gt")
-    gt_class, pred_class = np.split(where, 2)
-    agree = gt_class == pred_class
-    tp = np.bincount(gt_class[agree], counts[agree], len(classes))
-    held = np.bincount(where, np.tile(counts, 2), len(classes))  # gt's points plus pred's
-    return float((tp / (held - tp)).mean())
+    return miou(gt_ids, pred_ids, counts)
 
 
 def run_evaluate(

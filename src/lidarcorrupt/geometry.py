@@ -69,11 +69,6 @@ class GroundModel:
         cos_inc = np.abs(np.asarray(xyz, dtype=np.float64) @ self.normal) / np.maximum(ranges, 1e-12)
         return np.maximum(np.where(ranges > 0, cos_inc, 1.0), 1e-6)
 
-    def distances(self, xyz: np.ndarray) -> np.ndarray:
-        """Unsigned point-to-plane distances; ValueError when there is no plane."""
-        pts = np.asarray(xyz, dtype=np.float64)
-        return np.abs(pts @ self.normal + self.plane[3])
-
 
 def lstsq_plane(xyz: np.ndarray, mask: np.ndarray) -> Optional[tuple[np.ndarray, float]]:
     """Least-squares plane (upward unit normal, d) through `xyz[mask]`, or None

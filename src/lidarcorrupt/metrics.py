@@ -24,7 +24,6 @@ from .profiles import CorruptionKind, DatasetProfile, _is_number
 __all__ = [
     "confusion_matrix",
     "miou",
-    "per_class_iou",
     "corruption_error",
     "resilience_rate",
     "remap_injected",
@@ -70,28 +69,25 @@ def confusion_matrix(
     return cm.reshape(num_classes, num_classes)
 
 
-def per_class_iou(cm: np.ndarray) -> np.ndarray:
-    """IoU per class; NaN for classes absent from both prediction and truth."""
-    cm = np.asarray(cm, dtype=np.float64)
-    if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
-        raise ValueError(f"confusion matrix must be square, got shape {cm.shape}")
-    tp = np.diag(cm)
-    union = cm.sum(axis=0) + cm.sum(axis=1) - tp
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(union > 0, tp / union, np.nan)
+def miou(gt: np.ndarray, pred: np.ndarray, counts: np.ndarray) -> float:
+    """Mean IoU over the classes present in gt or pred, from label pairs:
+    `counts[i]` (positive) points hold gt class `gt[i]` and pred class `pred[i]`.
 
-
-def miou(cm: np.ndarray) -> float:
-    """Mean IoU over classes present in prediction or ground truth.
+    A class's IoU is its agreeing points over the points it holds in gt or
+    pred, each a bincount over the pairs, so memory grows with the pairs,
+    not with the square of the class count.
 
     Raises:
-        UndefinedMetricError: every class absent (empty confusion matrix).
+        UndefinedMetricError: no pair, so no class is present.
     """
-    iou = per_class_iou(cm)
-    present = ~np.isnan(iou)
-    if not present.any():
+    classes, where = np.unique(np.concatenate((gt, pred)), return_inverse=True)
+    if not len(classes):
         raise UndefinedMetricError("mIoU undefined: no class present in pred or gt")
-    return float(iou[present].mean())
+    gt_class, pred_class = np.split(where, 2)
+    agree = gt_class == pred_class
+    tp = np.bincount(gt_class[agree], counts[agree], len(classes))
+    held = np.bincount(where, np.tile(counts, 2), len(classes))  # gt's points plus pred's
+    return float((tp / (held - tp)).mean())
 
 
 def _mean_accuracy(acc: Accuracies, what: str) -> float:

@@ -35,7 +35,6 @@ __all__ = [
     "read_semkitti_labels",
     "write_semkitti_labels",
     "read_kitti_boxes",
-    "write_kitti_boxes",
     "read_scan",
     "write_scan",
     "frame_stems",
@@ -54,7 +53,6 @@ KITTI_CLASS_IDS = {
     "Tram": 6,
     "Misc": 7,
 }
-_KITTI_CLASS_NAMES = {v: k for k, v in KITTI_CLASS_IDS.items()}
 
 
 def _decode_floats(data: bytes, channels: int, what: str) -> np.ndarray:
@@ -174,20 +172,6 @@ def read_kitti_boxes(text: str) -> BoxSet:
         except ValueError as exc:
             raise MalformedScanError(f"box label line {lineno}: {exc}") from exc
     return BoxSet(tuple(boxes))
-
-
-def write_kitti_boxes(boxes: BoxSet) -> str:
-    """Render a BoxSet back to KITTI object label text (geometry columns only)."""
-    lines = []
-    for b in boxes:
-        name = _KITTI_CLASS_NAMES.get(b.class_id, "Misc")
-        l, w, h = b.lwh
-        x, y, z = b.center
-        lines.append(
-            f"{name} 0 0 0 0 0 0 0 "
-            f"{h:.6f} {w:.6f} {l:.6f} {x:.6f} {y:.6f} {z - h / 2.0:.6f} {b.yaw:.6f}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def read_scan(data: bytes, profile: DatasetProfile, frame_id: str = "") -> PointCloud:

@@ -97,19 +97,6 @@ class PointCloud:
             frame_id=self.frame_id,
         )
 
-    def equals(self, other: "PointCloud") -> bool:
-        """Bitwise equality of coordinates, intensity, and ring."""
-        if len(self) != len(other):
-            return False
-        same = np.array_equal(
-            self.xyz.view(np.uint32), other.xyz.view(np.uint32)
-        ) and np.array_equal(
-            self.intensity.view(np.uint32), other.intensity.view(np.uint32)
-        )
-        if self.ring is None or other.ring is None:
-            return same and (self.ring is None) == (other.ring is None)
-        return same and np.array_equal(self.ring, other.ring)
-
 
 @dataclass(frozen=True)
 class LabelArray:
@@ -137,11 +124,6 @@ class LabelArray:
 
     def with_semantic(self, semantic: np.ndarray) -> "LabelArray":
         return LabelArray(semantic, self.instance)
-
-    def equals(self, other: "LabelArray") -> bool:
-        return np.array_equal(self.semantic, other.semantic) and np.array_equal(
-            self.instance, other.instance
-        )
 
 
 @dataclass(frozen=True)
@@ -176,12 +158,6 @@ class BoxSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "boxes", tuple(self.boxes))
-
-    def __len__(self) -> int:
-        return len(self.boxes)
-
-    def __iter__(self):
-        return iter(self.boxes)
 
     def contains(
         self, xyz: np.ndarray, class_ids: Optional[Sequence[int]] = None

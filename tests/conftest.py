@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from lidarcorrupt import (
+    KITTI_CLASS_IDS,
     Box,
     BoxSet,
     LabelArray,
@@ -12,7 +13,6 @@ from lidarcorrupt import (
     load_profile,
     partition_beams,
     point_ranges,
-    write_kitti_boxes,
     write_kitti_scan,
     write_nuscenes_scan,
     write_semkitti_labels,
@@ -78,6 +78,38 @@ def scatter_normal(centred):
         (x, x), (x, y), (x, z), (y, y), (y, z), (z, z)))
     scatter = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
     return np.ascontiguousarray(np.linalg.eigh(scatter)[1][:, 0])
+
+
+def assert_same_bits(a, b):
+    """`a` and `b` are of one type and hold the same bits: clouds in xyz,
+    intensity and ring (not the frame id), label arrays in semantic and
+    instance ids, None only as None, and arrays and numbers by dtype, shape
+    and bytes."""
+    assert type(a) is type(b)
+    fields = {PointCloud: ("xyz", "intensity", "ring"),
+              LabelArray: ("semantic", "instance")}.get(type(a))
+    if fields is not None:
+        for name in fields:
+            assert_same_bits(getattr(a, name), getattr(b, name))
+    elif a is not None:
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def write_kitti_boxes(boxes):
+    """A BoxSet as KITTI object label text (geometry columns only), which
+    `read_kitti_boxes` reads back; a class id without a type name is Misc."""
+    names = {v: k for k, v in KITTI_CLASS_IDS.items()}
+    lines = []
+    for b in boxes.boxes:
+        l, w, h = b.lwh
+        x, y, z = b.center
+        lines.append(
+            f"{names.get(b.class_id, 'Misc')} 0 0 0 0 0 0 0 "
+            f"{h:.6f} {w:.6f} {l:.6f} {x:.6f} {y:.6f} {z - h / 2.0:.6f} {b.yaw:.6f}"
+        )
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def partition(cloud, beam_count):

@@ -54,8 +54,8 @@ from lidarcorrupt.corruptions import (
 )
 from lidarcorrupt.metrics import AccuracyRecord, aggregate
 
-from conftest import (FOG, NUSCENES_BEAMS, SNOW, WET, draw, make_beam_cloud,
-                      make_labeled_frame)
+from conftest import (FOG, NUSCENES_BEAMS, SNOW, WET, assert_same_bits, draw,
+                      make_beam_cloud, make_labeled_frame)
 from test_cli import build_dataset, entry_checksums
 
 # Published severity-averaged IoU (%) per corruption: fog, wet, snow,
@@ -266,8 +266,11 @@ def test_criterion_06_zero_parameter_identities():
                                            subsample_keep=1.0),
     }
     for name, out in cases.items():
-        assert out.cloud.equals(frame.cloud), name
-        assert out.labels.equals(frame.labels), name
+        try:
+            assert_same_bits(out.cloud, frame.cloud)
+            assert_same_bits(out.labels, frame.labels)
+        except AssertionError as exc:
+            raise AssertionError(f"{name} changed the frame") from exc
     print("criterion 6 PASS: all eight operators are bitwise identity at "
           "zero parameters")
 

@@ -5,18 +5,21 @@ that a refactor removes makes every traced run fail, so this imports the
 module from `bench/` as it is and enters and leaves its instrumentation.
 """
 
+import ast
 import importlib.util
 import pathlib
+import re
 import sys
 import threading
 from pathlib import Path
 
 import pytest
 
-from lidarcorrupt import cli, scan_io
-from lidarcorrupt.cli import RunConfig, run_corrupt
+from lidarcorrupt import cli, load_profile, scan_io
+from lidarcorrupt.cli import RunConfig, run_corrupt, run_evaluate
 
 from conftest import write_dataset
+from test_scoring_reference import clean_and_fog, write_tree
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -115,3 +118,29 @@ def test_traced_nuscenes_corrupt_spans_stay_on_main_thread(spans, tmp_path):
     assert summary["min_self_s"] >= 0
     assert abs(summary["total_self_s"] - summary["root_s"]) <= 1e-6 * summary["root_s"]
     assert summary["counts"]["cli.files_written"] == len(manifest["entries"])
+
+
+def test_traced_evaluate_times_each_score_as_metrics_miou(spans, tmp_path):
+    """`_miou_over_dir` calls `miou` through `cli`'s module global, so the
+    tracer records one `metrics.miou` span inside each directory's span."""
+    write_tree(tmp_path, clean_and_fog({"000000": ([1, 2, 2], [1, 2, 3])}))
+    tracer = spans.Tracer()
+    with spans.batch(tracer):
+        run_evaluate(tmp_path / "pred", tmp_path / "gt", load_profile("semantickitti"), 260)
+    scored = [sp.id for sp in tracer.spans if sp.name == "cli.score_dir"]
+    assert len(scored) == 4  # clean/ and fog's three severities
+    assert sorted(sp.parent for sp in tracer.spans if sp.name == "metrics.miou") == scored
+    assert spans.summarize(tracer.spans)["unmapped"] == []
+
+
+def test_every_name_cli_imports_but_never_reads_is_a_bench_hook():
+    """`cli` keeps an import it never reads only for `bench/spans.py` to wrap
+    by name; once the bench stops wrapping it, the import is dead."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    hooks = set(re.findall(r'\(cli, "(\w+)"', SPANS_PATH.read_text()))
+    assert imported - read - hooks == set()

@@ -30,6 +30,11 @@ from conftest import RANSAC, make_beam_cloud, scatter_normal
 BIG = float(np.float32(3e38))
 
 
+def plane_distances(model, xyz):
+    """Unsigned float64 distances of the rows of `xyz` to `model`'s plane."""
+    return np.abs(np.asarray(xyz, dtype=np.float64) @ model.normal + model.plane[3])
+
+
 def cloud_from_xyz(xyz, frame_id="f"):
     xyz = np.asarray(xyz, dtype=np.float32)
     return PointCloud(xyz=xyz, intensity=np.zeros(len(xyz), np.float32), frame_id=frame_id)
@@ -83,7 +88,7 @@ class TestRansac:
         pc = cloud_from_xyz([[0, 0, 0], [1, 0, 0], [0, 1, 1]])
         model = fit_ground_ransac(pc, seed=0, **RANSAC)
         assert model.inlier_mask.all()
-        assert model.distances(pc.xyz).max() < 1e-9
+        assert plane_distances(model, pc.xyz).max() < 1e-9
 
     def test_two_points_rejected(self):
         with pytest.raises(NoPlaneError):
@@ -104,7 +109,7 @@ class TestRansac:
     def test_inliers_satisfy_threshold(self):
         pc = self._ground_fixture(seed=3)
         model = fit_ground_ransac(pc, seed=5, **RANSAC)
-        dist = model.distances(pc.xyz)
+        dist = plane_distances(model, pc.xyz)
         threshold = RANSAC["inlier_threshold"]
         assert (dist[model.inlier_mask] <= threshold).all()
         assert (dist[~model.inlier_mask] > threshold).all()
@@ -462,17 +467,15 @@ class TestLstsqPlane:
 
 class TestGroundModel:
     @pytest.mark.parametrize("count", [0, 2])
-    def test_planeless_model_has_no_normal_or_distances(self, count):
+    def test_planeless_model_has_no_normal(self, count):
         model = geometry.GroundModel.from_mask(np.zeros((count, 3)), np.ones(count, bool))
         assert model.plane is None
         message = r"ground model has no plane \(fewer than 3 ground points\)"
         with pytest.raises(ValueError, match=message):
             model.normal
-        with pytest.raises(ValueError, match=message):
-            model.distances(np.zeros((4, 3)))
 
-    def test_distances_to_a_plane(self):
+    def test_plane_through_three_points(self):
         xyz = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=np.float32)
         model = geometry.GroundModel.from_mask(xyz, np.ones(3, bool))
         assert model.normal.tolist() == [0.0, 0.0, 1.0]
-        assert model.distances(np.array([[5.0, 5.0, -2.0]])).tolist() == [2.0]
+        assert model.plane[3] == 0.0

@@ -33,7 +33,7 @@ from lidarcorrupt.rng import make_rng
 from lidarcorrupt.scan_io import _pack, write_semkitti_labels
 from lidarcorrupt.types import LabelArray, PointCloud
 
-from conftest import FOG, PARAMS, SNOW, draw, scatter_normal
+from conftest import FOG, PARAMS, SNOW, assert_same_bits, draw, scatter_normal
 
 # --- the replaced code, verbatim ----------------------------------------------
 
@@ -221,17 +221,11 @@ def frames(draw, max_points=400):
     return CorruptedFrame(PointCloud(xyz, intensity, frame_id="ref"), labels)
 
 
-def assert_same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.dtype == b.dtype and a.shape == b.shape
-    assert a.tobytes() == b.tobytes()
-
-
 def assert_same_frame(out, ref):
     cloud, labels, provenance = ref
     assert_same_bits(out.cloud.xyz, cloud.xyz)
     assert_same_bits(out.cloud.intensity, cloud.intensity)
-    assert out.labels.equals(labels)
+    assert_same_bits(out.labels, labels)
     assert_same_bits(out.provenance, provenance)
 
 

@@ -14,7 +14,6 @@ from lidarcorrupt import (
     corruption_error,
     load_profile,
     miou,
-    per_class_iou,
     read_accuracy_record,
     remap_injected,
     render_report,
@@ -57,30 +56,19 @@ class TestConfusionMatrix:
 
 class TestMiou:
     def test_perfect(self):
-        assert miou(np.diag([5, 3, 2])) == 1.0
+        assert miou(np.array([0, 1, 2]), np.array([0, 1, 2]), np.array([5, 3, 2])) == 1.0
 
     def test_hand_computed_third(self):
         # 4 points, two classes, half of each misassigned to the other:
         # per class TP=1 FP=1 FN=1 -> IoU = 1/3
         gt = np.array([1, 1, 2, 2])
         pred = np.array([1, 2, 1, 2])
-        cm = confusion_matrix(pred, gt, num_classes=3, ignore_label=255)
-        assert miou(cm) == pytest.approx(1 / 3)
-
-    def test_absent_class_excluded(self):
-        cm = np.zeros((4, 4), int)
-        cm[1, 1] = 10  # only class 1 observed
-        assert miou(cm) == 1.0
+        assert miou(gt, pred, np.ones(4, np.intp)) == pytest.approx(1 / 3)
 
     def test_undefined_when_empty(self):
+        empty = np.zeros(0, np.uint32)
         with pytest.raises(UndefinedMetricError):
-            miou(np.zeros((3, 3), int))
-
-    @pytest.mark.parametrize("shape", [(1, 3), (4,)])
-    def test_non_square_matrix_rejected(self, shape):
-        # A (1, 3) matrix would broadcast to three IoUs without the check.
-        with pytest.raises(ValueError, match=r"^confusion matrix must be square, got shape "):
-            per_class_iou(np.ones(shape))
+            miou(empty, empty, np.zeros(0, np.intp))
 
 
 class TestCorruptionError:

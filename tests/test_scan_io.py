@@ -23,7 +23,6 @@ from lidarcorrupt import (
     read_nuscenes_scan,
     read_scan,
     read_semkitti_labels,
-    write_kitti_boxes,
     write_kitti_scan,
     write_nuscenes_scan,
     write_scan,
@@ -31,7 +30,7 @@ from lidarcorrupt import (
 )
 from lidarcorrupt.cli import RunConfig, run_corrupt
 
-from conftest import NUSCENES_BEAMS, write_dataset
+from conftest import NUSCENES_BEAMS, assert_same_bits, write_dataset, write_kitti_boxes
 
 
 def random_cloud(rng, n, with_ring=False, beam_count=32):
@@ -75,7 +74,7 @@ class TestKittiScan:
             pc = random_cloud(rng, int(rng.integers(0, 1000)))
             raw = write_kitti_scan(pc)
             back = read_kitti_scan(raw)
-            assert back.equals(pc)
+            assert_same_bits(back, pc)
             assert write_kitti_scan(back) == raw
 
     def test_zero_point_count_bytes(self):
@@ -112,7 +111,7 @@ class TestNuscenesScan:
             pc = random_cloud(rng, int(rng.integers(0, 500)), with_ring=True)
             raw = write_nuscenes_scan(pc)
             back = read_nuscenes_scan(raw, beam_count=NUSCENES_BEAMS)
-            assert back.equals(pc)
+            assert_same_bits(back, pc)
             assert write_nuscenes_scan(back) == raw
 
     def test_write_requires_ring(self):
@@ -152,7 +151,7 @@ class TestLabels:
             semantic=np.array([1, 40, 255], np.uint16),
             instance=np.array([0, 7, 65535], np.uint16),
         )
-        assert read_semkitti_labels(write_semkitti_labels(labels)).equals(labels)
+        assert_same_bits(read_semkitti_labels(write_semkitti_labels(labels)), labels)
 
 
 class TestKittiBoxes:
@@ -160,7 +159,7 @@ class TestKittiBoxes:
 
     def test_parse_geometry(self):
         boxes = read_kitti_boxes(self.LINE)
-        assert len(boxes) == 1
+        assert len(boxes.boxes) == 1
         box = boxes.boxes[0]
         assert box.class_id == 0
         assert box.lwh == (3.9, 1.6, 1.5)
@@ -169,7 +168,7 @@ class TestKittiBoxes:
 
     def test_dontcare_skipped(self):
         text = self.LINE + "DontCare -1 -1 -10 0 0 0 0 -1 -1 -1 -1000 -1000 -1000 -10\n"
-        assert len(read_kitti_boxes(text)) == 1
+        assert len(read_kitti_boxes(text).boxes) == 1
 
     def test_unknown_type(self):
         with pytest.raises(MalformedScanError, match="unknown type"):
@@ -280,7 +279,7 @@ class TestIterateDataset:
         self._write_scan(tmp_path / "velodyne" / "000000.bin")
         (tmp_path / "boxes" / "000000.txt").write_text(TestKittiBoxes.LINE)
         frame = load_dataset(tmp_path, profile)[0]
-        assert frame.boxes is not None and len(frame.boxes) == 1
+        assert frame.boxes is not None and len(frame.boxes.boxes) == 1
         assert frame.labels is None
 
     def test_missing_box_file_raises(self, tmp_path):

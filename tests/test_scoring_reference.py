@@ -2,10 +2,11 @@
 
 `confusion_matrix`, `remap_injected` and `read_semkitti_labels` mask, check
 and decode in the labels' own dtypes. The references below are their
-earlier bodies, which widened whole arrays to int64 first. `run_evaluate`
-scores each directory from its distinct (gt, pred) pairs; its reference is
-a dense count per file. Every case must give a bit-equal result, or the
-same exception type and message.
+earlier bodies, which widened whole arrays to int64 first. `miou` scores
+counted (gt, pred) pairs, and `run_evaluate` each directory from its
+distinct pairs; their reference is the IoU of a dense confusion matrix,
+counted per file. Every case must give a bit-equal result, or the same
+exception type and message.
 """
 
 import dataclasses
@@ -25,6 +26,8 @@ from lidarcorrupt.metrics import confusion_matrix, miou, remap_injected, write_a
 from lidarcorrupt.scan_io import read_semkitti_labels, write_semkitti_labels
 from lidarcorrupt.types import LabelArray
 
+from conftest import assert_same_bits
+
 
 def reference_confusion_matrix(pred, gt, num_classes, ignore_label=255):
     pred = np.asarray(pred).reshape(-1).astype(np.int64)
@@ -39,6 +42,19 @@ def reference_confusion_matrix(pred, gt, num_classes, ignore_label=255):
             raise ValueError(f"{name} label {bad} outside [0, {num_classes})")
     cm = np.bincount(gt * num_classes + pred, minlength=num_classes * num_classes)
     return cm.reshape(num_classes, num_classes)
+
+
+def reference_miou(cm):
+    """Mean IoU over the classes present in a dense confusion matrix."""
+    cm = np.asarray(cm, dtype=np.float64)
+    tp = np.diag(cm)
+    union = cm.sum(axis=0) + cm.sum(axis=1) - tp
+    with np.errstate(invalid="ignore", divide="ignore"):
+        iou = np.where(union > 0, tp / union, np.nan)
+    present = ~np.isnan(iou)
+    if not present.any():
+        raise UndefinedMetricError("mIoU undefined: no class present in pred or gt")
+    return float(iou[present].mean())
 
 
 def reference_remap_injected(semantic, profile):
@@ -69,12 +85,6 @@ def outcome(fn, *args):
         return fn(*args)
     except Exception as exc:  # compared, not handled
         return (type(exc), str(exc))
-
-
-def assert_same_array(a, b):
-    assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-    assert a.dtype == b.dtype and a.shape == b.shape
-    assert a.tobytes() == b.tobytes()
 
 
 # uint64 values stop at the int64 maximum: past it the reference's int64
@@ -126,7 +136,7 @@ def test_confusion_matrix_matches_reference(case):
     if isinstance(expected, tuple):
         assert got == expected
     else:
-        assert_same_array(got, expected)
+        assert_same_bits(got, expected)
 
 
 @pytest.mark.parametrize("case", [
@@ -145,7 +155,7 @@ def test_confusion_matrix_edge_cases_match_reference(case):
     if isinstance(expected, tuple):
         assert got == expected
     else:
-        assert_same_array(got, expected)
+        assert_same_bits(got, expected)
 
 
 def test_uint64_past_int64_named_as_itself():
@@ -179,8 +189,8 @@ def test_remap_injected_matches_reference(profile, semantic):
     if isinstance(expected, tuple):
         assert got == expected
     else:
-        assert_same_array(got, expected)
-    assert_same_array(semantic, before)
+        assert_same_bits(got, expected)
+    assert_same_bits(semantic, before)
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,8 +201,38 @@ def test_read_semkitti_labels_matches_reference(data):
     if isinstance(expected, tuple):
         assert got == expected
     else:
-        assert_same_array(got.semantic, expected.semantic)
-        assert_same_array(got.instance, expected.instance)
+        assert_same_bits(got, expected)
+
+
+@st.composite
+def label_pairs(draw):
+    """(gt, pred, counts) as `_miou_over_dir` passes them to `miou`: uint32
+    ids, repeats allowed, and a positive intp count of points per pair. gt ids
+    lie in [0, 19] and pred ids in [10, 29], so a class may be in gt only, in
+    pred only or in both."""
+    n = draw(st.integers(0, 12))
+
+    def column(values, dtype):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype)
+
+    return (column(st.integers(0, 19), np.uint32), column(st.integers(10, 29), np.uint32),
+            column(st.integers(1, 10**6), np.intp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_pairs())
+@example((np.array([3, 12], np.uint32), np.array([12, 25], np.uint32), np.array([2, 5], np.intp)))
+@example((np.zeros(0, np.uint32), np.zeros(0, np.uint32), np.zeros(0, np.intp)))  # undefined
+def test_miou_matches_dense_reference(pairs):
+    gt, pred, counts = pairs
+    cm = np.zeros((30, 30), np.int64)
+    np.add.at(cm, (gt, pred), counts)
+    expected = outcome(reference_miou, cm)
+    got = outcome(miou, gt, pred, counts)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert_same_bits(got, expected)
 
 
 # `run_evaluate` against the per-file dense count it used before scoring
@@ -218,7 +258,7 @@ def reference_miou_over_dir(pred_dir, gt_dir, profile, num_classes, buffers):
         cm += reference_confusion_matrix(
             pred.semantic, reference_remap_injected(gt.semantic, profile), size,
             profile.ignore_label)
-    return miou(cm)
+    return reference_miou(cm)
 
 
 def evaluate_outcome(root, profile, num_classes, scorer=None):

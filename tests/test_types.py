@@ -47,12 +47,6 @@ class TestPointCloud:
         assert sub.intensity.tolist() == [0.0, 2.0]
         assert sub.ring.tolist() == [0, 2]
 
-    def test_equals_is_bitwise(self):
-        pc = PointCloud(xyz=np.zeros((1, 3)), intensity=np.zeros(1))
-        other = PointCloud(xyz=np.zeros((1, 3)), intensity=np.array([1e-8]))
-        assert pc.equals(pc)
-        assert not pc.equals(other)
-
 
 class TestLabelArray:
     def test_length_mismatch(self):
@@ -181,7 +175,7 @@ def contains_reference(boxes, xyz, class_ids=None):
     """`BoxSet.contains` as it tested every point against every box."""
     pts = np.asarray(xyz, dtype=np.float64)
     inside = np.zeros(len(pts), dtype=bool)
-    for box in boxes:
+    for box in boxes.boxes:
         if class_ids is not None and box.class_id not in class_ids:
             continue
         d = pts - np.asarray(box.center)
