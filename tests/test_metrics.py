@@ -65,6 +65,14 @@ class TestMiou:
         pred = np.array([1, 2, 1, 2])
         assert miou(gt, pred, np.ones(4, np.intp)) == pytest.approx(1 / 3)
 
+    def test_absent_class_excluded(self):
+        # Only classes 1 and 7 occur; 0 and 2..6 are absent from both sides
+        # and add no zero or NaN term to the mean.
+        assert miou(np.array([1, 7]), np.array([1, 7]), np.array([10, 5])) == 1.0
+        # A class held only by pred is present: 3 scores 0, 1 scores 10/12.
+        gt, pred = np.array([1, 1]), np.array([1, 3])
+        assert miou(gt, pred, np.array([10, 2])) == pytest.approx((10 / 12 + 0.0) / 2)
+
     def test_undefined_when_empty(self):
         empty = np.zeros(0, np.uint32)
         with pytest.raises(UndefinedMetricError):
