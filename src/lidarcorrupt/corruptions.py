@@ -7,15 +7,16 @@ their input frame, keep labels aligned with the cloud through drops and
 injections, and never touch box annotations. Points that an operator invents
 or relocates are tagged in the output's provenance array and, when the
 dataset profile defines one, relabeled with the matching injected class id.
+Each operator checks its `profiles.KINDS` keywords by `profiles.RULES`, the
+one table of every parameter's range, and a ValueError names the keyword.
 """
 
 from __future__ import annotations
 
 import enum
 import inspect
-import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Optional
 
 import numpy as np
@@ -28,7 +29,7 @@ from .geometry import (
     partition_beams,
     point_ranges,
 )
-from .profiles import KINDS, CorruptionKind, DatasetProfile, Severity
+from .profiles import KINDS, RULES, CorruptionKind, DatasetProfile, Severity
 from .rng import derive_seed, make_rng
 from .types import INTENSITY_TOLERANCE, BoxSet, LabelArray, PointCloud, row_indices
 
@@ -114,10 +115,20 @@ class CorruptedFrame:
                               self.boxes, provenance)
 
 
-def _check_strength(name: str, value: float) -> None:
-    """ValueError naming `name` unless `value` is finite and >= 0."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+def _checks_params(operator):
+    """`apply_<kind>`, checking each `KINDS[kind]` keyword by its key's rule in
+    `RULES` (a beam rule reads `partition.beam_count`) and passing it on as
+    a profile holds it; ValueError names the keyword of a value out of range."""
+    kind, signature = CorruptionKind(operator.__name__[len("apply_"):]), inspect.signature(operator)
+
+    @wraps(operator)
+    def checked(*args, **kwargs):
+        arguments = signature.bind(*args, **kwargs).arguments
+        beam_count = getattr(arguments.get("partition"), "beam_count", None)
+        for name, key in KINDS[kind].items():
+            arguments[name] = RULES[key].typed(name, arguments[name], beam_count, entry=True)
+        return operator(**arguments)
+    return checked
 
 
 def _checked(draw: np.ndarray, *shape: int) -> np.ndarray:
@@ -127,6 +138,7 @@ def _checked(draw: np.ndarray, *shape: int) -> np.ndarray:
     return draw
 
 
+@_checks_params
 def apply_fog(
     frame: CorruptedFrame,
     alpha: float,
@@ -150,11 +162,8 @@ def apply_fog(
     rewritten, by index, with the same arithmetic per row as a full pass.
 
     Raises:
-        ValueError: alpha or beta_bs not finite and >= 0, intensities not
-            normalized to [0, 1], or a draw of another shape.
+        ValueError: intensities above 1, or a draw of another shape.
     """
-    _check_strength("alpha", alpha)
-    _check_strength("beta_bs", beta_bs)
     intensity = frame.cloud.intensity
     if intensity.size and float(intensity.max()) > 1.0 + INTENSITY_TOLERANCE:
         raise ValueError(
@@ -164,9 +173,10 @@ def apply_fog(
     n = len(frame.cloud)
     i64 = intensity.astype(np.float64)
     r = frame.ranges
-    i_hard = i64 * np.exp(-2.0 * alpha * r)
-    response = np.clip(1.0 - r / response_distance, 0.0, 1.0)
-    i_soft = i64 * (r * r / beta_0) * beta_bs * response
+    with np.errstate(over="ignore", invalid="ignore"):  # a soft response of inf wins, 0 * inf loses
+        i_hard = i64 * np.exp(-2.0 * (alpha * r))  # alpha * 0 is 0, where (-2 * alpha) is -inf
+        response = np.clip(1.0 - r / response_distance, 0.0, 1.0)
+        i_soft = i64 * (r * r / beta_0) * beta_bs * response
     idx = np.flatnonzero(i_soft > i_hard)
     low, high = scatter_fraction
     fraction = low + (high - low) * _checked(draw, n).take(idx)
@@ -180,6 +190,7 @@ def apply_fog(
                              class_id=fog_class)
 
 
+@_checks_params
 def apply_wet_ground(
     frame: CorruptedFrame,
     ground: GroundModel,
@@ -198,9 +209,8 @@ def apply_wet_ground(
     water; `d_w` = 0 is a dry road and an exact identity.
 
     Raises:
-        ValueError: d_w not finite and >= 0, or ground mask misaligned.
+        ValueError: ground mask misaligned.
     """
-    _check_strength("d_w", d_w)
     n = len(frame.cloud)
     mask = np.asarray(ground.inlier_mask, dtype=bool)
     if len(mask) != n:
@@ -208,7 +218,8 @@ def apply_wet_ground(
     if d_w == 0:  # dry road: the general path would still drop ground returns below i_n
         return frame
 
-    attenuation = np.exp(-kappa_per_mm * d_w / _checked(incidence, n))
+    with np.errstate(over="ignore"):  # past float64 the attenuation is exp(-inf) = 0
+        attenuation = np.exp(-kappa_per_mm * d_w / _checked(incidence, n))
 
     i64 = frame.cloud.intensity.astype(np.float64)
     wet_i = np.where(mask, i64 * attenuation, i64)
@@ -221,6 +232,7 @@ def apply_wet_ground(
     return updated.select(survivors)
 
 
+@_checks_params
 def apply_snow(
     frame: CorruptedFrame,
     r_s: float,
@@ -244,7 +256,6 @@ def apply_snow(
     an exact identity. Only the rays cut short are gathered and rewritten,
     by index, each with the arithmetic of a full-length pass.
     """
-    _check_strength("r_s", r_s)
     if r_s == 0:  # else the identity would rest on exp(-0.0) == 1 in every SIMD kernel
         return frame
 
@@ -255,29 +266,31 @@ def apply_snow(
             particles_per_meter_per_rate * r_s)
     idx = np.flatnonzero(particle_distances < r)
 
-    k = extinction_per_rate * r_s
+    k = min(extinction_per_rate * r_s, np.finfo(np.float64).max)  # k * 0 is 0, never inf * 0
     i64 = frame.cloud.intensity.astype(np.float64)
     xyz = frame.cloud.xyz.copy()
-    intensity = (i64 * np.exp(-2.0 * k * r)).astype(np.float32)
     hit_d, hit_r = particle_distances.take(idx), r.take(idx)
+    with np.errstate(over="ignore"):  # an extinction past float64 leaves exp(-inf) = 0
+        intensity = (i64 * np.exp(-2.0 * (k * r))).astype(np.float32)
+        hit_i = reflectivity * i64.take(idx) * np.exp(-2.0 * (k * hit_d))
     scale = hit_d / hit_r  # a hit's range exceeds its particle's distance, so is > 0
     xyz[idx] = (xyz.take(idx, axis=0).astype(np.float64) * scale[:, None]).astype(np.float32)
-    hit_i = reflectivity * i64.take(idx) * np.exp(-2.0 * k * hit_d)
     intensity[idx] = np.clip(hit_i, 0.0, 1.0)
 
     return frame.with_fields(xyz, intensity, changed=idx, tag=Provenance.INJECTED_SNOW,
                              class_id=snow_class)
 
 
+@_checks_params
 def apply_motion_blur(frame: CorruptedFrame, sigma_t: float, draw: np.ndarray) -> CorruptedFrame:
     """Motion blur: independent Gaussian jitter on each coordinate axis.
 
-    Each point moves by sigma_t times its row of `draw`, (N, 3) standard
-    normals. Intensity, labels, and point count are untouched. sigma_t = 0 is
-    an exact identity. xyz + offsets is summed in float64 and rounded to
-    float32 in blocks of rows, so the float64 temporary is one block's.
+    Each point moves by sigma_t (at most 1e37, so a coordinate stays a finite
+    float32) times its row of `draw`, (N, 3) standard normals. Intensity,
+    labels, and point count are untouched. sigma_t = 0 is an exact identity.
+    xyz + offsets is summed in float64 and rounded to float32 in blocks of
+    rows, so the float64 temporary is one block's.
     """
-    _check_strength("sigma_t", sigma_t)
     if sigma_t == 0:  # else draw * 0.0 + xyz would turn a -0.0 coordinate into +0.0
         return frame
     xyz, draw = np.empty_like(frame.cloud.xyz), _checked(draw, len(frame.cloud), 3)
@@ -296,13 +309,12 @@ def _in_beams(partition: BeamPartition, beams: np.ndarray) -> np.ndarray:
     return table.take(partition.beam_of, mode="clip") & (partition.beam_of >= 0)
 
 
+@_checks_params
 def apply_beam_missing(
     frame: CorruptedFrame, partition: BeamPartition, m: int, draw: np.ndarray
 ) -> CorruptedFrame:
     """Beam missing: drop all points of the first m beams of `draw`, a
     permutation of the partition's beam ids; another draw raises ValueError."""
-    if not 0 <= m <= partition.beam_count:
-        raise ValueError(f"m must be in [0, {partition.beam_count}], got {m}")
     if not np.array_equal(np.sort(_checked(draw, partition.beam_count)),
                           np.arange(partition.beam_count)):
         raise ValueError(f"draw is not a permutation of the {partition.beam_count} beam ids")
@@ -310,6 +322,7 @@ def apply_beam_missing(
     return frame.select(keep)
 
 
+@_checks_params
 def apply_crosstalk(
     frame: CorruptedFrame,
     k_t: float,
@@ -321,12 +334,10 @@ def apply_crosstalk(
 
     `draw` is (order, noise), a permutation of the N points and rows of 4
     standard normals: the first round(k_t * N) points of `order` get sigma_c
-    times the first noise rows added to x, y, z, and intensity, with
-    intensity clamped back to [0, 1], and are relabeled `crosstalk_class`.
+    (at most 1e37, as for motion blur) times the first noise rows added to
+    x, y, z, and intensity, with intensity clamped back to [0, 1], and are
+    relabeled `crosstalk_class`.
     """
-    if not 0 <= k_t <= 1:
-        raise ValueError(f"k_t must be in [0, 1], got {k_t}")
-    _check_strength("sigma_c", sigma_c)
     n = len(frame.cloud)
     n_sel = int(np.rint(k_t * n))
     order, noise = draw
@@ -345,6 +356,7 @@ def apply_crosstalk(
                              tag=Provenance.JITTERED_CROSSTALK, class_id=crosstalk_class)
 
 
+@_checks_params
 def apply_incomplete_echo(
     frame: CorruptedFrame, vehicle_mask: np.ndarray, k_e: float, draw: np.ndarray
 ) -> CorruptedFrame:
@@ -357,8 +369,6 @@ def apply_incomplete_echo(
     Raises:
         ValueError: `vehicle_mask` misaligned with the cloud.
     """
-    if not 0 <= k_e <= 1:
-        raise ValueError(f"k_e must be in [0, 1], got {k_e}")
     if len(vehicle_mask) != len(frame.cloud):
         raise ValueError(
             f"vehicle mask length {len(vehicle_mask)} != point count {len(frame.cloud)}"
@@ -372,6 +382,7 @@ def apply_incomplete_echo(
     return frame.select(keep)
 
 
+@_checks_params
 def apply_cross_sensor(
     frame: CorruptedFrame,
     partition: BeamPartition,
@@ -384,16 +395,11 @@ def apply_cross_sensor(
     elevation-ordered beam list (no randomness), and within each surviving
     beam every round(1/subsample_keep)-th point survives in original order.
     """
-    if not 1 <= beams_kept <= partition.beam_count:
-        raise ValueError(f"beams_kept must be in [1, {partition.beam_count}], got {beams_kept}")
-    if not 0 < subsample_keep <= 1:
-        raise ValueError(f"subsample_keep must be in (0, 1], got {subsample_keep}")
-    stride = max(1, int(round(1.0 / subsample_keep)))
-    kept_beams = np.floor(
-        np.arange(beams_kept) * partition.beam_count / beams_kept
-    ).astype(np.int64)
+    # A stride past every rank keeps each beam's first point, as 1 / subsample_keep would.
+    stride = max(1, round(min(1.0 / subsample_keep, len(frame.cloud) + 1)))
+    kept = np.floor(np.arange(beams_kept) * partition.beam_count / beams_kept).astype(np.int64)
 
-    keep = _in_beams(partition, kept_beams) & (partition.ranks % stride == 0)
+    keep = _in_beams(partition, kept) & (partition.ranks % stride == 0)
     return frame.select(keep)
 
 
@@ -516,11 +522,9 @@ def apply(kind: CorruptionKind, frame: FrameContext, severity: Severity) -> Corr
     kwargs = {}
     for name in list(inspect.signature(operator).parameters)[1:]:  # frame builds only these
         if name in KINDS[kind]:
-            key = KINDS[kind][name]
-            value = frame.profile.value_at(key, severity)
-            if key.endswith("_axis"):
-                value = float(make_rng(f"{kind}-{name}", frame.seed_of(kind)).choice(value))
-            kwargs[name] = value
+            kwargs[name] = value = frame.profile.value_at(KINDS[kind][name], severity)
+            if KINDS[kind][name].endswith("_axis"):
+                kwargs[name] = make_rng(f"{kind}-{name}", frame.seed_of(kind)).choice(value)
         else:
             kwargs[name] = frame.draw(kind) if name == "draw" else getattr(
                 frame.profile if name.endswith("_class") else frame, name)

@@ -1,19 +1,16 @@
 """Dataset profiles: per-dataset corruption parameters and class-id sets.
 
-The built-in tables live in ``data/profiles.json`` (editable, versioned).
-Each profile carries the sensor beam count, the severity parameter triples
-for all eight corruptions, the semantic class-id sets used by ground and
-vehicle queries, and the synthetic class ids assigned to injected fog, snow,
-and crosstalk points. A table entry holds its fields and its values by their
-``--set`` names, over a ``defaults`` table of the values all entries share.
+The built-in tables live in ``data/profiles.json`` (editable, versioned): an
+entry per dataset, by ``--set`` names, over a ``defaults`` table of the
+values all entries share.
 
 A profile is checked whole when it is built, from a table or by
-`with_overrides`: its keys must be those of `_ENTRIES` (from `KINDS`, the
-one list of what each corruption reads), with values of their shape there,
-`requires_labels` true or false, and each value in its range (`_RANGES`).
-ProfileError reads ``PROFILE: KEY must be ...``, echoing the value as
-written, or names a missing or unknown key. Once checked, each value is kept
-as its rule's type, so every reader takes it as the profile holds it.
+`with_overrides`, in one pass over `RULES`: the one table of every field and
+`params` key, with its shape, its range in words, the test of that range and
+whether it takes whole numbers. ProfileError reads ``PROFILE: KEY must be
+...``, echoing the value as written, or names a missing or unknown key. Each
+checked value is kept as its rule's type; the operators check their
+keywords by the same rules.
 """
 
 from __future__ import annotations
@@ -21,10 +18,11 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from .errors import ProfileError
 
@@ -33,6 +31,7 @@ __all__ = [
     "Severity",
     "DatasetProfile",
     "KINDS",
+    "RULES",
     "load_profile",
     "available_profiles",
 ]
@@ -67,18 +66,12 @@ class Severity(str, enum.Enum):
 class DatasetProfile:
     """All per-dataset constants needed to corrupt and score one dataset.
 
-    `params` maps every key of `_ENTRIES` to its value, by its ``--set``
-    name. A dotted key (``fog.beta_bs``) is a [light, moderate, heavy]
-    triple, or, ending in ``_axis``, a list that `corruptions.apply` draws
-    one value from per frame and corruption, so a frame's three severities
-    share it; any other is a dataset-wide constant. Class ids are whole
-    numbers in [0, 65535] (semantic ids are 16-bit), box classes whole
-    numbers. The three class-id sets are given as lists of distinct ids and
-    kept as frozensets of ints; any other number is kept as an int where its
-    rule asks for a whole number and as a float otherwise, alone or in a list. An empty `vehicle_classes` marks no point a vehicle,
-    but an empty `vehicle_box_classes` counts every box as one. Building a
-    profile checks it whole (see the module docstring) and raises
-    ProfileError on the first fault.
+    `params` maps every `RULES` key that is no field to its value: a dotted
+    key's is a [light, moderate, heavy] triple, or, ending in ``_axis``, a
+    list that `corruptions.apply` draws one value from per frame and
+    corruption. An empty `vehicle_classes` marks no point a vehicle, but an
+    empty `vehicle_box_classes` counts every box as one. Building a profile
+    checks it whole and raises ProfileError on the first fault.
     """
 
     name: str
@@ -95,55 +88,32 @@ class DatasetProfile:
     params: Mapping[str, Any]
 
     def __post_init__(self) -> None:
-        unknown = [key for key in self.params if key not in _ENTRIES]
-        missing = [key for key in _ENTRIES if key not in self.params]
-        for what, keys in (("unknown", unknown), ("missing", missing)):
+        valid = [key for key in RULES if key not in vars(self)]  # the keys that are no field
+        for what, keys in (("unknown", [key for key in self.params if key not in valid]),
+                           ("missing", [key for key in valid if key not in self.params])):
             if keys:
                 raise ProfileError(f"{self.name}: {what} key {keys[0]!r}; "
-                                   f"valid keys: {', '.join(_ENTRIES)}")
-        for key, shape in _ENTRIES.items():
-            if not _has_shape(shape, self.params[key]):
-                raise ProfileError(f"{self.name}: {key} must be {shape}, got {self.params[key]!r}")
-        if not isinstance(self.requires_labels, bool):
-            raise ProfileError(f"{self.name}: requires_labels must be true or false, "
-                               f"got {self.requires_labels!r}")
-        checked = {name: value for name, value in vars(self).items()
-                   if name in _RANGES and not (name in _INJECTED and value is None)}
+                                   f"valid keys: {', '.join(valid)}")
         typed = {}
-        for key, value in {**checked, **self.params}.items():
-            rule, allowed = _RANGES.get(key, (">= 0", lambda v, profile: True))
-            whole = "whole" in rule  # the rule's words say whether it takes a whole number
-            listed = isinstance(value, (list, tuple, frozenset))
-            values = value if listed else [value]
-            # A field is one number, or for a class-id list a list of them.
-            if (key in checked and listed != (key in _CLASS_LISTS)) or not all(
-                    _is_number(v) and v >= 0 and (_whole(v) or not whole) and allowed(v, self)
-                    for v in values):
-                rule = rule.format(beam_count=self.beam_count)
-                raise ProfileError(f"{self.name}: {key} must be {rule}, got {value!r}")
-            if key in _CLASS_LISTS and len(set(values)) < len(values):
-                raise ProfileError(f"{self.name}: {key} must be distinct ids, got {value!r}")
-            values = [int(v) if whole else float(v) for v in values]
-            typed[key] = (frozenset(values) if key in _CLASS_LISTS
-                          else values if listed else values[0])
-        for name in checked:
-            object.__setattr__(self, name, typed.pop(name))
+        for key, rule in RULES.items():  # the fields first, so a beam rule reads the beam count
+            value = self.params[key] if key in valid else vars(self)[key]
+            try:
+                typed[key] = rule.typed(key, value, typed.get("beam_count"))
+            except ValueError as exc:
+                raise ProfileError(f"{self.name}: {exc}") from None
+        for key in vars(self).keys() & typed.keys():
+            object.__setattr__(self, key, typed.pop(key))
         object.__setattr__(self, "params", typed)
-        injected = self.injected_classes()
-        for name, classes in (
-            ("ground_classes", self.ground_classes),
-            ("vehicle_classes", self.vehicle_classes),
-        ):
-            overlap = injected & classes
+        for name in ("ground_classes", "vehicle_classes"):
+            overlap = self.injected_classes() & getattr(self, name)
             if overlap:
-                raise ProfileError(
-                    f"{self.name}: {name} overlaps injected class ids {sorted(overlap)}"
-                )
+                raise ProfileError(f"{self.name}: {name} overlaps injected class ids "
+                                   f"{sorted(overlap)}")
 
     def value_at(self, key: str, severity: Severity) -> Any:
         """`key`'s value at `severity`: a triple's entry, any other value whole."""
         value = self.params[key]
-        return value[list(Severity).index(severity)] if _ENTRIES[key] == _TRIPLE else value
+        return value[list(Severity).index(severity)] if RULES[key].shape == _TRIPLE else value
 
     def severity_params(self, kind: CorruptionKind, severity: Severity) -> dict:
         """`kind`'s severity entries at `severity`, keyed after the dot; each
@@ -152,7 +122,7 @@ class DatasetProfile:
                 for key in KINDS[kind].values() if "." in key}
 
     def injected_classes(self) -> frozenset[int]:
-        return frozenset(getattr(self, name) for name in _INJECTED) - {None}
+        return frozenset((self.fog_class, self.snow_class, self.crosstalk_class)) - {None}
 
     def with_overrides(self, overrides: Mapping[str, Any]) -> "DatasetProfile":
         """Copy with the `params` values of `overrides`' keys replaced. The
@@ -166,9 +136,9 @@ class DatasetProfile:
 
 
 def _is_number(value: Any) -> bool:
-    """An int or float that is a finite float: NaN, infinity and an int too
-    large for a float are not parameter values."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A real number (numpy's too) that is a finite float: NaN, infinity, a
+    boolean and an int too large for a float are not parameter values."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     try:
         return math.isfinite(value)
@@ -176,14 +146,51 @@ def _is_number(value: Any) -> bool:
         return False
 
 
-def _whole(value: Any) -> bool:
-    return isinstance(value, int) or value.is_integer()
-
-
+# The shapes of a `params` value, as its message names them.
 _NUMBER = "a number"
 _PAIR = "a list of 2 numbers"
 _TRIPLE = "a 3-entry severity triple of numbers"
 _AXIS = "a nonempty list of numbers"
+# The shapes of a field; a misshapen field's message names its range.
+_FIELD = "one number"
+_ID_OR_NULL = "one number or null"
+_IDS = "a list of distinct numbers"
+_FLAG = "true or false"
+
+
+class Rule(NamedTuple):
+    """A value's shape, its range in words, `test(v, beam_count)` of each of
+    its numbers `v` >= 0 against that range, and whether it is whole."""
+
+    shape: str
+    words: str = ">= 0"
+    test: Callable[[float, Optional[int]], bool] = lambda v, beams: True
+    whole: bool = False
+
+    def typed(self, name: str, value: Any, beam_count: Optional[int], entry: bool = False) -> Any:
+        """`value` as an int if whole, else a float, alone, in a list or in a
+        frozenset of ids; else ValueError ``NAME must be RULE, got VALUE``.
+        An `entry` is what an operator takes: one number of a triple or axis."""
+        shape = _NUMBER if entry and self.shape in (_TRIPLE, _AXIS) else self.shape
+        if (shape == _FLAG and isinstance(value, bool)) or (shape == _ID_OR_NULL and value is None):
+            return value
+        listed = isinstance(value, (list, tuple, frozenset) if shape == _IDS else (list, tuple))
+        values = list(value) if listed else [value]
+        if (shape == _FLAG or listed != (shape in (_PAIR, _TRIPLE, _AXIS, _IDS))
+                or len(values) != {_PAIR: 2, _TRIPLE: 3}.get(shape, len(values))
+                or (shape == _AXIS and not values) or not all(map(_is_number, values))):
+            fault = shape if shape in (_NUMBER, _PAIR, _TRIPLE, _AXIS) else self.words
+        elif not (all(v >= 0 and (float(v).is_integer() or not self.whole)
+                      and self.test(v, beam_count) for v in values)
+                  and (shape != _PAIR or values[0] <= values[1])):
+            fault = self.words.format(beam_count=beam_count)
+        elif shape == _IDS and len(set(values)) < len(values):
+            fault = "distinct ids"
+        else:
+            values = [int(v) if self.whole else abs(float(v)) for v in values]  # -0.0 is 0.0
+            return frozenset(values) if shape == _IDS else values if listed else values[0]
+        raise ValueError(f"{name} must be {fault}, got {value!r}")
+
 
 # What each corruption reads: operator keyword -> profile key. A dotted key
 # ("kind.name") is a severity triple, one ending in "_axis" a list that
@@ -209,56 +216,44 @@ KINDS = {
         "beams_kept": "cross_sensor.beams_kept", "subsample_keep": "subsample_keep"},
 }
 
-# Every `params` key a profile has, no more and no fewer, with the shape of
-# its value: those of `KINDS` (the fog scatter fraction a pair), then the
-# RANSAC settings that `corruptions.FrameContext.ground` reads.
-_ENTRIES = {
-    **{key: _AXIS if key.endswith("_axis") else _TRIPLE if "." in key else _NUMBER
+
+def _is_class_id(v: float, beam_count: Optional[int]) -> bool:
+    return v <= 65535
+
+
+# Every profile key's rule, in the order a profile is checked (the fields
+# first, so a beam rule reads a checked beam count) and a message lists the
+# `params` keys: each operator's from `KINDS` (a number, a triple if dotted,
+# an axis if ending in "_axis"; >= 0), then the RANSAC settings. A key of a
+# narrower range is given again below, keeping its place.
+RULES = {
+    "beam_count": Rule(_FIELD, "a whole number >= 1", lambda v, beams: v >= 1, whole=True),
+    "intensity_scale": Rule(_FIELD, "> 0", lambda v, beams: v > 0),
+    "ignore_label": Rule(_FIELD, "a whole number in [0, 65535]", _is_class_id, whole=True),
+    **dict.fromkeys(("fog_class", "snow_class", "crosstalk_class"), Rule(
+        _ID_OR_NULL, "a whole number in [0, 65535] or null", _is_class_id, whole=True)),
+    "ground_classes": Rule(_IDS, "whole numbers in [0, 65535]", _is_class_id, whole=True),
+    "vehicle_classes": Rule(_IDS, "whole numbers in [0, 65535]", _is_class_id, whole=True),
+    "vehicle_box_classes": Rule(_IDS, "whole numbers >= 0", whole=True),
+    "requires_labels": Rule(_FLAG, "true or false"),
+    **{key: Rule(_AXIS if key.endswith("_axis") else _TRIPLE if "." in key else _NUMBER)
        for table in KINDS.values() for key in table.values()},
-    "fog_scatter_fraction": _PAIR, "ransac_iterations": _NUMBER, "ransac_threshold": _NUMBER,
-}
-
-
-def _has_shape(shape: str, value: Any) -> bool:
-    if shape == _NUMBER:
-        return _is_number(value)
-    if not isinstance(value, (list, tuple)) or not all(_is_number(v) for v in value):
-        return False
-    return len(value) > 0 if shape == _AXIS else len(value) == (2 if shape == _PAIR else 3)
-
-
-def _is_class_id(value: Any, profile: DatasetProfile) -> bool:
-    return value <= 65535
-
-
-_CLASS_LISTS = ("ground_classes", "vehicle_classes", "vehicle_box_classes")
-# The fields of the class ids given to injected points; each may be null.
-_INJECTED = ("fog_class", "snow_class", "crosstalk_class")
-
-# The range of a profile value beyond the rule that it is no negative number:
-# key -> (the range in words, whether each number `v` of `profile` is in it).
-# A rule whose words say "whole" also takes whole numbers only, kept as ints.
-_RANGES = {
-    "beam_count": ("a whole number >= 1", lambda v, profile: v >= 1),
-    "intensity_scale": ("> 0", lambda v, profile: v > 0),
-    "ignore_label": ("a whole number in [0, 65535]", _is_class_id),
-    **dict.fromkeys(_INJECTED, ("a whole number in [0, 65535] or null", _is_class_id)),
-    "ground_classes": ("whole numbers in [0, 65535]", _is_class_id),
-    "vehicle_classes": ("whole numbers in [0, 65535]", _is_class_id),
-    "vehicle_box_classes": ("whole numbers >= 0", lambda v, profile: True),
-    "fog_beta_0": ("> 0", lambda v, profile: v > 0),
-    "fog_response_distance": ("> 0", lambda v, profile: v > 0),
-    "fog_scatter_fraction": (
-        "a pair low <= high in [0, 1]",  # so no number is above 1 or above high
-        lambda v, profile: v <= min(1, profile.params["fog_scatter_fraction"][1])),
-    "subsample_keep": ("in (0, 1]", lambda v, profile: 0 < v <= 1),
-    "crosstalk.fraction": ("in [0, 1]", lambda v, profile: v <= 1),
-    "incomplete_echo.fraction": ("in [0, 1]", lambda v, profile: v <= 1),
-    "beam_missing.beams_dropped": ("a whole number in [0, {beam_count}]",
-                                   lambda v, profile: v <= profile.beam_count),
-    "cross_sensor.beams_kept": ("a whole number in [1, {beam_count}]",
-                                lambda v, profile: 1 <= v <= profile.beam_count),
-    "ransac_iterations": ("a whole number >= 1", lambda v, profile: v >= 1),
+    "ransac_iterations": Rule(_NUMBER, "a whole number >= 1", lambda v, beams: v >= 1, whole=True),
+    "ransac_threshold": Rule(_NUMBER),
+    "fog_beta_0": Rule(_NUMBER, "> 0", lambda v, beams: v > 0),
+    "fog_response_distance": Rule(_NUMBER, "> 0", lambda v, beams: v > 0),
+    "fog_scatter_fraction": Rule(_PAIR, "a pair low <= high in [0, 1]", lambda v, beams: v <= 1),
+    "beam_missing.beams_dropped": Rule(_TRIPLE, "a whole number in [0, {beam_count}]",
+                                       lambda v, beams: v <= beams, whole=True),
+    "crosstalk.fraction": Rule(_TRIPLE, "in [0, 1]", lambda v, beams: v <= 1),
+    "incomplete_echo.fraction": Rule(_TRIPLE, "in [0, 1]", lambda v, beams: v <= 1),
+    "cross_sensor.beams_kept": Rule(_TRIPLE, "a whole number in [1, {beam_count}]",
+                                    lambda v, beams: 1 <= v <= beams, whole=True),
+    "subsample_keep": Rule(_NUMBER, "in (0, 1]", lambda v, beams: 0 < v <= 1),
+    # A jitter that, times a standard normal from numpy (|z| < 14), stays
+    # below float32's largest value, 3.4e38.
+    "motion_blur.sigma_t": Rule(_TRIPLE, "in [0, 1e37]", lambda v, beams: v <= 1e37),
+    "crosstalk_sigma": Rule(_NUMBER, "in [0, 1e37]", lambda v, beams: v <= 1e37),
 }
 
 

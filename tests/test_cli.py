@@ -259,6 +259,10 @@ OUT_OF_RANGE = [
     pytest.param("semantickitti", f"crosstalk_sigma={HUGE}",
                  f"crosstalk_sigma must be a number, got {HUGE}",
                  id="semantickitti-crosstalk_sigma=10**400"),
+    # A jitter this large moves a float32 coordinate past its largest value.
+    ("semantickitti", "motion_blur.sigma_t=1e39,1e39,1e39",
+     "motion_blur.sigma_t must be in [0, 1e37], got [1e+39, 1e+39, 1e+39]"),
+    ("semantickitti", "crosstalk_sigma=1e39", "crosstalk_sigma must be in [0, 1e37], got 1e+39"),
 ]
 
 
@@ -932,6 +936,21 @@ class TestCorrupt:
                    "--out", str(tmp_path / "out"), *extra])
         assert result.exit_code == 2, result.output
         assert f"configuration error: {profile}: {message}\n" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override", ["motion_blur.sigma_t=1e39,1e39,1e39",
+                                          "crosstalk_sigma=1e39"])
+    def test_jitter_past_float32_exits_before_any_output(self, runner, tmp_path, override):
+        # Such a jitter cannot give a finite output: it is refused before the
+        # run, with no failed output, traceback or numpy overflow warning.
+        src = build_dataset(tmp_path / "in", n_frames=1)
+        result = runner.invoke(main, ["corrupt", "--dataset", "semantickitti", "--in", str(src),
+                                      "--out", str(tmp_path / "out"), "--set", override])
+        assert result.exit_code == 2, result.output
+        key = override.split("=")[0]
+        assert f"configuration error: semantickitti: {key} must be in [0, 1e37], got " in (
+            result.output)
+        assert "Traceback" not in result.output and "RuntimeWarning" not in result.output
         assert not (tmp_path / "out").exists()
 
     # A repeated name, a name of no member, no worker or an override with no

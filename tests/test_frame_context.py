@@ -310,7 +310,8 @@ def output_bytes(frame, profile):
 
 
 def test_param_changes_cover_every_param():
-    assert sorted(PARAM_CHANGES) == sorted(profiles._ENTRIES)
+    fields = vars(load_profile("kitti")).keys()
+    assert sorted(PARAM_CHANGES) == sorted(profiles.RULES.keys() - fields)
 
 
 @pytest.mark.parametrize("key", sorted(PARAM_CHANGES))

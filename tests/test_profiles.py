@@ -1,6 +1,7 @@
 """Built-in profile tables: values, validation, overrides."""
 
 import json
+import math
 import re
 from dataclasses import replace
 from importlib import resources
@@ -137,6 +138,7 @@ class TestOverridesAndValidation:
         ("ransac_iterations", 1), ("ransac_iterations", 5.0), ("fog.alpha_axis", [0.0]),
         ("fog_beta_0", 1e-9), ("fog.beta_bs", [0, 0, 0]),
         ("fog_scatter_fraction", [0.3, 0.3]), ("fog_scatter_fraction", [0, 1]),
+        ("motion_blur.sigma_t", [0, 1e37, 1e37]), ("crosstalk_sigma", 1e37),
     ])
     def test_boundary_values_accepted(self, key, value):
         load_profile("semantickitti").with_overrides({key: value})
@@ -155,6 +157,8 @@ class TestOverridesAndValidation:
         ("fog_scatter_fraction", [0.1, 1.5], SCATTER_RULE),
         ("fog.alpha_axis", [0.01, -0.01], ">= 0"),
         ("snow_reflectivity", -0.3, ">= 0"),
+        ("motion_blur.sigma_t", [0.2, 0.3, 1.1e37], "in [0, 1e37]"),
+        ("crosstalk_sigma", 1e39, "in [0, 1e37]"),
     ])
     def test_out_of_range_rejected(self, key, value, rule):
         with pytest.raises(ProfileError) as info:
@@ -209,6 +213,13 @@ class TestOverridesAndValidation:
                                             "crosstalk_sigma", "fog.alpha_axis",
                                             "fog_scatter_fraction")))
         assert repr(held) == "(64, 255, [0, 1], [16, 32, 48], 200, 3.0, [0.0, 1.0], [0.0, 1.0])"
+
+    def test_negative_zero_kept_as_zero(self):
+        # A -0.0 snow particle rate would put every particle at -inf.
+        p = load_profile("kitti").with_overrides({"snow_particles_per_meter_per_rate": -0.0,
+                                                  "fog.beta_bs": [-0.0, 0.1, 0.2]})
+        assert math.copysign(1, p.params["snow_particles_per_meter_per_rate"]) == 1
+        assert math.copysign(1, p.params["fog.beta_bs"][0]) == 1
 
     def test_beam_ranges_follow_beam_count(self):
         p = load_profile("nuscenes")  # 32 beams
